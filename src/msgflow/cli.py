@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from . import canon, derived, flow, paths, report, sampling
 from .discrete import enumerate_joint
 from .errors import (
@@ -40,6 +42,8 @@ EXIT_BUDGET = 4
 EXIT_NO_PATH = 5
 EXIT_MODEL_VIOLATION = 6
 
+SAMPLED_MAX_CONDITIONING = 2
+
 
 @dataclass
 class AnalysisConfig:
@@ -52,7 +56,7 @@ class AnalysisConfig:
     seed: Optional[int] = None
     alpha: Optional[float] = None
     n_perm: Optional[int] = None
-    max_conditioning_size: int = flow.DEFAULT_MAX_CANDIDATES
+    max_conditioning_size: Optional[int] = None
     quantify: bool = False
     out_format: str = "json"
 
@@ -73,6 +77,13 @@ class AnalysisConfig:
                 raise ValidationError(f"{extra} only apply to the sampled engine")
         if self.engine not in ("exact", "gaussian", "sampled"):
             raise ValidationError(f"unknown engine {self.engine!r}")
+        if self.max_conditioning_size is None:
+            # A sampled cascade's Bonferroni level shrinks with its length.
+            self.max_conditioning_size = (
+                SAMPLED_MAX_CONDITIONING
+                if self.engine == "sampled"
+                else flow.DEFAULT_MAX_CANDIDATES
+            )
 
 
 def _load_spec(args) -> SystemSpec:
@@ -130,8 +141,10 @@ def cmd_analyze(args) -> int:
     )
     if config.engine == "sampled":
         trials = sampling.sample_trials(spec, config.n_trials, config.seed)
+        streams = np.random.SeedSequence(config.seed).spawn(len(config.messages))
         reports = {
-            m: _sampled_report(trials, m, config) for m in config.messages
+            m: _sampled_report(trials, m, config, ss)
+            for m, ss in zip(config.messages, streams)
         }
         joint = None
     else:
@@ -155,9 +168,12 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _sampled_report(trials, message: str, config: AnalysisConfig) -> flow.FlowReport:
+def _sampled_report(
+    trials, message: str, config: AnalysisConfig, stream: np.random.SeedSequence
+) -> flow.FlowReport:
     rep = flow.FlowReport(message=message, engine="sampled")
-    for i, e in enumerate(sorted(trials.edge_vars)):
+    edges = sorted(trials.edge_vars)
+    for e, edge_stream in zip(edges, stream.spawn(len(edges))):
         cands = [
             x
             for x in trials.edges_at(e.time)
@@ -167,9 +183,9 @@ def _sampled_report(trials, message: str, config: AnalysisConfig) -> flow.FlowRe
             trials,
             e,
             alpha=config.alpha,
-            max_subset_size=min(config.max_conditioning_size, 2, len(cands)),
+            max_subset_size=min(config.max_conditioning_size, len(cands)),
             n_perm=config.n_perm,
-            seed=config.seed + 7919 * i,
+            seed=int(edge_stream.generate_state(1, np.uint64)[0]),
             message=message,
         )
         rep.entries[e] = flow.FlowEntry(
@@ -202,7 +218,10 @@ def cmd_paths(args) -> int:
     spec = _load_spec(args)
     joint = _joint_for(spec, args.engine)
     message = args.message[0] if args.message else joint.default_message()
-    rep = flow.analyze(joint, message, max_candidates=args.max_conditioning)
+    max_candidates = (
+        flow.DEFAULT_MAX_CANDIDATES if args.max_conditioning is None else args.max_conditioning
+    )
+    rep = flow.analyze(joint, message, max_candidates=max_candidates)
     target = NodeRef.parse(args.target)
     v_ip = flow.input_nodes(joint, spec.graph, message)
     h = paths.find_info_paths(rep, spec.graph, target, v_ip)
@@ -303,7 +322,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--engine", default="exact", choices=["exact", "gaussian", "sampled"]
     )
-    p.add_argument("--max-conditioning", type=int, default=flow.DEFAULT_MAX_CANDIDATES)
+    p.add_argument(
+        "--max-conditioning",
+        type=int,
+        help=f"conditioning cap (default {flow.DEFAULT_MAX_CANDIDATES} candidates; "
+        f"sampled engine: subsets of at most {SAMPLED_MAX_CONDITIONING} edges)",
+    )
     p.add_argument("--sigma2", default="1", help="sk fixture: forward noise variance")
     p.add_argument("--iterations", type=int, default=3, help="sk fixture: iterations")
     p.add_argument("--gate", default="1", help="output-msg fixture: 0, 1 or 'random'")

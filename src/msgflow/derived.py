@@ -16,13 +16,12 @@ still catch it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
+from .discrete import VarId
 from .errors import ValidationError
 from .flow import Joint, analyze
 from .graph import EdgeRef, NodeRef, UnrolledGraph
-
-VarId = Union[str, EdgeRef]
 
 
 def is_derived(

@@ -1,13 +1,32 @@
-"""Exact joint distributions over (message, all edge transmissions).
+"""Discrete joint tables, for exact joints and sampled trials alike.
 
-The enumeration backend walks every (message, noise) realization, propagates
-it through the system, and accumulates exact rational probabilities.  The
-resulting table answers two kinds of queries:
+One table serves both engines.  Each column (a message component or an edge
+transmission) is an integer code array, its values numbered in order of first
+appearance, with a decode list of those values; each row carries an integer
+weight:
 
-* ``cmi`` — a float conditional mutual information in bits, for display;
-* ``dependent`` — an exact yes/no conditional-dependence decision, made by a
-  factorization test on the rational probabilities.  Flow verdicts are always
-  taken from ``dependent``, never from a float threshold.
+* an exact joint (``enumerate_joint``) holds every distinct outcome of the
+  system once, weighted by its probability over the least common denominator;
+* sampled trials (``sampling.sample_trials``) hold one row per trial, each of
+  weight 1.
+
+Every query asks one question of one (c, a, b) weight grid, built by
+``weight_grid`` with C compressed to its observed strata:
+
+* ``dependent`` — an exact yes/no decision of I(A;B|C) > 0.  A and B are
+  independent given C exactly when every cell of the full grid factorizes,
+  w_abc·w_c == w_ac·w_bc; empty cells take part too, so no separate
+  zero-cell pass is needed.  Flow verdicts are always taken from
+  ``dependent``, never from a float threshold.
+* ``cmi`` — I(A;B|C) in bits as a float, for display; on trials it is the
+  plug-in estimate.
+* the permutation test of :mod:`msgflow.sampling` reads its per-stratum
+  contingency tables from the same grid.
+
+Weights are int64 when the squared total weight fits in int64, so no product
+of two margins can overflow; otherwise they are Python ints in object arrays,
+run through the same code.  The choice is made from the data, and no float
+enters a verdict.
 
 Variable identifiers are message component names (strings) and
 :class:`~msgflow.graph.EdgeRef` objects.
@@ -15,39 +34,33 @@ Variable identifiers are message component names (strings) and
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
 from .graph import EdgeRef
 from .system import SystemSpec
+from .values import value_str
 
-VarId = Union[str, EdgeRef]
+# Aliases use ``|``: typing.Union caches its results, which would keep the
+# classes of a reloaded package alive.
+VarId = str | EdgeRef
 
 DEFAULT_BUDGET = 2 ** 24
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
-class DiscreteJoint:
-    """An exact finite joint over message components and edge transmissions."""
 
-    def __init__(
-        self,
-        variables: Sequence[VarId],
-        rows: Sequence[tuple],
-        probs: Sequence[Fraction],
-    ) -> None:
+class JointVariables:
+    """Variable bookkeeping shared by every joint: messages, edges, times."""
+
+    def __init__(self, variables: Sequence[VarId]) -> None:
         self.variables: tuple[VarId, ...] = tuple(variables)
-        self.rows: tuple[tuple, ...] = tuple(rows)
-        self.probs: tuple[Fraction, ...] = tuple(probs)
-        if len(self.rows) != len(self.probs):
-            raise ValidationError("rows and probabilities differ in length")
-        total = sum(self.probs, Fraction(0))
-        if total != 1:
-            raise ValidationError(f"probabilities sum to {total}, expected 1")
-        if any(p < 0 for p in self.probs):
-            raise ValidationError("negative probability")
         self._index = {v: i for i, v in enumerate(self.variables)}
         if len(self._index) != len(self.variables):
             raise ValidationError("duplicate variable ids")
@@ -57,24 +70,14 @@ class DiscreteJoint:
         self.edge_vars: tuple[EdgeRef, ...] = tuple(
             v for v in self.variables if isinstance(v, EdgeRef)
         )
-        # Integer weights on a common denominator make the CI test pure
-        # integer arithmetic.
-        denom = 1
-        for p in self.probs:
-            denom = denom * p.denominator // math.gcd(denom, p.denominator)
-        self._weights = tuple(int(p * denom) for p in self.probs)
-        self._edges_at: dict[int, tuple[EdgeRef, ...]] = {}
+        edges_at: dict[int, list[EdgeRef]] = {}
         for e in self.edge_vars:
-            self._edges_at.setdefault(e.time, ())
-        for t in self._edges_at:
-            self._edges_at[t] = tuple(e for e in self.edge_vars if e.time == t)
-        self._constant_cache: dict[VarId, bool] = {}
-
-    # ----- variable bookkeeping ----------------------------------------
+            edges_at.setdefault(e.time, []).append(e)
+        self._edges_at = {t: tuple(es) for t, es in edges_at.items()}
 
     def default_message(self, message: Optional[str] = None) -> str:
         if message is not None:
-            if message not in self._index or not isinstance(message, str):
+            if not isinstance(message, str) or message not in self._index:
                 raise ValidationError(f"unknown message variable {message!r}")
             return message
         if len(self.message_vars) != 1:
@@ -92,76 +95,141 @@ class DiscreteJoint:
     def has_var(self, v: VarId) -> bool:
         return v in self._index
 
-    def _cols(self, vars: Iterable[VarId]) -> tuple[int, ...]:
-        cols = []
-        for v in vars:
-            if v not in self._index:
-                raise ValidationError(f"unknown variable {v}")
-            cols.append(self._index[v])
-        return tuple(cols)
+    def _col(self, v: VarId) -> int:
+        if v not in self._index:
+            raise ValidationError(f"unknown variable {v}")
+        return self._index[v]
 
-    def is_constant(self, v: VarId) -> bool:
-        if v not in self._constant_cache:
-            (col,) = self._cols([v])
-            values = {row[col] for row in self.rows}
-            self._constant_cache[v] = len(values) <= 1
-        return self._constant_cache[v]
+
+def _check_sets(a, b, c) -> None:
+    sa, sb, sc = set(a), set(b), set(c)
+    if sa != sb and sa & sb:
+        raise ValidationError("first two variable sets must be disjoint or identical")
+    if sc & (sa | sb):
+        raise ValidationError("conditioning set overlaps the queried sets")
+
+
+def _compress(code: np.ndarray) -> tuple[np.ndarray, int]:
+    """Renumber codes to 0..k-1, keeping their order."""
+    uniq, inverse = np.unique(code, return_inverse=True)
+    return inverse, len(uniq)
+
+
+class DiscreteJoint(JointVariables):
+    """A finite joint: integer-coded columns and integer row weights.
+
+    ``weights`` are non-negative rationals, scaled to integers over their
+    least common denominator; row i has probability ``weights[i] / total``.
+    Without weights every row (trial) has weight 1.
+    """
+
+    def __init__(
+        self,
+        variables: Sequence[VarId],
+        rows: Iterable[tuple],
+        weights: Optional[Sequence] = None,
+    ) -> None:
+        super().__init__(variables)
+        rows = list(rows)
+        width, n = len(self.variables), len(rows)
+        if any(len(row) != width for row in rows):
+            raise ValidationError(f"every row needs {width} values")
+        if weights is None:
+            ints = [1] * n
+        else:
+            fracs = [Fraction(w) for w in weights]
+            if len(fracs) != n:
+                raise ValidationError("rows and weights differ in length")
+            if any(w < 0 for w in fracs):
+                raise ValidationError("negative weight")
+            denom = math.lcm(*(w.denominator for w in fracs))
+            ints = [int(w * denom) for w in fracs]
+        self.total = sum(ints)
+        if self.total <= 0:
+            raise ValidationError("the table has no weight")
+        dtype = np.int64 if self.total * self.total <= _INT64_MAX else object
+        self.weights = np.array(ints, dtype=dtype)
+
+        self.codes = np.empty((width, n), dtype=np.int64)
+        values = []
+        for j in range(width):
+            index: dict = {}
+            self.codes[j] = [index.setdefault(row[j], len(index)) for row in rows]
+            values.append(tuple(index))
+        self.values: tuple[tuple, ...] = tuple(values)
+        self._finite = [not any(isinstance(x, float) for x in vs) for vs in values]
+
+    # ----- rows and columns --------------------------------------------
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.weights)
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """The decoded rows, in table order."""
+        return tuple(zip(*(self.column(v) for v in self.variables)))
+
+    @property
+    def probs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(int(w), self.total) for w in self.weights)
+
+    def column(self, v: VarId) -> list:
+        j = self._col(v)
+        values = self.values[j]
+        return [values[c] for c in self.codes[j].tolist()]
 
     def support(self, v: VarId) -> tuple:
-        (col,) = self._cols([v])
-        seen, out = set(), []
-        for row in self.rows:
-            if row[col] not in seen:
-                seen.add(row[col])
-                out.append(row[col])
-        return tuple(out)
+        """The values of ``v``, in order of first appearance."""
+        return self.values[self._col(v)]
+
+    def is_constant(self, v: VarId) -> bool:
+        return len(self.values[self._col(v)]) <= 1
 
     # ----- information queries -----------------------------------------
 
-    def _project(self, cols: tuple[int, ...]):
-        rows = self.rows
-        return [tuple(row[c] for c in cols) for row in rows]
+    def _code(self, vars: Sequence[VarId]) -> tuple[np.ndarray, int]:
+        """One code per row for the joint value of ``vars``, and the code count.
 
-    @staticmethod
-    def _check_sets(a, b, c) -> None:
-        sa, sb, sc = set(a), set(b), set(c)
-        if sa != sb and sa & sb:
-            raise ValidationError("first two variable sets must be disjoint or identical")
-        if sc & (sa | sb):
-            raise ValidationError("conditioning set overlaps the queried sets")
+        Columns are combined in mixed radix, in the order given; a code
+        count above the row count is compressed at once, so codes stay
+        below rows² and never overflow.  A combination of several columns
+        is compressed to its observed values, which keeps their order.
+        """
+        code, k = np.zeros(self.n_rows, dtype=np.int64), 1
+        for v in vars:
+            j = self._col(v)
+            if not self._finite[j]:
+                raise ValidationError(
+                    f"column {v} is continuous; CI tests need finite alphabets"
+                )
+            kv = len(self.values[j])
+            code, k = code * kv + self.codes[j], k * kv
+            if k > self.n_rows:
+                code, k = _compress(code)
+        if len(vars) > 1:
+            code, k = _compress(code)
+        return code, k
 
-    def cmi(
+    def weight_grid(
         self,
         a_vars: Sequence[VarId],
         b_vars: Sequence[VarId],
         c_vars: Sequence[VarId] = (),
-    ) -> float:
-        """I(A;B|C) in bits.  A == B (same set) yields the conditional entropy H(A|C)."""
-        self._check_sets(a_vars, b_vars, c_vars)
-        if not a_vars or not b_vars:
-            return 0.0
-        ka = self._project(self._cols(a_vars))
-        kb = self._project(self._cols(b_vars))
-        kc = self._project(self._cols(c_vars))
-        w_abc: dict = {}
-        w_ac: dict = {}
-        w_bc: dict = {}
-        w_c: dict = {}
-        for i, w in enumerate(self._weights):
-            if w == 0:
-                continue
-            a, b, c = ka[i], kb[i], kc[i]
-            w_abc[(a, b, c)] = w_abc.get((a, b, c), 0) + w
-            w_ac[(a, c)] = w_ac.get((a, c), 0) + w
-            w_bc[(b, c)] = w_bc.get((b, c), 0) + w
-            w_c[c] = w_c.get(c, 0) + w
-        total = sum(w_c.values())
-        bits = 0.0
-        for (a, b, c), w in w_abc.items():
-            ratio = (w * w_c[c]) / (w_ac[(a, c)] * w_bc[(b, c)])
-            if ratio != 1:
-                bits += (w / total) * math.log2(ratio)
-        return max(bits, 0.0)
+    ) -> np.ndarray:
+        """Total weight of each (c, a, b) value combination, shape (kc, ka, kb).
+
+        A single column keeps its first-appearance codes; several columns
+        are numbered in mixed-radix order over their observed values.  Each
+        of kc, ka and kb is at most the row count.
+        """
+        _check_sets(a_vars, b_vars, c_vars)
+        a, ka = self._code(a_vars)
+        b, kb = self._code(b_vars)
+        c, kc = self._code(c_vars)
+        grid = np.zeros(kc * ka * kb, dtype=self.weights.dtype)
+        np.add.at(grid, (c * ka + a) * kb + b, self.weights)
+        return grid.reshape(kc, ka, kb)
 
     def dependent(
         self,
@@ -169,56 +237,81 @@ class DiscreteJoint:
         b_vars: Sequence[VarId],
         c_vars: Sequence[VarId] = (),
     ) -> bool:
-        """Exact test of I(A;B|C) > 0 by factorization of the rational table."""
-        self._check_sets(a_vars, b_vars, c_vars)
-        if not a_vars or not b_vars:
-            return False
-        if set(a_vars) == set(b_vars):
-            # H(A|C) > 0 iff some conditional law is non-degenerate.
-            ka = self._project(self._cols(a_vars))
-            kc = self._project(self._cols(c_vars))
-            seen: dict = {}
-            for i, w in enumerate(self._weights):
-                if w == 0:
-                    continue
-                prev = seen.setdefault(kc[i], ka[i])
-                if prev != ka[i]:
-                    return True
-            return False
-        ka = self._project(self._cols(a_vars))
-        kb = self._project(self._cols(b_vars))
-        kc = self._project(self._cols(c_vars))
-        w_abc: dict = {}
-        w_ac: dict = {}
-        w_bc: dict = {}
-        w_c: dict = {}
-        for i, w in enumerate(self._weights):
-            if w == 0:
-                continue
-            a, b, c = ka[i], kb[i], kc[i]
-            w_abc[(a, b, c)] = w_abc.get((a, b, c), 0) + w
-            w_ac[(a, c)] = w_ac.get((a, c), 0) + w
-            w_bc[(b, c)] = w_bc.get((b, c), 0) + w
-            w_c[c] = w_c.get(c, 0) + w
-        for (a, b, c), w in w_abc.items():
-            if w * w_c[c] != w_ac[(a, c)] * w_bc[(b, c)]:
-                return True
-        # Zero cells: some (a,b,c) off-support although p(a|c) and p(b|c) are
-        # both positive.  Detected by counting support sizes per c-group.
-        n_a: dict = {}
-        n_b: dict = {}
-        n_ab: dict = {}
-        for (a, c) in w_ac:
-            n_a[c] = n_a.get(c, 0) + 1
-        for (b, c) in w_bc:
-            n_b[c] = n_b.get(c, 0) + 1
-        for (a, b, c) in w_abc:
-            n_ab[c] = n_ab.get(c, 0) + 1
-        return any(n_ab[c] != n_a[c] * n_b[c] for c in w_c)
+        """Exact test of I(A;B|C) > 0: some cell fails w_abc·w_c == w_ac·w_bc.
+
+        For A == B (the same set) this decides H(A|C) > 0: a stratum with two
+        values of A has an empty off-diagonal cell against positive margins.
+        """
+        g = self.weight_grid(a_vars, b_vars, c_vars)
+        w_ac = g.sum(axis=2)
+        w_bc = g.sum(axis=1)
+        w_c = w_ac.sum(axis=1)
+        return bool(np.any(g * w_c[:, None, None] != w_ac[:, :, None] * w_bc[:, None, :]))
+
+    def cmi(
+        self,
+        a_vars: Sequence[VarId],
+        b_vars: Sequence[VarId],
+        c_vars: Sequence[VarId] = (),
+    ) -> float:
+        """I(A;B|C) in bits.  A == B (same set) yields the conditional entropy H(A|C).
+
+        On trials this is the plug-in estimate from the empirical counts.
+        """
+        g = self.weight_grid(a_vars, b_vars, c_vars)
+        w_ac = g.sum(axis=2)
+        w_bc = g.sum(axis=1)
+        w_c = w_ac.sum(axis=1)
+        live = g > 0
+        num = (g * w_c[:, None, None])[live]
+        den = (w_ac[:, :, None] * w_bc[:, None, :])[live]
+        share = (g[live] / self.total).astype(np.float64)
+        bits = float(np.sum(share * np.log2((num / den).astype(np.float64))))
+        return max(bits, 0.0)
 
     def entropy(self, vars: Sequence[VarId]) -> float:
         """H(vars) in bits."""
         return self.cmi(vars, vars)
+
+    # ----- CSV -----------------------------------------------------------
+
+    def to_csv(self, path) -> None:
+        """Write a header of variable ids, then one line per row (weights are
+        not written: a trial table's rows all weigh 1)."""
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow([str(c) for c in self.variables])
+            for row in self.rows:
+                w.writerow([value_str(x) for x in row])
+
+    @staticmethod
+    def from_csv(path) -> "DiscreteJoint":
+        """Read a trial table written by ``to_csv``, one trial per line."""
+        with open(path, newline="") as fh:
+            r = csv.reader(fh)
+            header = next(r)
+            variables = tuple(
+                EdgeRef.parse(h) if "->" in h else h for h in header
+            )
+            rows = [tuple(_parse_cell(x) for x in row) for row in r]
+        return DiscreteJoint(variables, rows)
+
+
+def _parse_cell(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        pass
+    if "/" in text:
+        try:
+            return Fraction(text)
+        except ValueError:
+            pass
+    return text
 
 
 def enumerate_joint(spec: SystemSpec, budget: int = DEFAULT_BUDGET) -> DiscreteJoint:

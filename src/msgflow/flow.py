@@ -22,7 +22,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import (
     DependentMessagesWarning,
@@ -34,7 +34,7 @@ from .discrete import DiscreteJoint
 from .gaussian import GaussianJoint
 from .graph import EdgeRef, NodeRef, UnrolledGraph
 
-Joint = Union[DiscreteJoint, GaussianJoint]
+Joint = DiscreteJoint | GaussianJoint
 
 DEFAULT_MAX_CANDIDATES = 20
 

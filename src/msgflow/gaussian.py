@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
+from .discrete import JointVariables, VarId
 from .errors import NonAffineError, ValidationError
 from .exprs import AffineForm, affine_form
 from .graph import EdgeRef
 from .system import SystemSpec
-
-VarId = Union[str, EdgeRef]
 
 
 def _solve_psd(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -61,7 +60,7 @@ def _solve_psd(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]
     return x
 
 
-class GaussianJoint:
+class GaussianJoint(JointVariables):
     """Mean and covariance over (message, edge transmissions), exact rationals."""
 
     def __init__(
@@ -69,9 +68,8 @@ class GaussianJoint:
         variables: Sequence[VarId],
         mean: Sequence[Fraction],
         cov: Sequence[Sequence[Fraction]],
-        coeffs: Optional[dict] = None,
     ) -> None:
-        self.variables: tuple[VarId, ...] = tuple(variables)
+        super().__init__(variables)
         self.mean: tuple[Fraction, ...] = tuple(Fraction(m) for m in mean)
         self.cov: tuple[tuple[Fraction, ...], ...] = tuple(
             tuple(Fraction(x) for x in row) for row in cov
@@ -83,56 +81,23 @@ class GaussianJoint:
             for j in range(i, n):
                 if self.cov[i][j] != self.cov[j][i]:
                     raise ValidationError("covariance must be symmetric")
-        self._index = {v: i for i, v in enumerate(self.variables)}
-        self.message_vars: tuple[str, ...] = tuple(
-            v for v in self.variables if isinstance(v, str)
-        )
-        self.edge_vars: tuple[EdgeRef, ...] = tuple(
-            v for v in self.variables if isinstance(v, EdgeRef)
-        )
-        self.coeffs = coeffs or {}
         self._cond_cache: dict = {}
 
-    # Shared surface with DiscreteJoint -----------------------------------
-
-    def default_message(self, message: Optional[str] = None) -> str:
-        if message is not None:
-            if not isinstance(message, str) or message not in self._index:
-                raise ValidationError(f"unknown message variable {message!r}")
-            return message
-        if len(self.message_vars) != 1:
-            raise ValidationError("message is ambiguous")
-        return self.message_vars[0]
-
-    def times(self) -> tuple[int, ...]:
-        return tuple(sorted({e.time for e in self.edge_vars}))
-
-    def edges_at(self, t: int) -> tuple[EdgeRef, ...]:
-        return tuple(e for e in self.edge_vars if e.time == t)
-
-    def has_var(self, v: VarId) -> bool:
-        return v in self._index
-
     def is_constant(self, v: VarId) -> bool:
-        i = self._require(v)
+        i = self._col(v)
         return self.cov[i][i] == 0
 
-    def _require(self, v: VarId) -> int:
-        if v not in self._index:
-            raise ValidationError(f"unknown variable {v}")
-        return self._index[v]
-
     def variance(self, v: VarId) -> Fraction:
-        i = self._require(v)
+        i = self._col(v)
         return self.cov[i][i]
 
     def covariance(self, u: VarId, v: VarId) -> Fraction:
-        return self.cov[self._require(u)][self._require(v)]
+        return self.cov[self._col(u)][self._col(v)]
 
     def cond_var(self, v: VarId, given: Sequence[VarId] = ()) -> Fraction:
         """Exact Var(v | given)."""
-        i = self._require(v)
-        cols = tuple(sorted(self._require(g) for g in set(given)))
+        i = self._col(v)
+        cols = tuple(sorted(self._col(g) for g in set(given)))
         key = (i, cols)
         if key in self._cond_cache:
             return self._cond_cache[key]
@@ -233,5 +198,4 @@ def linear_propagate(spec: SystemSpec) -> GaussianJoint:
                 if cj is not None:
                     s += ci * cj * base_var[k]
             cov[i][j] = cov[j][i] = s
-    coeffs = {var: rows[i] for i, var in enumerate(variables)}
-    return GaussianJoint(variables, consts, cov, coeffs=coeffs)
+    return GaussianJoint(variables, consts, cov)

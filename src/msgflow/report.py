@@ -74,11 +74,18 @@ def report_from_dict(d: dict) -> FlowReport:
     for row in d["edges"]:
         e = EdgeRef.parse(row["edge"])
         witness = row.get("witness")
+        p_values = row.get("p_values")
         report.entries[e] = FlowEntry(
             edge=e,
             has_flow=bool(row["has_flow"]),
             witness=None if witness is None else tuple(EdgeRef.parse(w) for w in witness),
             quantified=_quantified_from_json(row.get("quantified")),
+            p_values=None
+            if p_values is None
+            else tuple(
+                (tuple(EdgeRef.parse(c) for c in test["conditioning"]), float(test["p"]))
+                for test in p_values
+            ),
         )
     return report
 

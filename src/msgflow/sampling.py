@@ -1,12 +1,18 @@
 """Trial-based observation and statistical flow detection.
 
 A trial is one independent realization of every random variable in a system,
-observed noiselessly on all edges.  Detection replays the exact detector's
-subset cascade as a sequence of conditional-independence permutation tests:
-the statistic is the plug-in conditional mutual information, the null is
-built by permuting the edge column within strata of identical conditioning
-values, and the whole per-edge cascade is Bonferroni-corrected, which stays
-valid under the arbitrary dependence between the cascade's tests.
+observed noiselessly on all edges.  ``sample_trials`` returns the same table
+the exact engine uses (:class:`~msgflow.discrete.DiscreteJoint`), one row of
+weight 1 per trial; ``TrialMatrix`` and ``plug_in_cmi`` are the public names
+of that table and of its ``cmi``.
+
+Detection replays the exact detector's subset cascade as a sequence of
+conditional-independence permutation tests: the statistic is the plug-in
+conditional mutual information, the null is built by permuting the edge
+column within strata of identical conditioning values, and the whole per-edge
+cascade is Bonferroni-corrected, which stays valid under the arbitrary
+dependence between the cascade's tests.  A cascade runs with enough
+replicates that its smallest p-value lies below its Bonferroni level.
 
 All randomness is driven by spawned child streams of one master seed, so
 identical inputs give bit-identical trials and p-values.
@@ -14,16 +20,15 @@ identical inputs give bit-identical trials and p-values.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
+from .discrete import DiscreteJoint, VarId
 from .errors import (
     ContinuousSamplingWarning,
     DegenerateTestWarning,
@@ -31,129 +36,19 @@ from .errors import (
 )
 from .graph import EdgeRef
 from .system import SystemSpec
-from .values import value_str
 
-VarId = Union[str, EdgeRef]
-
-
-@dataclass
-class TrialMatrix:
-    """Columns are the message components then every edge, one row per trial."""
-
-    columns: tuple[VarId, ...]
-    rows: list[tuple]
-    seed: Optional[int] = None
-    _codes: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        self._index = {v: i for i, v in enumerate(self.columns)}
-
-    @property
-    def n_trials(self) -> int:
-        return len(self.rows)
-
-    @property
-    def message_vars(self) -> tuple[str, ...]:
-        return tuple(v for v in self.columns if isinstance(v, str))
-
-    @property
-    def edge_vars(self) -> tuple[EdgeRef, ...]:
-        return tuple(v for v in self.columns if isinstance(v, EdgeRef))
-
-    def default_message(self, message: Optional[str] = None) -> str:
-        if message is not None:
-            if message not in self._index:
-                raise ValidationError(f"unknown message variable {message!r}")
-            return message
-        if len(self.message_vars) != 1:
-            raise ValidationError("message is ambiguous")
-        return self.message_vars[0]
-
-    def edges_at(self, t: int) -> tuple[EdgeRef, ...]:
-        return tuple(e for e in self.edge_vars if e.time == t)
-
-    def column(self, v: VarId) -> list:
-        if v not in self._index:
-            raise ValidationError(f"unknown column {v}")
-        i = self._index[v]
-        return [row[i] for row in self.rows]
-
-    def codes(self, v: VarId) -> tuple[np.ndarray, int]:
-        """Factorize a column to integer codes; rejects continuous values."""
-        if v not in self._codes:
-            col = self.column(v)
-            if any(isinstance(x, float) for x in col):
-                raise ValidationError(
-                    f"column {v} is continuous; CI tests need finite alphabets"
-                )
-            cats: dict = {}
-            arr = np.empty(len(col), dtype=np.int64)
-            for i, x in enumerate(col):
-                if x not in cats:
-                    cats[x] = len(cats)
-                arr[i] = cats[x]
-            self._codes[v] = (arr, max(len(cats), 1))
-        return self._codes[v]
-
-    def joint_codes(self, vars: Sequence[VarId]) -> tuple[np.ndarray, int]:
-        """One combined code per row over several columns."""
-        code = np.zeros(self.n_trials, dtype=np.int64)
-        k = 1
-        for v in vars:
-            c, kv = self.codes(v)
-            code = code * kv + c
-            k *= kv
-        return code, k
-
-    def is_constant(self, v: VarId) -> bool:
-        return self.codes(v)[1] <= 1
-
-    # ----- CSV -----------------------------------------------------------
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([str(c) for c in self.columns])
-            for row in self.rows:
-                w.writerow([value_str(x) for x in row])
-
-    @staticmethod
-    def from_csv(path) -> "TrialMatrix":
-        with open(path, newline="") as fh:
-            r = csv.reader(fh)
-            header = next(r)
-            columns = tuple(
-                EdgeRef.parse(h) if "->" in h else h for h in header
-            )
-            rows = [tuple(_parse_cell(x) for x in row) for row in r]
-        return TrialMatrix(columns=columns, rows=rows)
+TrialMatrix = DiscreteJoint
+plug_in_cmi = DiscreteJoint.cmi
 
 
-def _parse_cell(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    if "/" in text:
-        try:
-            return Fraction(text)
-        except ValueError:
-            pass
-    return text
-
-
-def sample_trials(spec: SystemSpec, n: int, seed: int) -> TrialMatrix:
+def sample_trials(spec: SystemSpec, n: int, seed: int) -> DiscreteJoint:
     """Draw ``n`` independent trials by sampling (message, noises) and propagating."""
     if n < 1:
         raise ValidationError("need at least one trial")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     graph = spec.graph
     edge_order = tuple(e for t in range(graph.horizon) for e in graph.edges_at(t))
-    columns: tuple[VarId, ...] = tuple(spec.message.components) + edge_order
+    variables: tuple[VarId, ...] = tuple(spec.message.components) + edge_order
     noise_nodes = spec.noise_nodes()
 
     continuous = spec.is_gaussian or any(
@@ -183,7 +78,7 @@ def sample_trials(spec: SystemSpec, n: int, seed: int) -> TrialMatrix:
             tuple(msg_values[c] for c in spec.message.components)
             + tuple(edges[e] for e in edge_order)
         )
-    return TrialMatrix(columns=columns, rows=rows, seed=seed)
+    return DiscreteJoint(variables, rows)
 
 
 def _draw_msg(spec: SystemSpec, rng, n: int):
@@ -213,7 +108,7 @@ def _draw_law(ns, rng, n: int) -> list:
     return [values[i] for i in idx]
 
 
-# ----- plug-in estimation and permutation testing -------------------------
+# ----- permutation testing ------------------------------------------------
 
 
 def _entropy_term(counts: np.ndarray) -> float:
@@ -226,32 +121,8 @@ def _entropy_rows(counts: np.ndarray) -> np.ndarray:
     return np.sum(c * np.log2(np.where(c > 0, c, 1.0)), axis=1)
 
 
-def plug_in_cmi(
-    trials: TrialMatrix,
-    a_vars: Sequence[VarId],
-    b_vars: Sequence[VarId],
-    c_vars: Sequence[VarId] = (),
-) -> float:
-    """Plug-in estimate of I(A;B|C) in bits from empirical counts."""
-    n = trials.n_trials
-    a, ka = trials.joint_codes(a_vars)
-    b, kb = trials.joint_codes(b_vars)
-    c, kc = trials.joint_codes(c_vars)
-    n_abc = np.bincount((a * kb + b) * kc + c, minlength=ka * kb * kc)
-    n_ac = np.bincount(a * kc + c, minlength=ka * kc)
-    n_bc = np.bincount(b * kc + c, minlength=kb * kc)
-    n_c = np.bincount(c, minlength=kc)
-    bits = (
-        _entropy_term(n_abc)
-        + _entropy_term(n_c)
-        - _entropy_term(n_ac)
-        - _entropy_term(n_bc)
-    ) / n
-    return max(bits, 0.0)
-
-
 def permutation_ci_test(
-    trials: TrialMatrix,
+    trials: DiscreteJoint,
     a_vars: Sequence[VarId],
     b_vars: Sequence[VarId],
     c_vars: Sequence[VarId] = (),
@@ -270,15 +141,14 @@ def permutation_ci_test(
     """
     if n_perm < 1:
         raise ValidationError("need at least one permutation")
-    n = trials.n_trials
-    a, ka = trials.joint_codes(a_vars)
-    b, kb = trials.joint_codes(b_vars)
-    c, kc = trials.joint_codes(c_vars)
+    n = trials.total
+    tables = trials.weight_grid(a_vars, b_vars, c_vars)
+    kc, ka, kb = tables.shape
     if ka <= 1 or kb <= 1:
         # A constant column is independent of everything; every permuted
         # statistic equals the observed 0.
         return 1.0
-    n_c = np.bincount(c, minlength=kc)
+    n_c = tables.sum(axis=(1, 2))
     if np.all(n_c <= 1):
         warnings.warn(
             "every conditioning stratum has one trial; the test is degenerate",
@@ -287,8 +157,6 @@ def permutation_ci_test(
         )
         return 1.0
 
-    tables = np.zeros((kc, ka, kb), dtype=np.int64)
-    np.add.at(tables, (c, a, b), 1)
     strata = [v for v in range(kc) if n_c[v] > 0]
     row_margins = {v: tables[v].sum(axis=1) for v in strata}
     col_margins = {v: tables[v].sum(axis=0) for v in strata}
@@ -348,7 +216,7 @@ class SampledVerdict:
 
 
 def detect_flow_sampled(
-    trials: TrialMatrix,
+    trials: DiscreteJoint,
     edge: EdgeRef,
     alpha: float = 0.05,
     max_subset_size: int = 2,
@@ -361,12 +229,19 @@ def detect_flow_sampled(
     Each test runs at the Bonferroni level ``alpha / N`` where ``N`` counts
     every test the full cascade could run; the cascade stops at the first
     rejection and later tests are left unrun.
+
+    A permutation p-value is never below ``1 / (1 + n_perm)``, so a level
+    under that floor could never be reached.  Each test therefore draws
+    ``max(n_perm, ceil(N / alpha))`` replicates; the count is derived from
+    ``alpha`` and ``N``, and is not a separate setting.
     """
     m = trials.default_message(message)
-    if edge not in trials.columns:
+    if not trials.has_var(edge):
         raise ValidationError(f"edge column {edge} missing from trials")
     if not 0 < alpha < 1:
         raise ValidationError("alpha must be in (0, 1)")
+    if n_perm < 1:
+        raise ValidationError("need at least one permutation")
     cands = tuple(
         e
         for e in sorted(trials.edges_at(edge.time))
@@ -379,6 +254,7 @@ def detect_flow_sampled(
         )
     n_tests = sum(math.comb(len(cands), k) for k in range(max_subset_size + 1))
     level = alpha / n_tests
+    n_perm = max(n_perm, math.ceil(n_tests / alpha))
     streams = np.random.SeedSequence(seed).spawn(n_tests)
     p_values = []
     i = 0

@@ -33,8 +33,8 @@ class ComplexQ:
         return f"ComplexQ({self.re!r}, {self.im!r})"
 
 
-Scalar = Union[int, Fraction, ComplexQ]
-Value = Union[Scalar, tuple]
+Scalar = int | Fraction | ComplexQ
+Value = Scalar | tuple
 
 
 def make_complex(re, im) -> Scalar:

@@ -116,9 +116,27 @@ def test_simulate_round_trip(tmp_path):
     assert run("simulate", "--fixture", "ce2", "--n-trials", "20", "--seed", "3",
                "--out", str(out)) == 0
     trials = mf.TrialMatrix.from_csv(out)
-    assert trials.n_trials == 20
-    assert trials.columns[0] == "M"
-    assert edge("A", 1, "B") in trials.columns
+    assert trials.n_rows == 20
+    assert trials.variables[0] == "M"
+    assert edge("A", 1, "B") in trials.variables
+
+
+def test_sampled_conditioning_cap(tmp_path):
+    # Without --max-conditioning the sampled engine tests subsets of at most
+    # two edges; an explicit cap is honoured.
+    sizes = {}
+    for extra in ((), ("--max-conditioning", "3")):
+        out = tmp_path / "rep.json"
+        assert run("analyze", "--fixture", "ce3", "--engine", "sampled",
+                   "--n-trials", "500", "--seed", "3", "--alpha", "0.05",
+                   "--n-perm", "19", "--out", str(out), *extra) == 0
+        doc = json.loads(out.read_text())
+        sizes[extra] = max(
+            len(test["conditioning"])
+            for row in doc["reports"]["M"]["edges"]
+            for test in row["p_values"]
+        )
+    assert sizes == {(): 2, ("--max-conditioning", "3"): 3}
 
 
 def test_fixture_export_and_spec_round_trip(tmp_path):

@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import msgflow as mf
-from msgflow import BudgetExceededError, MessageSpec, SystemSpec, ValidationError
+from msgflow import BudgetExceededError, MessageSpec, NoiseSpec, SystemSpec, ValidationError
 from msgflow.exprs import msg
 from msgflow.graph import NodeRef, UnrolledGraph, edge
 
@@ -174,3 +175,93 @@ def test_mixed_regimes_rejected():
         )
     with pytest.raises(ValidationError):
         mf.enumerate_joint(mf.build("sk").spec)
+
+
+def _brute_force(j, a, b, c):
+    """Dependence and I(A;B|C) from the decoded rows in exact Fractions."""
+    cols = {v: i for i, v in enumerate(j.variables)}
+    key = lambda row, vs: tuple(row[cols[v]] for v in vs)
+    p_abc, p_ac, p_bc, p_c = {}, {}, {}, {}
+    for row, p in zip(j.rows, j.probs):
+        x, y, z = key(row, a), key(row, b), key(row, c)
+        p_abc[(x, y, z)] = p_abc.get((x, y, z), 0) + p
+        p_ac[(x, z)] = p_ac.get((x, z), 0) + p
+        p_bc[(y, z)] = p_bc.get((y, z), 0) + p
+        p_c[z] = p_c.get(z, 0) + p
+    dep = any(
+        p_abc.get((x, y, z), 0) * p_c[z] != p_ac[(x, z)] * p_bc[(y, z2)]
+        for (x, z) in p_ac
+        for (y, z2) in p_bc
+        if z2 == z
+    )
+    bits = sum(
+        float(p) * math.log2(p * p_c[z] / (p_ac[(x, z)] * p_bc[(y, z)]))
+        for (x, y, z), p in p_abc.items()
+        if p
+    )
+    return dep, bits
+
+
+def _biased(spec):
+    """The same system with odd-denominator message and noise laws."""
+    return SystemSpec(
+        spec.graph,
+        MessageSpec.bernoulli("M", Fraction(2, 7)),
+        noise={v: NoiseSpec.bernoulli(Fraction(i + 1, 5)) for i, v in enumerate(spec.noise_nodes())},
+        functions=spec.functions,
+        declared_inputs=tuple(spec.declared_inputs),
+    )
+
+
+def _check_kernel(j, rng, n_queries):
+    """Random queries, conditioning on up to three edges, against _brute_force."""
+    pool = list(j.edge_vars)
+    for _ in range(n_queries):
+        b = rng.sample(pool, k=min(len(pool), rng.randint(1, 2)))
+        rest = [v for v in pool if v not in b]
+        c = rng.sample(rest, k=min(len(rest), rng.randint(0, 3)))
+        for a in (list(j.message_vars), b):
+            dep, bits = _brute_force(j, a, b, c)
+            assert j.dependent(a, b, c) == dep, (a, b, c)
+            assert j.cmi(a, b, c) == pytest.approx(bits, abs=1e-12), (a, b, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_kernel_matches_fraction_brute_force(seed):
+    import random
+
+    _check_kernel(mf.enumerate_joint(_biased(random_system(seed))), random.Random(seed), 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_kernel_matches_fraction_brute_force_on_random_tables(seed):
+    # Alphabets of up to four values, rational weights and zero-weight rows,
+    # which randsys's binary systems do not produce.
+    import random
+
+    rng = random.Random(seed)
+    variables = ["M"] + [edge(x, 0, y) for x in "AB" for y in "AB"]
+    sizes = [rng.randint(1, 4) for _ in variables]
+    rows = [tuple(rng.randrange(k) for k in sizes) for _ in range(12)]
+    weights = [Fraction(rng.randint(0, 4), rng.choice((1, 3, 7))) for _ in rows]
+    weights[0] += 1
+    _check_kernel(mf.DiscreteJoint(variables, rows, weights), rng, 6)
+
+
+def test_kernel_exact_beyond_int64():
+    # An independent 2x2 table with weights near 10^24, products of margins, and one
+    # cell raised by 1: the squared total overflows int64, and the raise is
+    # far below float resolution, so only exact integers see the dependence.
+    u, v = (3 ** 25, 3 ** 25 + 2), (5 ** 17, 5 ** 17 + 4)
+    rows = [(m, x, m ^ x) for m in (0, 1) for x in (0, 1)]
+    for bump in (0, 1):
+        weights = [u[m] * v[x] + (bump if (m, x) == (1, 1) else 0) for m, x, _ in rows]
+        j = mf.DiscreteJoint(["M", "X", "Y"], rows, weights)
+        assert j.total ** 2 > 2 ** 63 and j.weights.dtype == object
+        for a, b, c in ((["M"], ["X"], []), (["M"], ["Y"], ["X"]), (["M"], ["M"], ["X"])):
+            dep, bits = _brute_force(j, a, b, c)
+            assert j.dependent(a, b, c) == dep
+            assert j.cmi(a, b, c) == pytest.approx(bits, abs=1e-12)
+        assert j.dependent(["M"], ["X"]) == bool(bump)

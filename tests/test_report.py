@@ -34,3 +34,16 @@ def test_dot_deterministic(fixtures, joints):
     text = to_dot(g, reports, constant)
     assert text.count("{") == text.count("}")  # crude structural sanity
     assert '"C2" -> "C3"' in text
+
+
+def test_sampled_report_round_trip(fixtures):
+    trials = mf.sample_trials(fixtures["ce1"].spec, 500, seed=3)
+    rep = mf.FlowReport(message="M", engine="sampled")
+    for e in trials.edge_vars:
+        cands = [x for x in trials.edges_at(e.time) if x != e and not trials.is_constant(x)]
+        v = mf.detect_flow_sampled(trials, e, max_subset_size=min(1, len(cands)), n_perm=19, seed=1)
+        rep.entries[e] = mf.FlowEntry(e, v.has_flow, v.witness, None, v.p_values)
+    assert any(entry.p_values for entry in rep.entries.values())
+    doc = json.loads(reports_to_json({"M": rep}))
+    again = report_from_dict(doc["reports"]["M"])
+    assert again.entries == rep.entries

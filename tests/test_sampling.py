@@ -20,7 +20,7 @@ def ce1_trials(fixtures):
 def test_rows_live_in_exact_support(fixtures, joints):
     trials = mf.sample_trials(fixtures["ce1"].spec, 4, seed=7)
     support = set(joints["ce1"].rows)
-    assert trials.n_trials == 4
+    assert trials.n_rows == 4
     for row in trials.rows:
         assert tuple(row) in support
 
@@ -35,7 +35,7 @@ def test_seeded_determinism(fixtures):
 
 def test_empirical_mean_concentrates(fixtures):
     trials = mf.sample_trials(fixtures["ce1"].spec, 100_000, seed=5)
-    mean = sum(trials.column("M")) / trials.n_trials
+    mean = sum(trials.column("M")) / trials.n_rows
     assert 0.49 <= mean <= 0.51
 
 
@@ -44,7 +44,7 @@ def test_row_consistency_with_forward_pass(fixtures):
     # pad value visible on its own edges we can reconstruct the sources.
     spec = fixtures["ce1"].spec
     trials = mf.sample_trials(spec, 200, seed=3)
-    cols = {v: i for i, v in enumerate(trials.columns)}
+    cols = {v: i for i, v in enumerate(trials.variables)}
     for row in trials.rows:
         m = row[cols["M"]]
         z = row[cols[edge("C", 0, "C")]]
@@ -180,7 +180,7 @@ def test_csv_round_trip(fixtures, tmp_path):
     header = path.read_text().splitlines()[0]
     assert header.startswith("M,")
     again = TrialMatrix.from_csv(path)
-    assert again.columns == trials.columns
+    assert again.variables == trials.variables
     assert again.rows == trials.rows
 
 
@@ -214,3 +214,16 @@ def test_detection_rate_monotone_in_trial_count(fixtures, joints):
         rates.append(agree / total)
     assert rates[0] <= rates[1] <= rates[2]
     assert rates[2] == 1.0
+
+
+def test_cascade_draws_enough_replicates_to_reach_its_level(fixtures):
+    # With 19 permutations no p-value is below 1/20 = 0.05, above the level
+    # 0.05/3 of this three-test cascade; the cascade draws
+    # ceil(3/0.05) = 60 replicates instead, so the flow is found.
+    trials = mf.sample_trials(fixtures["ce1"].spec, 2_000, seed=1)
+    v = mf.detect_flow_sampled(
+        trials, edge("A", 0, "A"), alpha=0.05, max_subset_size=1, n_perm=19, seed=0
+    )
+    assert v.n_tests_planned == 3
+    assert v.has_flow and v.witness == ()
+    assert v.p_values == (((), 1 / 61),)
