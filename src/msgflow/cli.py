@@ -189,7 +189,13 @@ def _sampled_report(
             message=message,
         )
         rep.entries[e] = flow.FlowEntry(
-            e, verdict.has_flow, verdict.witness, None, verdict.p_values
+            e,
+            verdict.has_flow,
+            verdict.witness,
+            p_values=verdict.p_values,
+            level=verdict.level,
+            n_tests_planned=verdict.n_tests_planned,
+            replicates=verdict.replicates,
         )
     return rep
 

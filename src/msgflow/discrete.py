@@ -10,6 +10,13 @@ weight:
 * sampled trials (``sampling.sample_trials``) hold one row per trial, each of
   weight 1.
 
+Both engines compute their columns with the column forward pass
+(:class:`~msgflow.system.ColumnPass`) and build the table from the code
+columns (``DiscreteJoint.from_codes``).  The enumerator feeds the pass the
+realization grid in chunks of ``CHUNK`` realizations, so its memory does not
+grow with the realization count, and sums integer weights without a Fraction
+per realization.
+
 Every query asks one question of one (c, a, b) weight grid, built by
 ``weight_grid`` with C compressed to its observed strata:
 
@@ -28,6 +35,10 @@ of two margins can overflow; otherwise they are Python ints in object arrays,
 run through the same code.  The choice is made from the data, and no float
 enters a verdict.
 
+``to_csv`` writes the integer row weights in a last ``#weight`` column unless
+every row weighs 1, so exact joints round-trip through ``from_csv`` and trial
+files keep one plain line per trial.
+
 Variable identifiers are message component names (strings) and
 :class:`~msgflow.graph.EdgeRef` objects.
 """
@@ -35,7 +46,6 @@ Variable identifiers are message component names (strings) and
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -44,7 +54,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
 from .graph import EdgeRef
-from .system import SystemSpec
+from .system import ColumnPass, SystemSpec, compress, first_rows, mixed_radix
 from .values import value_str
 
 # Aliases use ``|``: typing.Union caches its results, which would keep the
@@ -52,6 +62,12 @@ from .values import value_str
 VarId = str | EdgeRef
 
 DEFAULT_BUDGET = 2 ** 24
+
+# Realizations per column pass in ``enumerate_joint``: the pass's memory
+# stays flat in the realization count.
+CHUNK = 4096
+
+WEIGHT_HEADER = "#weight"
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -109,18 +125,14 @@ def _check_sets(a, b, c) -> None:
         raise ValidationError("conditioning set overlaps the queried sets")
 
 
-def _compress(code: np.ndarray) -> tuple[np.ndarray, int]:
-    """Renumber codes to 0..k-1, keeping their order."""
-    uniq, inverse = np.unique(code, return_inverse=True)
-    return inverse, len(uniq)
-
-
 class DiscreteJoint(JointVariables):
     """A finite joint: integer-coded columns and integer row weights.
 
     ``weights`` are non-negative rationals, scaled to integers over their
     least common denominator; row i has probability ``weights[i] / total``.
-    Without weights every row (trial) has weight 1.
+    Without weights every row (trial) has weight 1.  Both engines build the
+    table from code columns with ``from_codes``; this constructor takes
+    decoded rows.
     """
 
     def __init__(
@@ -134,16 +146,49 @@ class DiscreteJoint(JointVariables):
         width, n = len(self.variables), len(rows)
         if any(len(row) != width for row in rows):
             raise ValidationError(f"every row needs {width} values")
-        if weights is None:
-            ints = [1] * n
-        else:
+        if weights is not None:
             fracs = [Fraction(w) for w in weights]
             if len(fracs) != n:
                 raise ValidationError("rows and weights differ in length")
-            if any(w < 0 for w in fracs):
-                raise ValidationError("negative weight")
             denom = math.lcm(*(w.denominator for w in fracs))
-            ints = [int(w * denom) for w in fracs]
+            weights = [w * denom for w in fracs]
+        codes = np.empty((width, n), dtype=np.int64)
+        values = []
+        for j in range(width):
+            index: dict = {}
+            codes[j] = [index.setdefault(row[j], len(index)) for row in rows]
+            values.append(tuple(index))
+        self._fill(codes, values, weights)
+
+    @classmethod
+    def from_codes(
+        cls,
+        variables: Sequence[VarId],
+        codes: np.ndarray,
+        values: Sequence[Sequence],
+        weights: Optional[Sequence[int]] = None,
+    ) -> "DiscreteJoint":
+        """A table from code columns: ``codes[j]`` indexes the distinct values
+        ``values[j]``, and ``weights`` are non-negative integers (1 per row
+        without them).  Codes are renumbered to first appearance; values no
+        row holds are dropped."""
+        table = cls.__new__(cls)
+        JointVariables.__init__(table, variables)
+        table._fill(codes, values, weights)
+        return table
+
+    def _fill(self, codes: np.ndarray, values: Sequence[Sequence], weights) -> None:
+        width, n = codes.shape
+        if width != len(self.variables) or len(values) != width:
+            raise ValidationError(f"the table needs {len(self.variables)} columns")
+        if weights is None:
+            ints = [1] * n
+        else:
+            ints = [int(w) for w in weights]
+            if len(ints) != n:
+                raise ValidationError("rows and weights differ in length")
+            if any(w < 0 for w in ints):
+                raise ValidationError("negative weight")
         self.total = sum(ints)
         if self.total <= 0:
             raise ValidationError("the table has no weight")
@@ -151,13 +196,15 @@ class DiscreteJoint(JointVariables):
         self.weights = np.array(ints, dtype=dtype)
 
         self.codes = np.empty((width, n), dtype=np.int64)
-        values = []
+        kept = []
         for j in range(width):
-            index: dict = {}
-            self.codes[j] = [index.setdefault(row[j], len(index)) for row in rows]
-            values.append(tuple(index))
-        self.values: tuple[tuple, ...] = tuple(values)
-        self._finite = [not any(isinstance(x, float) for x in vs) for vs in values]
+            order = codes[j][first_rows(codes[j], len(values[j]))]
+            remap = np.empty(len(values[j]), dtype=np.int64)
+            remap[order] = np.arange(len(order))
+            self.codes[j] = remap[codes[j]]
+            kept.append(tuple(values[j][i] for i in order.tolist()))
+        self.values: tuple[tuple, ...] = tuple(kept)
+        self._finite = [not any(isinstance(x, float) for x in vs) for vs in kept]
 
     # ----- rows and columns --------------------------------------------
 
@@ -191,24 +238,21 @@ class DiscreteJoint(JointVariables):
     def _code(self, vars: Sequence[VarId]) -> tuple[np.ndarray, int]:
         """One code per row for the joint value of ``vars``, and the code count.
 
-        Columns are combined in mixed radix, in the order given; a code
-        count above the row count is compressed at once, so codes stay
-        below rows² and never overflow.  A combination of several columns
-        is compressed to its observed values, which keeps their order.
+        Columns are combined in mixed radix (``mixed_radix``), in the order
+        given; a code count above the row count is compressed at once, so
+        codes stay below rows² and never overflow.  A combination of several
+        columns is compressed to its observed values, which keeps their
+        order.
         """
-        code, k = np.zeros(self.n_rows, dtype=np.int64), 1
-        for v in vars:
-            j = self._col(v)
+        cols = [self._col(v) for v in vars]
+        for v, j in zip(vars, cols):
             if not self._finite[j]:
                 raise ValidationError(
                     f"column {v} is continuous; CI tests need finite alphabets"
                 )
-            kv = len(self.values[j])
-            code, k = code * kv + self.codes[j], k * kv
-            if k > self.n_rows:
-                code, k = _compress(code)
+        code, k = mixed_radix([(self.codes[j], len(self.values[j])) for j in cols], self.n_rows)
         if len(vars) > 1:
-            code, k = _compress(code)
+            code, k = compress(code, k)
         return code, k
 
     def weight_grid(
@@ -276,25 +320,44 @@ class DiscreteJoint(JointVariables):
     # ----- CSV -----------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        """Write a header of variable ids, then one line per row (weights are
-        not written: a trial table's rows all weigh 1)."""
+        """Write a header of variable ids, then one line per row.
+
+        Unless every row weighs 1, as trials do, each line ends with the
+        row's integer weight, in a last column headed ``#weight``.
+        """
+        weights = self.weights.tolist()
+        weighted = any(w != 1 for w in weights)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow([str(c) for c in self.variables])
-            for row in self.rows:
-                w.writerow([value_str(x) for x in row])
+            w.writerow([str(c) for c in self.variables] + [WEIGHT_HEADER] * weighted)
+            for row, weight in zip(self.rows, weights):
+                w.writerow([value_str(x) for x in row] + [str(weight)] * weighted)
 
     @staticmethod
     def from_csv(path) -> "DiscreteJoint":
-        """Read a trial table written by ``to_csv``, one trial per line."""
+        """Read a table written by ``to_csv``; without a ``#weight`` column
+        each line is one trial of weight 1."""
         with open(path, newline="") as fh:
             r = csv.reader(fh)
             header = next(r)
+            weighted = header[-1:] == [WEIGHT_HEADER]
             variables = tuple(
-                EdgeRef.parse(h) if "->" in h else h for h in header
+                EdgeRef.parse(h) if "->" in h else h for h in header[: len(header) - weighted]
             )
-            rows = [tuple(_parse_cell(x) for x in row) for row in r]
-        return DiscreteJoint(variables, rows)
+            lines = list(r)
+        rows = [tuple(_parse_cell(x) for x in line[: len(line) - weighted]) for line in lines]
+        weights = [_parse_weight(line[-1] if line else "") for line in lines] if weighted else None
+        return DiscreteJoint(variables, rows, weights)
+
+
+def _parse_weight(text: str) -> int:
+    try:
+        w = int(text)
+    except ValueError:
+        w = 0
+    if w <= 0:
+        raise ValidationError(f"row weight {text!r} is not a positive integer")
+    return w
 
 
 def _parse_cell(text: str):
@@ -315,7 +378,17 @@ def _parse_cell(text: str):
 
 
 def enumerate_joint(spec: SystemSpec, budget: int = DEFAULT_BUDGET) -> DiscreteJoint:
-    """Build the exact joint of (message components, every edge transmission)."""
+    """Build the exact joint of (message components, every edge transmission).
+
+    The grid of (message, noise) realizations is walked in ``CHUNK``-sized
+    slices, in ``itertools.product`` order (message outermost, noise nodes
+    sorted), through one :class:`~msgflow.system.ColumnPass`.  A
+    realization weighs the product of its sources' integer pmf numerators,
+    each law over its own least common denominator D_s; equal outcomes are
+    merged in order of first appearance, and the sums are divided by their
+    gcd, which scales them to the outcome probabilities over their least
+    common denominator, as the rows constructor would.
+    """
     if spec.is_gaussian:
         raise ValidationError("gaussian systems use linear_propagate, not enumeration")
     n_real = spec.realization_count()
@@ -323,37 +396,40 @@ def enumerate_joint(spec: SystemSpec, budget: int = DEFAULT_BUDGET) -> DiscreteJ
         raise BudgetExceededError(
             f"{n_real} realizations exceed the enumeration budget of {budget}"
         )
-    graph = spec.graph
-    edge_order = tuple(e for t in range(graph.horizon) for e in graph.edges_at(t))
-    variables: tuple = tuple(spec.message.components) + edge_order
     noise_nodes = spec.noise_nodes()
-    noise_supports = [spec.noise[v].pmf for v in noise_nodes]
+    msg_pmf = spec.message.pmf if spec.message.kind == "discrete" else (((), Fraction(1)),)
+    laws = [msg_pmf] + [spec.noise[v].pmf for v in noise_nodes]
+    denoms = [math.lcm(*(p.denominator for _, p in law)) for law in laws]
+    # Realization weights sum to the product of the D_s: int64 while its
+    # square fits, as in the table.
+    dtype = np.int64 if math.prod(denoms) ** 2 <= _INT64_MAX else object
+    nums = [np.array([int(p * d) for _, p in law], dtype=dtype) for law, d in zip(laws, denoms)]
+    shape = tuple(len(law) for law in laws)
 
-    acc: dict[tuple, Fraction] = {}
-    order: list[tuple] = []
-    if spec.message.kind == "discrete":
-        msg_support = spec.message.pmf
-    else:  # derived: message computed from the noise realization
-        msg_support = (((), Fraction(1)),)
-    for msg_tuple, p_msg in msg_support:
-        for noise_choice in itertools.product(*noise_supports):
-            p = p_msg
-            noise_values = {}
-            for v, (val, pv) in zip(noise_nodes, noise_choice):
-                noise_values[v] = val
-                p *= pv
-            if spec.message.kind == "derived":
-                mv = spec.message_values(noise_values)
-                msg_values = {name: mv[name] for name in spec.message.components}
+    fwd = ColumnPass(spec)
+    index: dict[bytes, int] = {}  # a distinct row's codes -> its position
+    blocks: list[np.ndarray] = []  # the distinct rows, one block per chunk
+    weights: list[int] = []
+    for start in range(0, n_real, CHUNK):
+        idx = np.unravel_index(np.arange(start, min(start + CHUNK, n_real)), shape)
+        w = nums[0][idx[0]]
+        for num, i in zip(nums[1:], idx[1:]):
+            w = w * num[i]
+        codes = fwd(idx[0], dict(zip(noise_nodes, idx[1:])))
+        key, k = mixed_radix(zip(codes, (codes.max(axis=1) + 1).tolist()), len(w))
+        sums = np.zeros(k, dtype=dtype)
+        np.add.at(sums, key, w)
+        new = []
+        for r in first_rows(key, k).tolist():
+            i = index.setdefault(codes[:, r].tobytes(), len(weights))
+            if i == len(weights):
+                new.append(r)
+                weights.append(int(sums[key[r]]))
             else:
-                msg_values = dict(zip(spec.message.components, msg_tuple))
-            edge_values = spec.propagate(msg_values, noise_values)
-            outcome = tuple(msg_values[n] for n in spec.message.components) + tuple(
-                edge_values[e] for e in edge_order
-            )
-            if outcome not in acc:
-                order.append(outcome)
-                acc[outcome] = p
-            else:
-                acc[outcome] += p
-    return DiscreteJoint(variables, order, [acc[o] for o in order])
+                weights[i] += int(sums[key[r]])
+        blocks.append(codes[:, new])
+        del codes  # before the next chunk's codes are allocated
+    g = math.gcd(*weights)
+    return DiscreteJoint.from_codes(
+        fwd.variables, np.concatenate(blocks, axis=1), fwd.values(), [w // g for w in weights]
+    )

@@ -45,7 +45,10 @@ class FlowEntry:
     has_flow: bool
     witness: Optional[tuple[EdgeRef, ...]] = None
     quantified: Optional[float] = None
-    p_values: Optional[tuple] = None  # sampled engine only
+    p_values: Optional[tuple] = None  # sampled engine only, as are the fields below
+    level: Optional[float] = None  # the Bonferroni level of each test
+    n_tests_planned: Optional[int] = None
+    replicates: Optional[int] = None  # permutation replicates drawn per test
 
 
 @dataclass

@@ -16,6 +16,10 @@ REPORT_SCHEMA = "msgflow.flow-report/1"
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
 
+# A sampled cascade's settings, as it ran them.
+_SAMPLED_FIELDS = ("level", "n_tests_planned", "replicates")
+
+
 def _quantified_to_json(q: Optional[float]):
     if q is None:
         return None
@@ -50,6 +54,9 @@ def report_to_dict(report: FlowReport) -> dict:
                 {"conditioning": [str(c) for c in sub], "p": p}
                 for sub, p in entry.p_values
             ]
+        for name in _SAMPLED_FIELDS:
+            if getattr(entry, name) is not None:
+                row[name] = getattr(entry, name)
         edges.append(row)
     partition = {}
     for t in report.times():
@@ -86,6 +93,7 @@ def report_from_dict(d: dict) -> FlowReport:
                 (tuple(EdgeRef.parse(c) for c in test["conditioning"]), float(test["p"]))
                 for test in p_values
             ),
+            **{name: row[name] for name in _SAMPLED_FIELDS if name in row},
         )
     return report
 

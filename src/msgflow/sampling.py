@@ -1,10 +1,13 @@
 """Trial-based observation and statistical flow detection.
 
 A trial is one independent realization of every random variable in a system,
-observed noiselessly on all edges.  ``sample_trials`` returns the same table
-the exact engine uses (:class:`~msgflow.discrete.DiscreteJoint`), one row of
-weight 1 per trial; ``TrialMatrix`` and ``plug_in_cmi`` are the public names
-of that table and of its ``cmi``.
+observed noiselessly on all edges.  ``sample_trials`` draws each source once
+for all trials and runs the column forward pass
+(:class:`~msgflow.system.ColumnPass`) the exact enumerator also uses.  It
+returns the same table the exact engine uses
+(:class:`~msgflow.discrete.DiscreteJoint`), one row of weight 1 per trial;
+``TrialMatrix`` and ``plug_in_cmi`` are the public names of that table and of
+its ``cmi``.
 
 Detection replays the exact detector's subset cascade as a sequence of
 conditional-independence permutation tests: the statistic is the plug-in
@@ -12,7 +15,8 @@ conditional mutual information, the null is built by permuting the edge
 column within strata of identical conditioning values, and the whole per-edge
 cascade is Bonferroni-corrected, which stays valid under the arbitrary
 dependence between the cascade's tests.  A cascade runs with enough
-replicates that its smallest p-value lies below its Bonferroni level.
+replicates that its smallest p-value lies below its Bonferroni level, and
+its verdict records that count.
 
 All randomness is driven by spawned child streams of one master seed, so
 identical inputs give bit-identical trials and p-values.
@@ -35,77 +39,45 @@ from .errors import (
     ValidationError,
 )
 from .graph import EdgeRef
-from .system import SystemSpec
+from .system import ColumnPass, MessageSpec, NoiseSpec, SystemSpec
 
 TrialMatrix = DiscreteJoint
 plug_in_cmi = DiscreteJoint.cmi
 
 
 def sample_trials(spec: SystemSpec, n: int, seed: int) -> DiscreteJoint:
-    """Draw ``n`` independent trials by sampling (message, noises) and propagating."""
+    """Draw ``n`` independent trials by sampling (message, noises) and propagating.
+
+    One vectorized draw per source, in a fixed order: the message first (a
+    derived message draws nothing), then the noises by node; then one
+    :class:`~msgflow.system.ColumnPass` over all trials.
+    """
     if n < 1:
         raise ValidationError("need at least one trial")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    graph = spec.graph
-    edge_order = tuple(e for t in range(graph.horizon) for e in graph.edges_at(t))
-    variables: tuple[VarId, ...] = tuple(spec.message.components) + edge_order
     noise_nodes = spec.noise_nodes()
-
-    continuous = spec.is_gaussian or any(
-        spec.noise[v].kind == "gaussian" for v in noise_nodes
-    )
-    if continuous:
+    if spec.is_gaussian or any(spec.noise[v].kind == "gaussian" for v in noise_nodes):
         warnings.warn(
             "sampling a continuous system; the discrete CI tests will not accept it",
             ContinuousSamplingWarning,
             stacklevel=2,
         )
-
-    # One vectorized draw per source, in a fixed order: message first, then
-    # noises by node.  Deterministic given the seed.
-    msg_draws = _draw_msg(spec, rng, n)
-    noise_draws = {v: _draw_law(spec.noise[v], rng, n) for v in noise_nodes}
-
-    rows = []
-    for i in range(n):
-        noise_values = {v: d[i] for v, d in noise_draws.items()}
-        if spec.message.kind == "derived":
-            msg_values = spec.message_values(noise_values)
-        else:
-            msg_values = msg_draws(i)
-        edges = spec.propagate(msg_values, noise_values)
-        rows.append(
-            tuple(msg_values[c] for c in spec.message.components)
-            + tuple(edges[e] for e in edge_order)
-        )
-    return DiscreteJoint(variables, rows)
+    if spec.message.kind == "derived":
+        msg = np.zeros(n, dtype=np.int64)
+    else:
+        msg = _draw(spec.message, rng, n)
+    noise = {v: _draw(spec.noise[v], rng, n) for v in noise_nodes}
+    fwd = ColumnPass(spec)
+    return DiscreteJoint.from_codes(fwd.variables, fwd(msg, noise), fwd.values())
 
 
-def _draw_msg(spec: SystemSpec, rng, n: int):
-    if spec.message.kind == "gaussian":
-        sd = math.sqrt(float(spec.message.variance))
-        name = spec.message.components[0]
-        draws = rng.normal(0.0, sd, size=n)
-        return lambda i: {name: float(draws[i])}
-    if spec.message.kind == "discrete":
-        values = [v for v, _ in spec.message.pmf]
-        probs = np.array([float(p) for _, p in spec.message.pmf])
-        probs /= probs.sum()
-        comps = spec.message.components
-        idx = rng.choice(len(values), size=n, p=probs)
-        return lambda i: dict(zip(comps, values[idx[i]]))
-    return lambda i: {}
-
-
-def _draw_law(ns, rng, n: int) -> list:
-    if ns.kind == "gaussian":
-        sd = math.sqrt(float(ns.variance))
-        return [float(x) for x in rng.normal(0.0, sd, size=n)]
-    values = [v for v, _ in ns.pmf]
-    probs = np.array([float(p) for _, p in ns.pmf])
+def _draw(law: MessageSpec | NoiseSpec, rng, n: int) -> np.ndarray:
+    """Float draws of a gaussian law, or indices into a discrete law's pmf."""
+    if law.kind == "gaussian":
+        return rng.normal(0.0, math.sqrt(float(law.variance)), size=n)
+    probs = np.array([float(p) for _, p in law.pmf])
     probs /= probs.sum()
-    idx = rng.choice(len(values), size=n, p=probs)
-    return [values[i] for i in idx]
+    return rng.choice(len(probs), size=n, p=probs)
 
 
 # ----- permutation testing ------------------------------------------------
@@ -213,6 +185,7 @@ class SampledVerdict:
     p_values: tuple  # ((conditioning subset, p), ...) in test order; run tests only
     n_tests_planned: int
     level: float
+    replicates: int  # drawn per test: n_perm, or more to reach the level
 
 
 def detect_flow_sampled(
@@ -267,8 +240,8 @@ def detect_flow_sampled(
             i += 1
             p_values.append((sub, p))
             if p <= level:
-                return SampledVerdict(edge, True, sub, tuple(p_values), n_tests, level)
-    return SampledVerdict(edge, False, None, tuple(p_values), n_tests, level)
+                return SampledVerdict(edge, True, sub, tuple(p_values), n_tests, level, n_perm)
+    return SampledVerdict(edge, False, None, tuple(p_values), n_tests, level, n_perm)
 
 
 def _stream_seed(ss: np.random.SeedSequence) -> int:

@@ -13,6 +13,12 @@ Message laws come in three kinds:
 * ``gaussian`` — a single zero-mean scalar component with rational variance;
 * ``derived``  — components defined as expressions over intrinsic variables,
   for systems whose message lives at the output rather than the input.
+
+Two forward passes push realizations through the node functions:
+``SystemSpec.propagate`` computes one realization from value dicts and is
+the reference the tests compare against; :class:`ColumnPass` computes whole
+columns of realizations for the exact enumerator and the trial sampler,
+running each node function once per distinct combination of its inputs.
 """
 
 from __future__ import annotations
@@ -20,10 +26,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
+
+import numpy as np
 
 from . import exprs
-from .errors import SpecParseError, ValidationError
+from .errors import MsgflowError, SpecParseError, ValidationError
 from .exprs import EvalEnv, Expr, compile_expr, expr_to_json, leaf_refs, parse_expr
 from .graph import EdgeRef, NodeRef, UnrolledGraph
 from .values import Value, value_from_json, value_to_json
@@ -138,6 +146,8 @@ class SystemSpec:
 
     def _validate(self) -> None:
         g = self.graph
+        if not all(isinstance(c, str) for c in self.message.components):
+            raise ValidationError("message component names must be strings")
         if len(set(self.message.components)) != len(self.message.components):
             raise ValidationError("duplicate message component names")
         for name in self.declared_inputs:
@@ -162,14 +172,16 @@ class SystemSpec:
                     raise ValidationError(f"{v} has no outgoing edge {e}")
                 self._check_leaves(v, e, expr, inc)
         if self.message.kind == "derived":
-            for expr in self.message.exprs or ():
+            if len(self.message.exprs) != len(self.message.components):
+                raise ValidationError("a derived message needs one expression per component")
+            for expr in self.message.exprs:
                 for kind, payload in leaf_refs(expr):
                     if kind != "noise" or payload is None:
                         raise ValidationError(
                             "derived message expressions may only read named intrinsic variables"
                         )
-                    if payload not in g:
-                        raise ValidationError(f"derived message reads unknown node {payload}")
+                    if payload not in self.noise:
+                        raise ValidationError(f"derived message reads {payload}, which has no noise")
 
     def _check_leaves(self, v: NodeRef, e: EdgeRef, expr: Expr, incoming: set) -> None:
         for kind, payload in leaf_refs(expr):
@@ -183,6 +195,8 @@ class SystemSpec:
                     raise ValidationError(
                         f"function for {e} reads intrinsic variable of another node {payload}"
                     )
+                if payload is not None and payload not in self.noise:
+                    raise ValidationError(f"function for {e} reads {payload}, which has no noise")
             elif kind == "msg":
                 if v.time != 0 or v.name not in self.declared_inputs:
                     raise ValidationError(
@@ -219,27 +233,12 @@ class SystemSpec:
             plan = []
             for t in range(self.graph.horizon):
                 for v in self.graph.nodes_at(t):
-                    fns = self.functions.get(v)
-                    if not fns:
-                        continue
-                    for e in self.graph.outgoing(v):
-                        if e in fns:
-                            plan.append((v, e, compile_expr(fns[e])))
-            msg_fns = None
-            if self.message.kind == "derived":
-                msg_fns = tuple(compile_expr(x) for x in self.message.exprs)
-            self._compiled = (tuple(plan), msg_fns)
+                    fns = self.functions.get(v, {})
+                    plan.extend(
+                        (v, e, compile_expr(fns[e])) for e in self.graph.outgoing(v) if e in fns
+                    )
+            self._compiled = tuple(plan)
         return self._compiled
-
-    def message_values(self, noise_values: Mapping[NodeRef, Value]) -> dict[str, Value]:
-        """Message components of one realization (derived kinds read the noise)."""
-        _, msg_fns = self._compile()
-        if msg_fns is None:
-            raise ValidationError("message_values is only for derived messages")
-        env = EvalEnv(edges={}, noise_values=dict(noise_values))
-        return {
-            name: fn(env) for name, fn in zip(self.message.components, msg_fns)
-        }
 
     def propagate(
         self,
@@ -247,10 +246,9 @@ class SystemSpec:
         noise_values: Mapping[NodeRef, Value],
     ) -> dict[EdgeRef, Value]:
         """Forward pass: every edge transmission of one realization."""
-        plan, _ = self._compile()
         out: dict[EdgeRef, Value] = {e: 0 for e in self.graph.edges}
-        env = EvalEnv(edges=out, msg_values=dict(msg_values))
-        for v, e, fn in plan:
+        env = EvalEnv(edges=out, msg_values=dict(msg_values), noise_values=dict(noise_values))
+        for v, e, fn in self._compile():
             env.own_noise = noise_values.get(v, 0)
             out[e] = fn(env)
         return out
@@ -279,6 +277,22 @@ class SystemSpec:
 
     @staticmethod
     def from_json_dict(d: dict) -> "SystemSpec":
+        """Build a system from its JSON document.
+
+        A malformed document (a value of the wrong type, a missing key
+        inside a field, a zero denominator) raises SpecParseError; a missing
+        top-level field, or a well-formed document that breaks a rule of the
+        model, raises ValidationError.
+        """
+        try:
+            return SystemSpec._from_json_dict(d)
+        except MsgflowError:
+            raise
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise SpecParseError(f"malformed system spec: {exc!r}") from exc
+
+    @staticmethod
+    def _from_json_dict(d: dict) -> "SystemSpec":
         if not isinstance(d, dict):
             raise ValidationError("system spec must be a JSON object")
         missing = {"nodes", "horizon", "message", "functions"} - set(d)
@@ -313,6 +327,188 @@ class SystemSpec:
             functions=functions,
             declared_inputs=tuple(d.get("declared_inputs", ())),
         )
+
+
+# ----- the column forward pass ------------------------------------------
+
+
+def compress(key: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """Renumber codes below ``k`` to 0..m-1, keeping their order; returns (codes, m)."""
+    if k <= 8 * len(key):  # a dense pass over k codes; a sort beyond
+        present = np.zeros(k, dtype=bool)
+        present[key] = True
+        rank = np.cumsum(present) - 1
+        return rank[key], int(rank[-1]) + 1
+    uniq, inverse = np.unique(key, return_inverse=True)
+    return inverse, len(uniq)
+
+
+def mixed_radix(columns: Iterable[tuple[np.ndarray, int]], n: int) -> tuple[np.ndarray, int]:
+    """One code per row for the joint value of several code columns.
+
+    ``columns`` holds (codes, code count) pairs, combined in mixed radix in
+    the order given.  A code count above the row count ``n`` is compressed
+    at once, so codes stay below n times a column's count and never
+    overflow.  Returns the codes and their count.
+    """
+    key, k = np.zeros(n, dtype=np.int64), 1
+    for codes, size in columns:
+        key, k = key * size + codes, k * size
+        if k > n:
+            key, k = compress(key, k)
+    return key, k
+
+
+def first_rows(key: np.ndarray, k: int) -> np.ndarray:
+    """The first row holding each distinct code (all below ``k``), ascending."""
+    n = len(key)
+    first = np.full(k, n, dtype=np.int64)
+    np.minimum.at(first, key, np.arange(n))
+    return np.sort(first[first < n])
+
+
+def _strict(v: Value):
+    """A key that tells equal values of different types apart: 1, Fraction(1), 1.0."""
+    return tuple(map(_strict, v)) if isinstance(v, tuple) else (type(v), v)
+
+
+class _Column:
+    """The values of one column of the pass.
+
+    Node functions see values told apart by type as well as by equality
+    (``xor`` accepts 1 but not Fraction(1)); the table merges equal values,
+    keeping the first one seen.  Both are numbered in order of first sight.
+    """
+
+    __slots__ = ("_index", "objs", "table", "table_code")
+
+    def __init__(self) -> None:
+        self._index: dict = {}
+        self.objs: list = []
+        self.table: dict = {}
+        self.table_code: list[int] = []
+
+    def code(self, v: Value) -> int:
+        key = _strict(v)
+        c = self._index.get(key)
+        if c is None:
+            c = self._index[key] = len(self.objs)
+            self.objs.append(v)
+            self.table_code.append(self.table.setdefault(v, len(self.table)))
+        return c
+
+
+class ColumnPass:
+    """The forward pass over whole columns of realizations, for both engines.
+
+    A call takes the sources of n realizations: an index array into the
+    message pmf (float draws for a gaussian message, zeros for a derived
+    one) and, per noise node, an index array into its pmf or float draws.
+    It returns every message and edge column, in ``variables`` order, as an
+    int64 code array of shape (columns, n) into the decode lists
+    ``values()``.  Codes number values in order of first appearance and
+    stay fixed across calls, so the chunks of one grid share them.
+
+    Each compiled node function, and each derived message component, runs
+    once per distinct combination of the columns it reads (``leaf_refs``),
+    in order of the combination's first row, and its result is mapped back
+    to every row.  A function given the same inputs returns the same value,
+    and columns tell values apart by type, so every row gets exactly the
+    value ``SystemSpec.propagate`` computes for it, and the first value
+    seen of each column is the one the first row holds.  A combination seen
+    in an earlier call is not evaluated again.
+    """
+
+    def __init__(self, spec: SystemSpec) -> None:
+        self.spec = spec
+        g, m = spec.graph, spec.message
+        edges = tuple(e for t in range(g.horizon) for e in g.edges_at(t))
+        self.variables: tuple = tuple(m.components) + edges
+        # Columns by slot: the variables first, then the noise nodes.
+        self._slot = {key: i for i, key in enumerate((*self.variables, *spec.noise))}
+        self._cols = [_Column() for _ in self._slot]
+        fns = [(None, name, x) for name, x in zip(m.components, m.exprs or ())]
+        fns += [(e.src, e, spec.expr_for(e)) for e in edges]
+        # (node, slot, compiled function, columns read, memo of results)
+        self._fns = [
+            (v, self._slot[key], compile_expr(x), self._reads(x, v), {}) for v, key, x in fns
+        ]
+
+    def _reads(self, expr: Expr, v: Optional[NodeRef]) -> tuple:
+        """The columns ``expr`` reads at node ``v``, in order of first use, as
+        (slot, EvalEnv field, key) triples."""
+        reads: dict = {}
+        for kind, payload in leaf_refs(expr):
+            if kind == "edge":
+                reads[payload] = "edges"
+            elif kind == "msg":
+                # A bare leaf sees every component, so that it stays ambiguous
+                # when there are several, as in ``propagate``.
+                names = self.spec.message.components if payload is None else (payload,)
+                reads.update(dict.fromkeys(names, "msg_values"))
+            else:
+                node = v if payload is None else payload
+                if node in self.spec.noise:  # a node without noise reads 0
+                    reads[node] = "noise_values"
+        return tuple((self._slot[key], field, key) for key, field in reads.items())
+
+    def values(self) -> list[tuple]:
+        """The decode list of each column, in ``variables`` order."""
+        return [tuple(col.table) for col in self._cols[: len(self.variables)]]
+
+    def __call__(self, msg: np.ndarray, noise: Mapping[NodeRef, np.ndarray]) -> np.ndarray:
+        spec, n = self.spec, len(msg)
+        out = np.empty((len(self.variables), n), dtype=np.int64)
+        # Each column's codes by slot, the variables' ones written in place into out.
+        codes: list = [*out, *([None] * len(spec.noise))]
+        for v, draws in noise.items():
+            pmf, i = spec.noise[v].pmf, self._slot[v]
+            codes[i] = _source(self._cols[i], draws, pmf and [x for x, _ in pmf])
+        if spec.message.kind != "derived":
+            pmf = spec.message.pmf
+            for j in range(len(spec.message.components)):
+                codes[j][:] = _source(self._cols[j], msg, pmf and [x[j] for x, _ in pmf])
+        for v, i, fn, reads, memo in self._fns:
+            codes[i][:] = self._apply(v, self._cols[i], fn, reads, memo, codes, n)
+        for row, col in zip(out, self._cols):
+            row[:] = np.asarray(col.table_code, dtype=np.int64)[row]
+        return out
+
+    def _apply(self, v, col: _Column, fn, reads, memo: dict, codes: list, n: int) -> np.ndarray:
+        """Codes of one function's column, from the columns it reads."""
+        key, k = mixed_radix([(codes[i], len(self._cols[i].objs)) for i, _, _ in reads], n)
+
+        def code_at(row: int) -> int:
+            args = tuple(int(codes[i][row]) for i, _, _ in reads)
+            c = memo.get(args)
+            if c is None:
+                env = EvalEnv(edges={})
+                for (i, field, name), a in zip(reads, args):
+                    getattr(env, field)[name] = self._cols[i].objs[a]
+                env.own_noise = env.noise_values.get(v, 0)
+                c = memo[args] = col.code(fn(env))
+            return c
+
+        return _each(key, k, code_at)
+
+
+def _source(col: _Column, draws: np.ndarray, support: Optional[list]) -> np.ndarray:
+    """Codes of a source column: indices into ``support``, or float draws."""
+    if support is None:
+        uniq, key = np.unique(draws, return_inverse=True)
+        return _each(key, len(uniq), lambda r: col.code(float(draws[r])))
+    return _each(draws, len(support), lambda r: col.code(support[draws[r]]))
+
+
+def _each(key: np.ndarray, k: int, code_at: Callable[[int], int]) -> np.ndarray:
+    """Map every row to ``code_at`` of the first row with its key, calling
+    it once per distinct key in order of first appearance."""
+    if k == 1:
+        return np.full(len(key), code_at(0), dtype=np.int64)
+    lut = np.empty(k, dtype=np.int64)
+    for r in first_rows(key, k).tolist():
+        lut[key[r]] = code_at(r)
+    return lut[key]
 
 
 def _message_to_json(m: MessageSpec) -> dict:

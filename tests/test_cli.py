@@ -1,10 +1,13 @@
+import copy
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import msgflow as mf
 from msgflow.cli import main
 from msgflow.graph import edge
+from msgflow.report import report_from_dict, report_to_dict
 from msgflow.system import load_system, save_system
 
 
@@ -58,6 +61,104 @@ def test_sampled_reports_byte_identical(tmp_path):
     assert run(*args, "--out", str(a)) == 0
     assert run(*args, "--out", str(b)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _analyze_doc(tmp_path, doc) -> int:
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    return run("analyze", "--spec", str(spec))
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("message",), {"kind": "discrete", "components": ["M"]}),  # no pmf
+        (("message", "pmf", 0, "p"), [1, 0]),  # zero denominator
+        (("horizon",), "3"),
+    ],
+)
+def test_malformed_spec_is_a_parse_error(tmp_path, path, value):
+    doc = mf.build("ce1").spec.to_json_dict()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    assert _analyze_doc(tmp_path, doc) == 2
+
+
+def _without_noise(doc):
+    doc["noise"] = {}
+
+
+def _extra_component(doc):
+    doc["message"]["components"].append("M2")
+
+
+@pytest.mark.parametrize(
+    "fixture, edit",
+    [
+        ("output-msg", _without_noise),  # the derived message reads absent noise
+        ("output-msg", _extra_component),  # a component without an expression
+    ],
+)
+def test_ill_formed_spec_is_a_validation_error(tmp_path, fixture, edit):
+    doc = mf.build(fixture).spec.to_json_dict()
+    edit(doc)
+    assert _analyze_doc(tmp_path, doc) == 3
+
+
+def _json_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _json_paths(v, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _json_paths(v, path + (i,))
+
+
+_JUNK = st.sampled_from(
+    [None, True, -1, 0, 1, 2, 1.5, "", "A0", "x", [], [1, 0], [0, 1], {}]
+).map(copy.deepcopy)
+
+
+@pytest.mark.filterwarnings("ignore::msgflow.DependentMessagesWarning")
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["ce1", "mult-msg", "output-msg"]), st.data())
+def test_mutated_spec_never_crashes(tmp_path, fixture, data):
+    # Replacing or deleting any part of a valid document either still
+    # analyzes, or is reported as a parse or validation error.
+    doc = mf.build(fixture).spec.to_json_dict()
+    paths = list(_json_paths(doc))[1:]
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(paths))
+        target = doc
+        try:
+            for key in path[:-1]:
+                target = target[key]
+            if data.draw(st.booleans()):
+                del target[path[-1]]
+            else:
+                target[path[-1]] = data.draw(_JUNK)
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation removed or replaced this path
+    assert _analyze_doc(tmp_path, doc) in (0, 2, 3)
+
+
+def test_sampled_report_records_the_cascade(tmp_path):
+    # A0->A1's three-test cascade at alpha 0.05 needs ceil(3 / 0.05) = 60
+    # replicates, more than the 19 asked for; the report says so.
+    out = tmp_path / "rep.json"
+    assert run("analyze", "--fixture", "ce1", "--engine", "sampled",
+               "--n-trials", "2000", "--seed", "1", "--alpha", "0.05",
+               "--n-perm", "19", "--max-conditioning", "1", "--out", str(out)) == 0
+    rep = json.loads(out.read_text())["reports"]["M"]
+    row = next(r for r in rep["edges"] if r["edge"] == "A0->A1")
+    assert (row["replicates"], row["n_tests_planned"]) == (60, 3)
+    assert row["level"] == pytest.approx(0.05 / 3)
+    again = report_from_dict(rep)
+    assert again.entries[edge("A", 0, "A")].replicates == 60
+    assert report_to_dict(again) == rep
 
 
 def test_sampled_requires_parameters():

@@ -1,15 +1,18 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import msgflow as mf
+from msgflow import discrete
 from msgflow import BudgetExceededError, MessageSpec, NoiseSpec, SystemSpec, ValidationError
 from msgflow.exprs import msg
 from msgflow.graph import NodeRef, UnrolledGraph, edge
 
 from randsys import random_system
+from reference import assert_same_table, reference_joint
 
 
 def test_ce1_joint_shape(joints):
@@ -142,7 +145,23 @@ def test_node_level_markov_on_fixtures(joints, fixtures):
                     assert not j.dependent([m], q, list(g.incoming(v))), (name, v)
 
 
+def _mixed_zero_system():
+    # A0->A1 carries Z * 0: first the int 0, then Fraction(0), which equals
+    # it but is not a bit, so the xor downstream fails on it.
+    g = UnrolledGraph(("A",), 2)
+    return SystemSpec(
+        g,
+        MessageSpec.bernoulli("M"),
+        noise={NodeRef("A", 0): NoiseSpec.discrete(((1, Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))))},
+        functions={
+            NodeRef("A", 0): {edge("A", 0, "A"): ("mul", ("noise", None), ("const", 0))},
+            NodeRef("A", 1): {edge("A", 1, "A"): ("xor", ("edge", edge("A", 0, "A")), ("const", 0))},
+        },
+    )
+
+
 def test_enumeration_surfaces_type_errors():
+    # Both engines, on an xor of a Fraction and on an xor of Fraction(0).
     from msgflow import ExpressionTypeError
     from msgflow.exprs import const, msg
 
@@ -153,8 +172,90 @@ def test_enumeration_surfaces_type_errors():
         functions={NodeRef("A", 0): {edge("A", 0, "A"): ("xor", msg(), const(Fraction(1, 2)))}},
         declared_inputs=("A",),
     )
-    with pytest.raises(ExpressionTypeError):
-        mf.enumerate_joint(spec)
+    for system in (spec, _mixed_zero_system()):
+        with pytest.raises(ExpressionTypeError):
+            mf.enumerate_joint(system)
+        with pytest.raises(ExpressionTypeError):
+            mf.sample_trials(system, 200, seed=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.sampled_from([3, 7, None]))
+def test_enumeration_matches_per_realization_reference(seed, biased, chunk):
+    # Small chunks put chunk boundaries inside every system.
+    spec = random_system(seed)
+    if biased:
+        spec = _biased(spec)
+    with mock.patch.object(discrete, "CHUNK", chunk or discrete.CHUNK):
+        assert_same_table(mf.enumerate_joint(spec), reference_joint(spec))
+
+
+def test_named_own_noise_reads_like_bare_noise():
+    g = UnrolledGraph(("A",), 1)
+    a0 = NodeRef("A", 0)
+    spec = SystemSpec(
+        g,
+        MessageSpec.bernoulli("M"),
+        noise={a0: NoiseSpec.bernoulli()},
+        functions={a0: {edge("A", 0, "A"): ("xor", msg(), ("noise", a0))}},
+        declared_inputs=("A",),
+    )
+    j = mf.enumerate_joint(spec)
+    assert_same_table(j, reference_joint(spec))
+    assert j.rows == ((0, 0), (0, 1), (1, 1), (1, 0))
+
+
+@pytest.mark.parametrize("name", ["output-msg", "fft-phase", "mult-msg", "hidden-masked"])
+def test_enumeration_matches_reference_on_fixtures(fixtures, name):
+    # A derived message, ComplexQ transmissions, a two-component message.
+    spec = fixtures[name].spec
+    assert_same_table(mf.enumerate_joint(spec), reference_joint(spec))
+
+
+def test_enumeration_across_chunks():
+    # 2 * 2 * 3 * 5 * 7 * 11 = 4620 realizations: the second chunk is
+    # partial, and holds rows first seen in the first chunk (realizations
+    # 4081-4157 share M, B0's and C0's values) and rows first seen in itself
+    # (C0 = 4 from 4158 on).  Every law has an odd denominator.
+    names = ("A", "B", "C", "D", "E")
+    g = UnrolledGraph(names, 2)
+    laws = {"B": 3, "C": 5, "D": 7, "E": 11}
+    noise = {
+        NodeRef(x, 0): NoiseSpec.discrete([(i, Fraction(2 * i + 1, k * k)) for i in range(k)])
+        for x, k in laws.items()
+    }
+    noise[NodeRef("A", 1)] = NoiseSpec.bernoulli(Fraction(2, 3))
+    functions = {NodeRef(x, 0): {edge(x, 0, "A"): ("mod", 2, ("noise", None))} for x in laws}
+    for x in "BC":
+        functions[NodeRef(x, 0)][edge(x, 0, x)] = ("noise", None)
+    functions[NodeRef("A", 0)] = {edge("A", 0, "A"): msg()}
+    total = ("edge", edge("A", 0, "A"))
+    for x in laws:
+        total = ("add", total, ("edge", edge(x, 0, "A")))
+    functions[NodeRef("A", 1)] = {edge("A", 1, "A"): ("mod", 3, ("add", total, ("noise", None)))}
+    functions[NodeRef("B", 1)] = {edge("B", 1, "B"): ("mod", 2, ("edge", edge("B", 0, "B")))}
+    functions[NodeRef("C", 1)] = {edge("C", 1, "A"): ("edge", edge("C", 0, "C"))}
+    spec = SystemSpec(
+        g, MessageSpec.bernoulli("M", Fraction(1, 3)), noise=noise,
+        functions=functions, declared_inputs=("A",),
+    )
+    n = spec.realization_count()
+    assert n > discrete.CHUNK and n % discrete.CHUNK
+    assert_same_table(mf.enumerate_joint(spec), reference_joint(spec))
+
+
+def test_weighted_csv_round_trip(tmp_path):
+    j = mf.DiscreteJoint(["M"], [(0,), (1,)], [Fraction(1, 3), Fraction(2, 3)])
+    path = tmp_path / "joint.csv"
+    j.to_csv(path)
+    assert path.read_text().splitlines() == ["M,#weight", "0,1", "1,2"]
+    again = mf.DiscreteJoint.from_csv(path)
+    assert again.probs == j.probs
+    assert again.entropy(["M"]) == pytest.approx(0.918, abs=5e-4)
+    for bad in ("0", "-1", "1.5", "x", ""):
+        path.write_text(f"M,#weight\n0,1\n1,{bad}\n")
+        with pytest.raises(ValidationError):
+            mf.DiscreteJoint.from_csv(path)
 
 
 def test_mixed_regimes_rejected():

@@ -1,6 +1,7 @@
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import msgflow as mf
 from msgflow import (
@@ -10,6 +11,8 @@ from msgflow import (
     ValidationError,
 )
 from msgflow.graph import NodeRef, edge
+from randsys import random_system
+from reference import assert_same_table, reference_trials
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +54,20 @@ def test_row_consistency_with_forward_pass(fixtures):
         values = spec.propagate({"M": m}, {NodeRef("C", 0): z})
         for e in trials.edge_vars:
             assert values[e] == row[cols[e]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_trials_match_per_trial_reference(seed):
+    spec = random_system(seed)
+    assert_same_table(mf.sample_trials(spec, 200, seed=seed), reference_trials(spec, 200, seed))
+
+
+@pytest.mark.parametrize("name", ["output-msg", "fft-phase", "mult-msg", "hidden-masked"])
+def test_trials_match_reference_on_fixtures(fixtures, name):
+    # A derived message, ComplexQ transmissions, a two-component message.
+    spec = fixtures[name].spec
+    assert_same_table(mf.sample_trials(spec, 300, seed=8), reference_trials(spec, 300, 8))
 
 
 def test_plug_in_cmi_close_to_exact(ce1_trials):
@@ -178,7 +195,7 @@ def test_csv_round_trip(fixtures, tmp_path):
     path = tmp_path / "trials.csv"
     trials.to_csv(path)
     header = path.read_text().splitlines()[0]
-    assert header.startswith("M,")
+    assert header.startswith("M,") and "#weight" not in header  # trials weigh 1
     again = TrialMatrix.from_csv(path)
     assert again.variables == trials.variables
     assert again.rows == trials.rows
