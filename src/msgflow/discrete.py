@@ -252,7 +252,7 @@ class DiscreteJoint(JointVariables):
                 )
         code, k = mixed_radix([(self.codes[j], len(self.values[j])) for j in cols], self.n_rows)
         if len(vars) > 1:
-            code, k = compress(code, k)
+            code, k = compress(code)
         return code, k
 
     def weight_grid(

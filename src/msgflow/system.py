@@ -172,9 +172,9 @@ class SystemSpec:
                     raise ValidationError(f"{v} has no outgoing edge {e}")
                 self._check_leaves(v, e, expr, inc)
         if self.message.kind == "derived":
-            if len(self.message.exprs) != len(self.message.components):
+            if len(self.message.exprs or ()) != len(self.message.components):
                 raise ValidationError("a derived message needs one expression per component")
-            for expr in self.message.exprs:
+            for expr in self.message.exprs or ():
                 for kind, payload in leaf_refs(expr):
                     if kind != "noise" or payload is None:
                         raise ValidationError(
@@ -284,20 +284,22 @@ class SystemSpec:
         top-level field, or a well-formed document that breaks a rule of the
         model, raises ValidationError.
         """
-        try:
-            return SystemSpec._from_json_dict(d)
-        except MsgflowError:
-            raise
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise SpecParseError(f"malformed system spec: {exc!r}") from exc
-
-    @staticmethod
-    def _from_json_dict(d: dict) -> "SystemSpec":
         if not isinstance(d, dict):
             raise ValidationError("system spec must be a JSON object")
         missing = {"nodes", "horizon", "message", "functions"} - set(d)
         if missing:
             raise ValidationError(f"system spec missing fields: {sorted(missing)}")
+        try:
+            parts = SystemSpec._read_json_dict(d)
+        except MsgflowError:
+            raise
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise SpecParseError(f"malformed system spec: {exc!r}") from exc
+        return SystemSpec(*parts)
+
+    @staticmethod
+    def _read_json_dict(d: dict) -> tuple:
+        """The graph, message, noise, functions and declared inputs of a document."""
         adjacency = d.get("adjacency", "complete")
         graph = UnrolledGraph(
             d["nodes"],
@@ -320,25 +322,17 @@ class SystemSpec:
                         f"function key {dst_id!r} under {node_id!r} is not at time {v.time + 1}"
                     )
                 functions[v][EdgeRef(v, dst)] = parse_expr(ex)
-        return SystemSpec(
-            graph,
-            message,
-            noise=noise,
-            functions=functions,
-            declared_inputs=tuple(d.get("declared_inputs", ())),
-        )
+        declared_inputs = tuple(d.get("declared_inputs", ()))
+        if not all(isinstance(name, str) for name in declared_inputs):
+            raise SpecParseError("declared inputs must be node names")
+        return graph, message, noise, functions, declared_inputs
 
 
 # ----- the column forward pass ------------------------------------------
 
 
-def compress(key: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-    """Renumber codes below ``k`` to 0..m-1, keeping their order; returns (codes, m)."""
-    if k <= 8 * len(key):  # a dense pass over k codes; a sort beyond
-        present = np.zeros(k, dtype=bool)
-        present[key] = True
-        rank = np.cumsum(present) - 1
-        return rank[key], int(rank[-1]) + 1
+def compress(key: np.ndarray) -> tuple[np.ndarray, int]:
+    """Renumber codes to 0..m-1, keeping their order; returns (codes, m)."""
     uniq, inverse = np.unique(key, return_inverse=True)
     return inverse, len(uniq)
 
@@ -355,7 +349,7 @@ def mixed_radix(columns: Iterable[tuple[np.ndarray, int]], n: int) -> tuple[np.n
     for codes, size in columns:
         key, k = key * size + codes, k * size
         if k > n:
-            key, k = compress(key, k)
+            key, k = compress(key)
     return key, k
 
 
@@ -415,8 +409,7 @@ class ColumnPass:
     to every row.  A function given the same inputs returns the same value,
     and columns tell values apart by type, so every row gets exactly the
     value ``SystemSpec.propagate`` computes for it, and the first value
-    seen of each column is the one the first row holds.  A combination seen
-    in an earlier call is not evaluated again.
+    seen of each column is the one the first row holds.
     """
 
     def __init__(self, spec: SystemSpec) -> None:
@@ -429,9 +422,9 @@ class ColumnPass:
         self._cols = [_Column() for _ in self._slot]
         fns = [(None, name, x) for name, x in zip(m.components, m.exprs or ())]
         fns += [(e.src, e, spec.expr_for(e)) for e in edges]
-        # (node, slot, compiled function, columns read, memo of results)
+        # (node, slot, compiled function, columns read)
         self._fns = [
-            (v, self._slot[key], compile_expr(x), self._reads(x, v), {}) for v, key, x in fns
+            (v, self._slot[key], compile_expr(x), self._reads(x, v)) for v, key, x in fns
         ]
 
     def _reads(self, expr: Expr, v: Optional[NodeRef]) -> tuple:
@@ -468,26 +461,22 @@ class ColumnPass:
             pmf = spec.message.pmf
             for j in range(len(spec.message.components)):
                 codes[j][:] = _source(self._cols[j], msg, pmf and [x[j] for x, _ in pmf])
-        for v, i, fn, reads, memo in self._fns:
-            codes[i][:] = self._apply(v, self._cols[i], fn, reads, memo, codes, n)
+        for v, i, fn, reads in self._fns:
+            codes[i][:] = self._apply(v, self._cols[i], fn, reads, codes, n)
         for row, col in zip(out, self._cols):
             row[:] = np.asarray(col.table_code, dtype=np.int64)[row]
         return out
 
-    def _apply(self, v, col: _Column, fn, reads, memo: dict, codes: list, n: int) -> np.ndarray:
+    def _apply(self, v, col: _Column, fn, reads, codes: list, n: int) -> np.ndarray:
         """Codes of one function's column, from the columns it reads."""
         key, k = mixed_radix([(codes[i], len(self._cols[i].objs)) for i, _, _ in reads], n)
 
         def code_at(row: int) -> int:
-            args = tuple(int(codes[i][row]) for i, _, _ in reads)
-            c = memo.get(args)
-            if c is None:
-                env = EvalEnv(edges={})
-                for (i, field, name), a in zip(reads, args):
-                    getattr(env, field)[name] = self._cols[i].objs[a]
-                env.own_noise = env.noise_values.get(v, 0)
-                c = memo[args] = col.code(fn(env))
-            return c
+            env = EvalEnv(edges={})
+            for i, field, name in reads:
+                getattr(env, field)[name] = self._cols[i].objs[codes[i][row]]
+            env.own_noise = env.noise_values.get(v, 0)
+            return col.code(fn(env))
 
         return _each(key, k, code_at)
 

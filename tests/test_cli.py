@@ -75,6 +75,7 @@ def _analyze_doc(tmp_path, doc) -> int:
         (("message",), {"kind": "discrete", "components": ["M"]}),  # no pmf
         (("message", "pmf", 0, "p"), [1, 0]),  # zero denominator
         (("horizon",), "3"),
+        (("declared_inputs",), [["A"]]),  # a node name that is not a string
     ],
 )
 def test_malformed_spec_is_a_parse_error(tmp_path, path, value):
@@ -105,6 +106,13 @@ def test_ill_formed_spec_is_a_validation_error(tmp_path, fixture, edit):
     doc = mf.build(fixture).spec.to_json_dict()
     edit(doc)
     assert _analyze_doc(tmp_path, doc) == 3
+
+
+def test_derived_message_without_expressions_is_a_validation_error():
+    spec = mf.build("output-msg").spec
+    message = mf.MessageSpec("derived", spec.message.components)
+    with pytest.raises(mf.ValidationError):
+        mf.SystemSpec(spec.graph, message, noise=spec.noise, functions=spec.functions)
 
 
 def _json_paths(node, path=()):
