@@ -12,9 +12,11 @@ its ``cmi``.
 Detection replays the exact detector's subset cascade as a sequence of
 conditional-independence permutation tests: the statistic is the plug-in
 conditional mutual information, the null is built by permuting the edge
-column within strata of identical conditioning values, and the whole per-edge
-cascade is Bonferroni-corrected, which stays valid under the arbitrary
-dependence between the cascade's tests.  A cascade runs with enough
+column within strata of identical conditioning values (every replicate
+table of a stratum is drawn at once, one vectorised hypergeometric call per
+cell, whatever the alphabet sizes), and the whole per-edge cascade is
+Bonferroni-corrected, which stays valid under the arbitrary dependence
+between the cascade's tests.  A cascade runs with enough
 replicates that its smallest p-value lies below its Bonferroni level, and
 its verdict records that count.
 
@@ -83,14 +85,10 @@ def _draw(law: MessageSpec | NoiseSpec, rng, n: int) -> np.ndarray:
 # ----- permutation testing ------------------------------------------------
 
 
-def _entropy_term(counts: np.ndarray) -> float:
-    pos = counts[counts > 0].astype(np.float64)
-    return float(np.sum(pos * np.log2(pos)))
-
-
-def _entropy_rows(counts: np.ndarray) -> np.ndarray:
-    c = counts.astype(np.float64)
-    return np.sum(c * np.log2(np.where(c > 0, c, 1.0)), axis=1)
+def _xlog2x(counts: np.ndarray) -> np.ndarray:
+    """Σ x·log2 x over the last axis, with 0·log2 0 = 0."""
+    c = np.asarray(counts, dtype=np.float64)
+    return np.sum(c * np.log2(np.where(c > 0, c, 1.0)), axis=-1)
 
 
 def permutation_ci_test(
@@ -110,17 +108,28 @@ def permutation_ci_test(
     induces a table with fixed margins, so replicates are drawn directly as
     hypergeometric tables — the same null distribution at a fraction of the
     cost.  ``p = (1 + #{perm stat >= observed}) / (1 + n_perm)``.
+
+    A uniform permutation deals each occupied A row (in turn) a uniform
+    sample without replacement of the B values not yet dealt, so the table
+    is a chain of univariate hypergeometric draws (Patefield, AS 159, 1981):
+    given the row's earlier cells, its cell in column j counts the draws
+    from column j among the ``left`` it still needs, out of the values left
+    in columns j and later.  The last column of a row, and the last row,
+    take what remains.  Each draw is one vectorised call over all
+    replicates, so a free stratum with R occupied rows and K occupied
+    columns costs (R−1)(K−1) calls and O(n_perm × K) memory.
     """
     if n_perm < 1:
         raise ValidationError("need at least one permutation")
     n = trials.total
     tables = trials.weight_grid(a_vars, b_vars, c_vars)
-    kc, ka, kb = tables.shape
-    if ka <= 1 or kb <= 1:
+    if tables.shape[1] <= 1 or tables.shape[2] <= 1:
         # A constant column is independent of everything; every permuted
         # statistic equals the observed 0.
         return 1.0
-    n_c = tables.sum(axis=(1, 2))
+    rows = tables.sum(axis=2)
+    cols = tables.sum(axis=1)
+    n_c = rows.sum(axis=1)
     if np.all(n_c <= 1):
         warnings.warn(
             "every conditioning stratum has one trial; the test is degenerate",
@@ -129,47 +138,37 @@ def permutation_ci_test(
         )
         return 1.0
 
-    strata = [v for v in range(kc) if n_c[v] > 0]
-    row_margins = {v: tables[v].sum(axis=1) for v in strata}
-    col_margins = {v: tables[v].sum(axis=0) for v in strata}
-    const = _entropy_term(n_c) - sum(
-        _entropy_term(row_margins[v]) + _entropy_term(col_margins[v]) for v in strata
-    )
-    observed = max((sum(_entropy_term(tables[v]) for v in strata) + const) / n, 0.0)
+    const = float(_xlog2x(n_c) - _xlog2x(rows).sum() - _xlog2x(cols).sum())
+    cells = _xlog2x(tables).sum(axis=1)
+    observed = max((float(cells.sum()) + const) / n, 0.0)
 
     # Strata whose table is forced by its margins contribute a constant term.
-    free = [
-        v
-        for v in strata
-        if np.count_nonzero(row_margins[v]) > 1 and np.count_nonzero(col_margins[v]) > 1
-    ]
-    forced_term = sum(_entropy_term(tables[v]) for v in strata if v not in free)
+    is_free = (np.count_nonzero(rows, axis=1) > 1) & (np.count_nonzero(cols, axis=1) > 1)
+    terms = np.full(n_perm, float(cells[~is_free].sum()))
 
     # One stream per stratum, split deterministically from the master seed;
     # replicate r combines the r-th table drawn in every stratum, so strata
     # can be sampled independently (and in parallel) with identical results.
-    terms = np.full(n_perm, forced_term, dtype=np.float64)
+    free = np.flatnonzero(is_free)
     streams = np.random.SeedSequence(seed).spawn(max(len(free), 1))
     for v, child in zip(free, streams):
         rng = np.random.default_rng(child)
-        rows = row_margins[v]
-        cols = col_margins[v]
-        live = [i for i in range(ka) if rows[i] > 0]
-        if len(live) == 2:
-            # Two occupied rows: the first draw forces the second, so the
-            # whole replicate batch is one vectorized call.
-            draws = rng.multivariate_hypergeometric(cols, rows[live[0]], size=n_perm)
-            rest = cols[np.newaxis, :] - draws
-            terms += _entropy_rows(draws) + _entropy_rows(rest)
-        else:
-            for r in range(n_perm):
-                remaining = cols.copy()
-                term = 0.0
-                for i in live[:-1]:
-                    draw = rng.multivariate_hypergeometric(remaining, rows[i])
-                    term += _entropy_term(draw)
-                    remaining -= draw
-                terms[r] += term + _entropy_term(remaining)
+        urn = cols[v][cols[v] > 0]
+        # Column counts not yet drawn: the margins until the first row is
+        # drawn (scalar arguments draw faster), one row per replicate after.
+        remaining = urn
+        for size in rows[v][rows[v] > 0][:-1]:
+            cell = np.empty((n_perm, len(urn)), dtype=urn.dtype)
+            left = size
+            rest = remaining.sum(axis=-1)
+            for j in range(len(urn) - 1):
+                rest = rest - remaining[..., j]
+                cell[:, j] = rng.hypergeometric(remaining[..., j], rest, left, size=n_perm)
+                left = left - cell[:, j]
+            cell[:, -1] = left
+            remaining = remaining - cell
+            terms += _xlog2x(cell)
+        terms += _xlog2x(remaining)
     stats = np.maximum((terms + const) / n, 0.0)
     exceed = int(np.count_nonzero(stats >= observed - 1e-12))
     return (1 + exceed) / (1 + n_perm)
@@ -220,10 +219,10 @@ def detect_flow_sampled(
         for e in sorted(trials.edges_at(edge.time))
         if e != edge and not trials.is_constant(e)
     )
-    if max_subset_size > len(cands):
+    if not 0 <= max_subset_size <= len(cands):
         raise ValidationError(
-            f"max_subset_size {max_subset_size} exceeds the {len(cands)} "
-            f"available conditioning edges"
+            f"max_subset_size {max_subset_size} is not between 0 and the "
+            f"{len(cands)} available conditioning edges"
         )
     n_tests = sum(math.comb(len(cands), k) for k in range(max_subset_size + 1))
     level = alpha / n_tests

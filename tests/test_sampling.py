@@ -1,4 +1,7 @@
+import itertools
+import math
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,20 +125,91 @@ def test_permutation_level_calibration(fixtures):
     assert hits <= 16
 
 
-def test_permutation_degenerate_strata_warns(fixtures):
-    trials = mf.sample_trials(fixtures["ce1"].spec, 3, seed=2)
-    # condition on the message itself: strata of size ~1 at n=3
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        p = mf.permutation_ci_test(
-            trials, ["M"], [edge("A", 1, "B")], [edge("A", 0, "A"), edge("C", 0, "A")],
-            n_perm=19, seed=0,
-        )
-    if p == 1.0 and any(c.category is DegenerateTestWarning for c in caught):
-        assert True
-    else:
-        # with 3 trials some stratum may still hold 2 rows; then the test ran
-        assert 0 < p <= 1
+def _exact_permutation_p(rows):
+    """The permutation p-value of rows (a, b, c) by brute force: every
+    permutation of b within each c stratum, all equally likely.  The
+    statistic is Σ n_ab·log2 n_ab over each stratum's cells, which differs
+    from the plug-in conditional information by terms the permutation fixes.
+    """
+    strata = {}
+    for a, b, c in rows:
+        strata.setdefault(c, ([], []))
+        strata[c][0].append(a)
+        strata[c][1].append(b)
+
+    def term(a_col, b_col):
+        return sum(k * math.log2(k) for k in Counter(zip(a_col, b_col)).values())
+
+    observed = sum(term(a, b) for a, b in strata.values())
+    dist, total = Counter({0.0: 1}), 1
+    for a_col, b_col in strata.values():
+        per = Counter(round(term(a_col, perm), 9) for perm in itertools.permutations(b_col))
+        joint = Counter()
+        for x, m in dist.items():
+            for y, k in per.items():
+                joint[round(x + y, 9)] += m * k
+        dist, total = joint, total * math.factorial(len(b_col))
+    return sum(m for x, m in dist.items() if x >= observed - 1e-6) / total
+
+
+EXACT_CASES = {
+    # one stratum; A with 2, 3 and 4 values, B with 2, 2 and 3
+    "a2": [(0, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 0),
+           (1, 1, 0), (1, 1, 0), (1, 0, 0), (1, 1, 0)],
+    "a3": [(0, 0, 0), (0, 0, 0), (1, 1, 0), (1, 0, 0),
+           (2, 1, 0), (2, 1, 0), (2, 0, 0), (1, 1, 0)],
+    "a4": [(0, 0, 0), (0, 0, 0), (1, 1, 0), (1, 0, 0),
+           (2, 2, 0), (2, 2, 0), (3, 1, 0), (3, 2, 0)],
+    # two free strata and one forced by its constant A
+    "strata": [(0, 0, 0), (0, 0, 0), (1, 1, 0), (1, 0, 0), (2, 1, 0), (2, 1, 0),
+               (0, 1, 1), (1, 0, 1), (1, 0, 1), (2, 1, 1), (2, 2, 1), (0, 2, 1),
+               (0, 0, 2), (0, 1, 2), (0, 2, 2)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_CASES))
+def test_permutation_p_matches_exact_null(name):
+    # The Monte Carlo p-value estimates the exact one: (1 + X)/(1 + n) with
+    # X ~ Binomial(n, p).  A band of 4.5 standard deviations fails a correct
+    # sampler with probability below 1e-5 per case.
+    rows = EXACT_CASES[name]
+    exact = _exact_permutation_p(rows)
+    assert 0.2 < exact < 0.8
+    c_vars = ["C"] if len({c for _, _, c in rows}) > 1 else []
+    n = 19_999
+    p = mf.permutation_ci_test(
+        mf.DiscreteJoint(["A", "B", "C"], rows), ["A"], ["B"], c_vars, n_perm=n, seed=3
+    )
+    hits = round(p * (n + 1)) - 1
+    assert abs(hits / n - exact) <= 4.5 * math.sqrt(exact * (1 - exact) / n)
+
+
+def test_permutation_degenerate_strata_warns():
+    # Every stratum holds one row: no permutation moves anything.
+    rows = [(0, 0, 0), (1, 1, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4)]
+    joint = mf.DiscreteJoint(["A", "B", "C"], rows)
+    with pytest.warns(DegenerateTestWarning):
+        p = mf.permutation_ci_test(joint, ["A"], ["B"], ["C"], n_perm=19, seed=0)
+    assert p == 1.0
+
+
+def test_permutation_forced_strata_leave_the_free_one_to_decide():
+    # One free stratum (A and B equal on six rows) among strata of one row;
+    # the p-value is the free stratum's alone, drawn from the same stream.
+    free = [(0, 0, 9), (0, 0, 9), (0, 0, 9), (1, 1, 9), (1, 1, 9), (1, 1, 9)]
+    rows = free + [(0, 0, 0), (1, 1, 1), (0, 1, 2), (1, 0, 3)]
+    args = (["A"], ["B"], ["C"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = mf.permutation_ci_test(mf.DiscreteJoint(["A", "B", "C"], rows), *args,
+                                   n_perm=1999, seed=4)
+    alone = mf.permutation_ci_test(mf.DiscreteJoint(["A", "B", "C"], free), *args,
+                                   n_perm=1999, seed=4)
+    # The identity and the swapped table reach the observed statistic:
+    # 2 of the C(6, 3) = 20 equally likely tables.
+    assert _exact_permutation_p(free) == 0.1
+    assert p == alone
+    assert 0.07 < p < 0.13
 
 
 def test_detect_flow_cascade_stages(fixtures):
@@ -168,6 +242,8 @@ def test_detect_validates_subset_size(fixtures):
     trials = mf.sample_trials(fixtures["ce1"].spec, 100, seed=9)
     with pytest.raises(ValidationError):
         mf.detect_flow_sampled(trials, edge("A", 1, "B"), max_subset_size=5)
+    with pytest.raises(ValidationError):
+        mf.detect_flow_sampled(trials, edge("A", 1, "B"), max_subset_size=-1)
 
 
 def test_detection_agrees_with_exact_on_ce1(fixtures, joints):
