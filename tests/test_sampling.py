@@ -133,9 +133,9 @@ def _exact_permutation_p(rows):
     """
     strata = {}
     for a, b, c in rows:
-        strata.setdefault(c, ([], []))
-        strata[c][0].append(a)
-        strata[c][1].append(b)
+        a_col, b_col = strata.setdefault(c, ([], []))
+        a_col.append(a)
+        b_col.append(b)
 
     def term(a_col, b_col):
         return sum(k * math.log2(k) for k in Counter(zip(a_col, b_col)).values())
