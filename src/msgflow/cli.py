@@ -331,7 +331,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--max-conditioning",
         type=int,
-        help=f"conditioning cap (default {flow.DEFAULT_MAX_CANDIDATES} candidates; "
+        help=f"conditioning cap (default {flow.DEFAULT_MAX_CANDIDATES} candidates "
+        "sharing a random source with the edge; "
         f"sampled engine: subsets of at most {SAMPLED_MAX_CONDITIONING} edges)",
     )
     p.add_argument("--sigma2", default="1", help="sk fixture: forward noise variance")

@@ -73,9 +73,16 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class JointVariables:
-    """Variable bookkeeping shared by every joint: messages, edges, times."""
+    """Variable bookkeeping shared by every joint: messages, edges, times.
+
+    ``sources`` maps each edge to the independent random sources it reads
+    (``SystemSpec.sources``); the flow search uses it to prune.  Joints
+    built from a system set it; None, as for tables read from CSV or
+    sampled trials, means every edge reads one shared source.
+    """
 
     def __init__(self, variables: Sequence[VarId]) -> None:
+        self.sources: Optional[dict[EdgeRef, frozenset]] = None
         self.variables: tuple[VarId, ...] = tuple(variables)
         self._index = {v: i for i, v in enumerate(self.variables)}
         if len(self._index) != len(self.variables):
@@ -387,7 +394,8 @@ def enumerate_joint(spec: SystemSpec, budget: int = DEFAULT_BUDGET) -> DiscreteJ
     each law over its own least common denominator D_s; equal outcomes are
     merged in order of first appearance, and the sums are divided by their
     gcd, which scales them to the outcome probabilities over their least
-    common denominator, as the rows constructor would.
+    common denominator, as the rows constructor would.  The joint records
+    each edge's random sources (``SystemSpec.sources``) for the flow search.
     """
     if spec.is_gaussian:
         raise ValidationError("gaussian systems use linear_propagate, not enumeration")
@@ -430,6 +438,8 @@ def enumerate_joint(spec: SystemSpec, budget: int = DEFAULT_BUDGET) -> DiscreteJ
         blocks.append(codes[:, new])
         del codes  # before the next chunk's codes are allocated
     g = math.gcd(*weights)
-    return DiscreteJoint.from_codes(
+    joint = DiscreteJoint.from_codes(
         fwd.variables, np.concatenate(blocks, axis=1), fwd.values(), [w // g for w in weights]
     )
+    joint.sources = spec.sources()
+    return joint

@@ -6,10 +6,34 @@ message.  The subset search runs in increasing cardinality with ties broken
 by canonical edge order, so the stored witness is a minimal one and the whole
 analysis is deterministic.
 
+The search of an edge e tries only the subsets of its *source component*
+comp(e): the non-constant edges of e's slice joined to e through chains of
+shared random sources (``SystemSpec.sources``, recorded on the joint as
+``sources``).  Given the message M the sources are mutually independent, and
+each edge is a function of M and of the sources it reads.  Split any
+conditioning set W into S = W ∩ comp(e) and K = W \\ S.  An edge sharing a
+source with comp(e) belongs to it, so K's sources are disjoint from those of
+e and S, K ⊥ (e, S) | M, and
+
+    I(M; e | S ∪ K) ≤ I(e; M, K | S) = I(M; e | S) + I(e; K | M, S) = I(M; e | S).
+
+Hence every witness W contains the witness S inside comp(e).  The first
+witness in (cardinality, canonical order) is minimal, so it lies in comp(e),
+and the subsets of comp(e) keep their relative order: the pruned search
+returns the same witness.  The maximum of I(M; e | S) over the subsets of
+comp(e) equals the maximum over all subsets, so the quantified value is the
+same in exact arithmetic; in floats, a whole-slice search may take it at a
+superset whose equal value rounds a few ulps higher.  A joint without
+``sources`` (a derived message, a table read from CSV or sampled trials)
+counts every edge as reading one shared source, and the same code then
+searches the whole slice.  The candidate cap applies to the component
+searched.
+
 Three weaker tests (marginal dependence; conditioning on single edges;
 conditioning on all other edges) are kept available as ``candidate_flow`` —
 they are the natural first attempts, and each one misses synergy-coded
-transmissions that the subset-search definition catches.
+transmissions that the subset-search definition catches.  They, ``set_flow``
+and the verification in ``separability_partition`` search the whole slice.
 
 Conditioning candidates are filtered to non-constant transmissions
 (conditioning on a constant changes nothing) and capped; systems denser than
@@ -82,19 +106,28 @@ class FlowReport:
 
 
 def _candidates(
-    joint: Joint,
-    t: int,
-    exclude: frozenset[EdgeRef] = frozenset(),
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
+    joint: Joint, t: int, exclude: frozenset[EdgeRef] = frozenset()
 ) -> tuple[EdgeRef, ...]:
-    cands = tuple(
+    """The non-constant edges at time t outside ``exclude``, in canonical order."""
+    return tuple(
         e
         for e in sorted(joint.edges_at(t))
         if e not in exclude and not joint.is_constant(e)
     )
+
+
+def _check_cap(max_candidates: int) -> None:
+    if max_candidates < 0:
+        raise ValidationError(f"max_candidates must be at least 0, got {max_candidates}")
+
+
+def _cap(
+    cands: tuple[EdgeRef, ...], max_candidates: int, where: str
+) -> tuple[EdgeRef, ...]:
+    _check_cap(max_candidates)
     if len(cands) > max_candidates:
         raise SearchSpaceError(
-            f"{len(cands)} conditioning candidates at t={t} exceed the cap of "
+            f"{len(cands)} conditioning candidates {where} exceed the cap of "
             f"{max_candidates}; raise max_candidates explicitly to proceed"
         )
     return cands
@@ -105,6 +138,51 @@ def _subsets(cands: Sequence[EdgeRef]):
         yield from itertools.combinations(cands, k)
 
 
+def _component(joint: Joint, edge: EdgeRef) -> tuple[EdgeRef, ...]:
+    """The candidates of ``edge`` in its source component, in canonical order."""
+    cands = _candidates(joint, edge.time, frozenset([edge]))
+    if joint.sources is None:
+        return cands
+    reach, comp = set(joint.sources[edge]), {edge}
+    grown = True
+    while grown:
+        grown = False
+        for x in cands:
+            if x not in comp and not reach.isdisjoint(joint.sources[x]):
+                comp.add(x)
+                reach |= joint.sources[x]
+                grown = True
+    return tuple(x for x in cands if x in comp)
+
+
+def _search(joint: Joint, m: str, edge: EdgeRef, max_candidates: int):
+    """Yield every witness of ``edge``: each subset S of its source
+    component with I(m; edge | S) > 0, in (cardinality, canonical order)."""
+    if not joint.has_var(edge):
+        raise ValidationError(f"edge {edge} absent from joint")
+    _check_cap(max_candidates)  # also when the edge is constant
+    if joint.is_constant(edge):
+        return
+    where = f"sharing a source with {edge}"
+    for sub in _subsets(_cap(_component(joint, edge), max_candidates, where)):
+        if joint.dependent([m], [edge], list(sub)):
+            yield sub
+
+
+def _witness_and_bits(
+    joint: Joint, m: str, edge: EdgeRef, max_candidates: int
+) -> tuple[Optional[tuple[EdgeRef, ...]], float]:
+    """The first witness of ``edge`` and the largest I(m; edge | S) over all of them."""
+    witness, best = None, 0.0
+    for sub in _search(joint, m, edge, max_candidates):
+        if witness is None:
+            witness = sub
+        best = max(best, joint.cmi([m], [edge], list(sub)))
+        if math.isinf(best):
+            break
+    return witness, best
+
+
 def edge_flow(
     joint: Joint,
     edge: EdgeRef,
@@ -113,15 +191,8 @@ def edge_flow(
 ) -> tuple[bool, Optional[tuple[EdgeRef, ...]]]:
     """Flow verdict for one edge, with the first (minimal) witness found."""
     m = joint.default_message(message)
-    if not joint.has_var(edge):
-        raise ValidationError(f"edge {edge} absent from joint")
-    if joint.is_constant(edge):
-        return False, None
-    cands = _candidates(joint, edge.time, frozenset([edge]), max_candidates)
-    for sub in _subsets(cands):
-        if joint.dependent([m], [edge], list(sub)):
-            return True, sub
-    return False, None
+    witness = next(_search(joint, m, edge, max_candidates), None)
+    return witness is not None, witness
 
 
 def set_flow(
@@ -142,7 +213,7 @@ def set_flow(
     for e in edges:
         if not joint.has_var(e):
             raise ValidationError(f"edge {e} absent from joint")
-    cands = _candidates(joint, t, frozenset(), max_candidates)
+    cands = _cap(_candidates(joint, t), max_candidates, f"at t={t}")
     for sub in _subsets(cands):
         targets = [e for e in edges if e not in sub]
         if targets and joint.dependent([m], targets, list(sub)):
@@ -170,7 +241,9 @@ def candidate_flow(
         return True
     if which == 1:
         return False
-    others = _candidates(joint, edge.time, frozenset([edge]), max_candidates)
+    others = _cap(
+        _candidates(joint, edge.time, frozenset([edge])), max_candidates, f"at t={edge.time}"
+    )
     if which == 2:
         return any(joint.dependent([m], [edge], [o]) for o in others)
     return bool(others) and joint.dependent([m], [edge], list(others))
@@ -188,18 +261,7 @@ def quantified_flow(
     recoverable given the witness.
     """
     m = joint.default_message(message)
-    if not joint.has_var(edge):
-        raise ValidationError(f"edge {edge} absent from joint")
-    if joint.is_constant(edge):
-        return 0.0
-    cands = _candidates(joint, edge.time, frozenset([edge]), max_candidates)
-    best = 0.0
-    for sub in _subsets(cands):
-        if joint.dependent([m], [edge], list(sub)):
-            best = max(best, joint.cmi([m], [edge], list(sub)))
-            if math.isinf(best):
-                break
-    return best
+    return _witness_and_bits(joint, m, edge, max_candidates)[1]
 
 
 def separability_partition(
@@ -231,7 +293,9 @@ def separability_partition(
     s_set = frozenset(edges) - r_set
 
     for e in sorted(r_set):
-        inside = tuple(x for x in sorted(r_set) if x != e and not joint.is_constant(x))
+        inside = _cap(
+            _candidates(joint, t, s_set | {e}), max_candidates, f"in the flowing set at t={t}"
+        )
         if not any(
             joint.dependent([m], [e], list(sub)) for sub in _subsets(inside)
         ):
@@ -241,7 +305,7 @@ def separability_partition(
 
     s_targets = [e for e in sorted(s_set) if not joint.is_constant(e)]
     if s_targets:
-        cands = _candidates(joint, t, frozenset(), max_candidates)
+        cands = _cap(_candidates(joint, t), max_candidates, f"at t={t}")
         if len(cands) <= exhaustive_limit:
             subsets = _subsets(cands)
         else:
@@ -292,11 +356,11 @@ def analyze(
     report = FlowReport(message=m, engine=engine)
     for t in joint.times():
         for e in sorted(joint.edges_at(t)):
-            has, witness = edge_flow(joint, e, m, max_candidates=max_candidates)
-            q = None
-            if quantify:
-                q = quantified_flow(joint, e, m, max_candidates=max_candidates)
-            report.entries[e] = FlowEntry(e, has, witness, q)
+            if quantify:  # one walk of the search gives the witness and the value
+                witness, q = _witness_and_bits(joint, m, e, max_candidates)
+            else:
+                witness, q = edge_flow(joint, e, m, max_candidates)[1], None
+            report.entries[e] = FlowEntry(e, witness is not None, witness, q)
     return report
 
 

@@ -157,7 +157,9 @@ def linear_propagate(spec: SystemSpec) -> GaussianJoint:
 
     Each transmission is reduced to an affine form over the base variables
     (the scalar message and every declared intrinsic noise); the covariance is
-    assembled from those coefficient rows and the base variances.
+    assembled from those coefficient rows and the base variances.  The joint
+    records each edge's random sources (``SystemSpec.sources``) for the flow
+    search.
     """
     if not spec.is_gaussian:
         raise ValidationError("linear_propagate needs a gaussian message")
@@ -198,4 +200,6 @@ def linear_propagate(spec: SystemSpec) -> GaussianJoint:
                 if cj is not None:
                     s += ci * cj * base_var[k]
             cov[i][j] = cov[j][i] = s
-    return GaussianJoint(variables, consts, cov)
+    joint = GaussianJoint(variables, consts, cov)
+    joint.sources = spec.sources()
+    return joint

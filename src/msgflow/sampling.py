@@ -46,6 +46,9 @@ from .system import ColumnPass, MessageSpec, NoiseSpec, SystemSpec
 TrialMatrix = DiscreteJoint
 plug_in_cmi = DiscreteJoint.cmi
 
+# numpy's hypergeometric sampler refuses good or bad counts of 10**9 or more.
+DRAW_LIMIT = 10**9
+
 
 def sample_trials(spec: SystemSpec, n: int, seed: int) -> DiscreteJoint:
     """Draw ``n`` independent trials by sampling (message, noises) and propagating.
@@ -117,7 +120,9 @@ def permutation_ci_test(
     in columns j and later.  The last column of a row, and the last row,
     take what remains.  Each draw is one vectorised call over all
     replicates, so a free stratum with R occupied rows and K occupied
-    columns costs (R−1)(K−1) calls and O(n_perm × K) memory.
+    columns costs (R−1)(K−1) calls and O(n_perm × K) memory.  A stratum
+    of total weight ``DRAW_LIMIT`` (10^9) or more raises ValidationError,
+    since numpy's sampler draws from smaller counts only.
     """
     if n_perm < 1:
         raise ValidationError("need at least one permutation")
@@ -127,6 +132,16 @@ def permutation_ci_test(
         # A constant column is independent of everything; every permuted
         # statistic equals the observed 0.
         return 1.0
+    if n >= DRAW_LIMIT:  # no stratum outweighs the total
+        heaviest = tables.sum(axis=(1, 2)).max()
+        if heaviest >= DRAW_LIMIT:
+            raise ValidationError(
+                f"a conditioning stratum weighs {heaviest}; the permutation test "
+                f"takes strata below {DRAW_LIMIT}, the largest count numpy's "
+                "hypergeometric sampler draws from"
+            )
+        # Every count fits int64, also when the grid holds Python ints.
+        tables = tables.astype(np.int64)
     rows = tables.sum(axis=2)
     cols = tables.sum(axis=1)
     n_c = rows.sum(axis=1)

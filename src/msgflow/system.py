@@ -217,6 +217,41 @@ class SystemSpec:
     def noise_nodes(self) -> tuple[NodeRef, ...]:
         return tuple(sorted(self.noise))
 
+    def sources(self) -> Optional[dict[EdgeRef, frozenset]]:
+        """The independent random sources each edge reads, or None.
+
+        A source is a noise node (its ``NodeRef``) or, when the message has
+        several components, the whole message as one source (the tuple of
+        its component names): components need not be independent of each
+        other, and a query conditions on only one of them.  A
+        single-component message is no source, because every query
+        conditions on it.  An edge reads the noise and message leaves of its
+        expression and, transitively, the sources of the edges it reads;
+        the set may be larger than what the edge depends on, never smaller.
+        Given the queried message component the sources are mutually
+        independent.  A derived message is a function of the noise, so no
+        such split exists and the method returns None.
+        """
+        if self.message.kind == "derived":
+            return None
+        components = self.message.components
+        message = frozenset([components]) if len(components) > 1 else frozenset()
+        out: dict[EdgeRef, frozenset] = {}
+        for t in range(self.graph.horizon):
+            for e in self.graph.edges_at(t):
+                src: set = set()
+                for kind, payload in leaf_refs(self.expr_for(e)):
+                    if kind == "edge":
+                        src |= out[payload]
+                    elif kind == "msg":
+                        src |= message
+                    else:
+                        node = e.src if payload is None else payload
+                        if node in self.noise:  # a node without noise reads 0
+                            src.add(node)
+                out[e] = frozenset(src)
+        return out
+
     def realization_count(self) -> int:
         """Number of (message, noise) realizations the exact engine enumerates."""
         if self.message.kind == "gaussian":

@@ -8,6 +8,7 @@ and exhaustive subset searches stay cheap across hundreds of draws.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from msgflow import MessageSpec, NoiseSpec, SystemSpec, UnrolledGraph
 from msgflow.exprs import const, edge_in, msg, noise
@@ -72,4 +73,66 @@ def random_system(seed: int) -> SystemSpec:
         noise=noise_map,
         functions=functions,
         declared_inputs=inputs,
+    )
+
+
+def random_noisy_system(seed: int) -> SystemSpec:
+    """A small system with three to five independent binary noise sources.
+
+    Noisy nodes mostly copy their own noise or xor it into what they read,
+    so edges of one slice often share no source; about one system in three
+    has a message of two components, which may be dependent.  The flow
+    search prunes by shared sources, and these systems exercise it where
+    ``random_system``, with at most two sources, seldom does.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    names = NAMES[:n]
+    horizon = rng.randint(2, 3)
+
+    base = {(a, a) for a in names}
+    extras = sorted((a, b) for a in names for b in names if a != b)
+    rng.shuffle(extras)
+    base.update(extras[: rng.randint(0, 3)])
+    graph = UnrolledGraph(names, horizon, base)
+
+    eligible = [v for v in graph.nodes if v.time < horizon]
+    noise_nodes = rng.sample(eligible, k=rng.randint(3, min(5, len(eligible))))
+    laws = (NoiseSpec.bernoulli(), NoiseSpec.bernoulli(Fraction(1, 3)))
+    noise_map = {v: rng.choice(laws) for v in noise_nodes}
+    inputs = tuple(sorted(rng.sample(names, k=rng.randint(1, n))))
+    if rng.random() < 1 / 3:
+        weights = [rng.randint(0, 3) for _ in range(4)]
+        weights[rng.randrange(4)] += 1
+        pmf = [
+            ((a, b), Fraction(w, sum(weights)))
+            for (a, b), w in zip(((0, 0), (0, 1), (1, 0), (1, 1)), weights)
+        ]
+        message = MessageSpec.discrete(("M1", "M2"), pmf)
+        msg_leaves = [msg("M1"), msg("M2")]
+    else:
+        message = MessageSpec.bernoulli("M")
+        msg_leaves = [msg()]
+
+    functions = {}
+    for t in range(horizon):
+        for v in graph.nodes_at(t):
+            if t == 0:
+                leaves = msg_leaves if v.name in inputs else []
+            else:
+                leaves = [edge_in(e) for e in graph.incoming(v)]
+            fns = {}
+            for e in graph.outgoing(v):
+                if v in noise_map and rng.random() < 0.6:
+                    expr = noise() if not leaves or rng.random() < 0.4 else (
+                        "xor", rng.choice(leaves), noise()
+                    )
+                else:
+                    expr = _random_expr(rng, leaves + [noise()] * (v in noise_map))
+                if expr is not None:
+                    fns[e] = expr
+            if fns:
+                functions[v] = fns
+    return SystemSpec(
+        graph, message, noise=noise_map, functions=functions, declared_inputs=inputs
     )

@@ -1,14 +1,17 @@
-"""One-realization references for the column forward pass.
+"""References the tests compare against.
 
 ``reference_joint`` and ``reference_trials`` rebuild what ``enumerate_joint``
 and ``sample_trials`` return, one realization at a time through
 ``SystemSpec.propagate``, accumulating exact probabilities as Fractions.
 ``assert_same_table`` compares two tables column by column, telling equal
-values of different types apart.
+values of different types apart.  ``unpruned`` gives a joint whose flow
+search tries every subset of the slice, the brute force that the search
+pruned by shared sources must agree with.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from fractions import Fraction
@@ -75,3 +78,10 @@ def assert_same_table(got: mf.DiscreteJoint, want: mf.DiscreteJoint) -> None:
     assert got.weights.dtype == want.weights.dtype
     assert got.weights.tolist() == want.weights.tolist()
     assert got.total == want.total
+
+
+def unpruned(joint):
+    """A copy of ``joint`` without sources: its flow search covers the whole slice."""
+    out = copy.copy(joint)
+    out.sources = None
+    return out

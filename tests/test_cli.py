@@ -50,6 +50,7 @@ def test_analyze_exit_codes(tmp_path):
     bad.write_text("not json {")
     assert run("analyze", "--spec", str(bad)) == 2
     assert run("analyze", "--fixture", "ce1", "--max-conditioning", "0") == 4
+    assert run("analyze", "--fixture", "ce1", "--max-conditioning", "-1") == 3
     assert run("analyze", "--fixture", "ce1", "--engine", "sampled", "--n-trials", "200",
                "--seed", "1", "--alpha", "0.05", "--n-perm", "99",
                "--max-conditioning", "-1") == 3

@@ -12,7 +12,9 @@ from msgflow import (
     UnrolledGraph,
     ValidationError,
 )
+from msgflow.exprs import msg
 from msgflow.graph import NodeRef, edge
+from reference import unpruned
 
 
 def test_edge_flow_witnesses_ce1(joints):
@@ -113,6 +115,20 @@ def test_separability_partition_all_fixture_slices(joints):
                 assert not (r & s)
 
 
+def test_separability_caps_the_flowing_set():
+    # A0 copies the message to four edges that read no source: each one's
+    # search fits a cap of 2, but the witness check inside the flowing set
+    # of four would try every subset of the other three.
+    g = UnrolledGraph(("A", "B", "C", "D"), 1)
+    fns = {NodeRef("A", 0): {e: msg() for e in g.outgoing(NodeRef("A", 0))}}
+    spec = SystemSpec(g, MessageSpec.bernoulli("M"), functions=fns, declared_inputs=("A",))
+    j = mf.enumerate_joint(spec)
+    assert all(mf.edge_flow(j, e, max_candidates=2)[0] for e in fns[NodeRef("A", 0)])
+    with pytest.raises(SearchSpaceError, match="in the flowing set"):
+        mf.separability_partition(j, 0, max_candidates=2)
+    assert mf.separability_partition(j, 0)[0] == frozenset(fns[NodeRef("A", 0)])
+
+
 def test_separability_constant_system():
     g = UnrolledGraph(("A", "B"), 2)
     spec = SystemSpec(g, MessageSpec.bernoulli("M"))
@@ -147,9 +163,40 @@ def test_orphan_definition_via_set_flow(joints, fixtures):
     assert not mf.set_flow(j, list(g.incoming(v)))
 
 
+def test_sources_follow_reads(fixtures):
+    src = fixtures["ce1"].spec.sources()
+    assert src[edge("A", 1, "B")] == {NodeRef("C", 0)}  # read through C0->A1
+    assert src[edge("A", 0, "A")] == frozenset()  # a one-component message is no source
+    assert fixtures["mult-msg"].spec.sources()[edge("A", 0, "A")] == {("M1", "M2")}
+    assert fixtures["output-msg"].spec.sources() is None  # derived message
+
+
+def test_pruned_search_matches_unpruned_on_fixtures(joints, sk_joint):
+    for name, j in {**joints, "sk": sk_joint}.items():
+        assert (j.sources is None) == (name == "output-msg"), name  # derived message
+        for m in j.message_vars:
+            got = mf.analyze(j, m, quantify=True).entries
+            assert got == mf.analyze(unpruned(j), m, quantify=True).entries, (name, m)
+            for e, entry in got.items():
+                assert mf.edge_flow(j, e, m) == (entry.has_flow, entry.witness), (name, m, e)
+
+
 def test_search_space_guard(joints):
     with pytest.raises(SearchSpaceError):
         mf.edge_flow(joints["ce3"], edge("A", 1, "B"), max_candidates=2)
+
+
+def test_negative_cap_is_invalid(joints):
+    j, e = joints["ce1"], edge("A", 1, "B")
+    for search in (
+        lambda: mf.edge_flow(j, edge("B", 0, "B"), max_candidates=-1),  # constant edge
+        lambda: mf.quantified_flow(j, e, max_candidates=-1),
+        lambda: mf.set_flow(j, [e], max_candidates=-1),
+        lambda: mf.candidate_flow(j, e, 3, max_candidates=-1),
+        lambda: mf.separability_partition(j, 1, max_candidates=-1),
+    ):
+        with pytest.raises(ValidationError, match="at least 0"):
+            search()
 
 
 def test_analyze_messages_warns_on_dependence(joints):

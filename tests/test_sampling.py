@@ -193,6 +193,24 @@ def test_permutation_degenerate_strata_warns():
     assert p == 1.0
 
 
+@pytest.mark.parametrize(
+    "weights", [[10**9] * 4, [1, 1, 1, 10**9]], ids=["object-grid", "int64-grid"]
+)
+def test_permutation_rejects_strata_beyond_the_draw_limit(weights):
+    joint = mf.DiscreteJoint(["A", "B"], [(0, 0), (0, 1), (1, 0), (1, 1)], weights)
+    with pytest.raises(ValidationError, match="below 1000000000"):
+        mf.permutation_ci_test(joint, ["A"], ["B"], n_perm=9, seed=0)
+
+
+def test_permutation_runs_object_grids_of_small_strata():
+    # Four strata of 8e8 make a total whose square exceeds int64 (an object
+    # grid), while each stratum stays below the draw limit.
+    rows = list(itertools.product((0, 1), (0, 1), range(4)))
+    joint = mf.DiscreteJoint(["A", "B", "C"], rows, [2 * 10**8] * len(rows))
+    assert joint.weights.dtype == object
+    assert mf.permutation_ci_test(joint, ["A"], ["B"], ["C"], n_perm=9, seed=0) == 1.0
+
+
 def test_permutation_forced_strata_leave_the_free_one_to_decide():
     # One free stratum (A and B equal on six rows) among strata of one row;
     # the p-value is the free stratum's alone, drawn from the same stream.
