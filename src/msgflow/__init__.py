@@ -57,10 +57,8 @@ from .paths import (
 )
 from .sampling import (
     SampledVerdict,
-    TrialMatrix,
     detect_flow_sampled,
     permutation_ci_test,
-    plug_in_cmi,
     sample_trials,
 )
 from .system import MessageSpec, NoiseSpec, SystemSpec, load_system, save_system
@@ -97,7 +95,6 @@ __all__ = [
     "SearchSpaceError",
     "SpecParseError",
     "SystemSpec",
-    "TrialMatrix",
     "UnrolledGraph",
     "ValidationError",
     "analyze",
@@ -119,7 +116,6 @@ __all__ = [
     "local_markov_violations",
     "markov_holds",
     "permutation_ci_test",
-    "plug_in_cmi",
     "quantified_flow",
     "redundancy_pairs",
     "sample_trials",

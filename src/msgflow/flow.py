@@ -2,28 +2,39 @@
 
 An edge carries flow about a message when some same-time conditioning subset
 of the other edges makes its transmission conditionally dependent on the
-message.  The subset search runs in increasing cardinality with ties broken
-by canonical edge order, so the stored witness is a minimal one and the whole
-analysis is deterministic.
+message; a set of same-time edges T carries flow when some same-time subset
+S makes T \\ S dependent on it.  One subset search (``_search``) answers both,
+for ``edge_flow``, ``quantified_flow``, ``analyze``, ``set_flow``, both checks
+of ``separability_partition`` and the family of the sampled cascade.  It runs
+in increasing cardinality with ties broken by canonical edge order, so the
+stored witness is a minimal one and the whole analysis is deterministic.
 
-The search of an edge e tries only the subsets of its *source component*
-comp(e): the non-constant edges of e's slice joined to e through chains of
-shared random sources (``SystemSpec.sources``, recorded on the joint as
-``sources``).  Given the message M the sources are mutually independent, and
-each edge is a function of M and of the sources it reads.  Split any
-conditioning set W into S = W ∩ comp(e) and K = W \\ S.  An edge sharing a
-source with comp(e) belongs to it, so K's sources are disjoint from those of
-e and S, K ⊥ (e, S) | M, and
+The search of T tries only the subsets of its *source component* comp(T):
+the non-constant edges of T's slice joined to a member of T through chains
+of shared random sources (``SystemSpec.sources``, recorded on the joint as
+``sources``), the union of its members' components.  Given the message M the
+sources are mutually independent, and each edge is a function of M and of
+the sources it reads.  Split any conditioning set W into S = W ∩ comp(T) and
+K = W \\ S.  An edge sharing a source with comp(T) belongs to it, so K's
+sources are disjoint from those of T and S, K ⊥ (T, S) | M, and
 
-    I(M; e | S ∪ K) ≤ I(e; M, K | S) = I(M; e | S) + I(e; K | M, S) = I(M; e | S).
+    I(M; e | S ∪ K) ≤ I(e; M, K | S) = I(M; e | S) + I(e; K | M, S) = I(M; e | S)
 
-Hence every witness W contains the witness S inside comp(e).  The first
-witness in (cardinality, canonical order) is minimal, so it lies in comp(e),
-and the subsets of comp(e) keep their relative order: the pruned search
-returns the same witness.  The maximum of I(M; e | S) over the subsets of
-comp(e) equals the maximum over all subsets, so the quantified value is the
-same in exact arithmetic; in floats, a whole-slice search may take it at a
-superset whose equal value rounds a few ulps higher.  A joint without
+for T = {e}; for a set, with T \\ W ⊆ T \\ S,
+
+    I(M; T \\ W | W) ≤ I(M; T \\ W | S) ≤ I(M; T \\ S | S),
+
+the first step as above and the second because adding targets cannot lower
+the information.  Hence every witness W contains the witness S inside
+comp(T).  The first witness in (cardinality, canonical order) is minimal, so
+it lies in comp(T), and the subsets of comp(T) keep their relative order:
+the pruned search returns the same witness.  The maximum of I(M; e | S) over
+the subsets of comp(e) equals the maximum over all subsets, so the
+quantified value is the same in exact arithmetic; in floats, a whole-slice
+search may take it at a superset whose equal value rounds a few ulps higher.
+A search may also be restricted to a part R of the slice: its component is
+still grown over the whole slice, and the subsets of R ∩ comp(T) then stand
+for every subset of R, since W ⊆ R gives S ⊆ R ∩ comp(T).  A joint without
 ``sources`` (a derived message, a table read from CSV or sampled trials)
 counts every edge as reading one shared source, and the same code then
 searches the whole slice.  The candidate cap applies to the component
@@ -32,8 +43,8 @@ searched.
 Three weaker tests (marginal dependence; conditioning on single edges;
 conditioning on all other edges) are kept available as ``candidate_flow`` —
 they are the natural first attempts, and each one misses synergy-coded
-transmissions that the subset-search definition catches.  They, ``set_flow``
-and the verification in ``separability_partition`` search the whole slice.
+transmissions that the subset-search definition catches.  They search the
+whole slice.
 
 Conditioning candidates are filtered to non-constant transmissions
 (conditioning on a constant changes nothing) and capped; systems denser than
@@ -133,17 +144,23 @@ def _cap(
     return cands
 
 
-def _subsets(cands: Sequence[EdgeRef]):
-    for k in range(len(cands) + 1):
+def _subsets(cands: Sequence[EdgeRef], max_size: Optional[int] = None):
+    """The subsets of ``cands`` in (cardinality, canonical order), up to ``max_size``."""
+    top = len(cands) if max_size is None else min(max_size, len(cands))
+    for k in range(top + 1):
         yield from itertools.combinations(cands, k)
 
 
-def _component(joint: Joint, edge: EdgeRef) -> tuple[EdgeRef, ...]:
-    """The candidates of ``edge`` in its source component, in canonical order."""
-    cands = _candidates(joint, edge.time, frozenset([edge]))
+def _component(
+    joint: Joint, targets: Sequence[EdgeRef], exclude: frozenset[EdgeRef] = frozenset()
+) -> tuple[EdgeRef, ...]:
+    """comp(T) without ``exclude``, in canonical order: the candidates of the
+    targets' slice joined to a target through chains of shared sources.  The
+    component grows over the whole slice; ``exclude`` is removed after."""
+    cands = _candidates(joint, targets[0].time)
     if joint.sources is None:
-        return cands
-    reach, comp = set(joint.sources[edge]), {edge}
+        return tuple(x for x in cands if x not in exclude)
+    reach, comp = set().union(*(joint.sources[e] for e in targets)), set(targets)
     grown = True
     while grown:
         grown = False
@@ -152,20 +169,30 @@ def _component(joint: Joint, edge: EdgeRef) -> tuple[EdgeRef, ...]:
                 comp.add(x)
                 reach |= joint.sources[x]
                 grown = True
-    return tuple(x for x in cands if x in comp)
+    return tuple(x for x in cands if x in comp and x not in exclude)
 
 
-def _search(joint: Joint, m: str, edge: EdgeRef, max_candidates: int):
-    """Yield every witness of ``edge``: each subset S of its source
-    component with I(m; edge | S) > 0, in (cardinality, canonical order)."""
-    if not joint.has_var(edge):
-        raise ValidationError(f"edge {edge} absent from joint")
-    _check_cap(max_candidates)  # also when the edge is constant
-    if joint.is_constant(edge):
+def _search(
+    joint: Joint,
+    m: str,
+    targets: Sequence[EdgeRef],
+    max_candidates: int,
+    exclude: frozenset[EdgeRef] = frozenset(),
+):
+    """Yield every witness of the same-time targets T: each subset S of
+    comp(T) \\ ``exclude`` with I(m; T \\ S | S) > 0, in (cardinality,
+    canonical order).  Constant targets carry nothing and are dropped."""
+    for e in targets:
+        if not joint.has_var(e):
+            raise ValidationError(f"edge {e} absent from joint")
+    _check_cap(max_candidates)  # also when every target is constant
+    targets = [e for e in targets if not joint.is_constant(e)]
+    if not targets:
         return
-    where = f"sharing a source with {edge}"
-    for sub in _subsets(_cap(_component(joint, edge), max_candidates, where)):
-        if joint.dependent([m], [edge], list(sub)):
+    where = "sharing a source with " + ", ".join(map(str, targets))
+    for sub in _subsets(_cap(_component(joint, targets, exclude), max_candidates, where)):
+        rest = [e for e in targets if e not in sub]
+        if rest and joint.dependent([m], rest, list(sub)):
             yield sub
 
 
@@ -174,7 +201,7 @@ def _witness_and_bits(
 ) -> tuple[Optional[tuple[EdgeRef, ...]], float]:
     """The first witness of ``edge`` and the largest I(m; edge | S) over all of them."""
     witness, best = None, 0.0
-    for sub in _search(joint, m, edge, max_candidates):
+    for sub in _search(joint, m, [edge], max_candidates, frozenset([edge])):
         if witness is None:
             witness = sub
         best = max(best, joint.cmi([m], [edge], list(sub)))
@@ -191,7 +218,7 @@ def edge_flow(
 ) -> tuple[bool, Optional[tuple[EdgeRef, ...]]]:
     """Flow verdict for one edge, with the first (minimal) witness found."""
     m = joint.default_message(message)
-    witness = next(_search(joint, m, edge, max_candidates), None)
+    witness = next(_search(joint, m, [edge], max_candidates, frozenset([edge])), None)
     return witness is not None, witness
 
 
@@ -204,21 +231,9 @@ def set_flow(
     """Flow verdict for a set of same-time edges (conditioning may overlap the set)."""
     m = joint.default_message(message)
     edges = tuple(edges)
-    if not edges:
-        return False
-    times = {e.time for e in edges}
-    if len(times) > 1:
+    if len({e.time for e in edges}) > 1:
         raise ValidationError("set_flow needs edges at a common time")
-    (t,) = times
-    for e in edges:
-        if not joint.has_var(e):
-            raise ValidationError(f"edge {e} absent from joint")
-    cands = _cap(_candidates(joint, t), max_candidates, f"at t={t}")
-    for sub in _subsets(cands):
-        targets = [e for e in edges if e not in sub]
-        if targets and joint.dependent([m], targets, list(sub)):
-            return True
-    return False
+    return next(_search(joint, m, edges, max_candidates), None) is not None
 
 
 def candidate_flow(
@@ -269,19 +284,16 @@ def separability_partition(
     t: int,
     message: Optional[str] = None,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
-    exhaustive_limit: int = 12,
-    n_samples: int = 200,
-    seed: int = 0,
 ) -> tuple[frozenset[EdgeRef], frozenset[EdgeRef]]:
     """Split the time slice into flowing / non-flowing edges and verify both sides.
 
-    Every flowing edge must find a witness *inside* the flowing set, and the
-    non-flowing set must stay independent of the message under any same-time
-    conditioning — exhaustively when at most ``exhaustive_limit`` candidates
-    remain after constant filtering, by random subsets above that.
+    Every flowing edge e must find a witness *inside* the flowing set R: its
+    search runs over R ∩ comp(e), with comp(e) grown over the whole slice,
+    which by the proof above is every subset of R \\ {e}.  The non-flowing
+    set must stay independent of the message under every same-time
+    conditioning set: ``set_flow`` on it searches exhaustively, up to the
+    candidate cap, and raises beyond it.
     """
-    import random
-
     m = joint.default_message(message)
     edges = tuple(sorted(joint.edges_at(t)))
     if not edges:
@@ -293,35 +305,12 @@ def separability_partition(
     s_set = frozenset(edges) - r_set
 
     for e in sorted(r_set):
-        inside = _cap(
-            _candidates(joint, t, s_set | {e}), max_candidates, f"in the flowing set at t={t}"
-        )
-        if not any(
-            joint.dependent([m], [e], list(sub)) for sub in _subsets(inside)
-        ):
+        if next(_search(joint, m, [e], max_candidates, s_set | {e}), None) is None:
             raise InvariantViolation(
                 f"flowing edge {e} has no witness inside the flowing set at t={t}"
             )
-
-    s_targets = [e for e in sorted(s_set) if not joint.is_constant(e)]
-    if s_targets:
-        cands = _cap(_candidates(joint, t), max_candidates, f"at t={t}")
-        if len(cands) <= exhaustive_limit:
-            subsets = _subsets(cands)
-        else:
-            rng = random.Random(seed)
-            small = [s for s in _subsets(cands) if len(s) <= 2]
-            sampled = [
-                tuple(sorted(rng.sample(cands, rng.randint(3, len(cands)))))
-                for _ in range(n_samples)
-            ]
-            subsets = small + sampled
-        for sub in subsets:
-            targets = [e for e in s_targets if e not in sub]
-            if targets and joint.dependent([m], targets, list(sub)):
-                raise InvariantViolation(
-                    f"non-flowing set at t={t} depends on the message given {sub}"
-                )
+    if set_flow(joint, sorted(s_set), m, max_candidates):
+        raise InvariantViolation(f"non-flowing set at t={t} depends on the message")
     return r_set, s_set
 
 

@@ -5,20 +5,22 @@ observed noiselessly on all edges.  ``sample_trials`` draws each source once
 for all trials and runs the column forward pass
 (:class:`~msgflow.system.ColumnPass`) the exact enumerator also uses.  It
 returns the same table the exact engine uses
-(:class:`~msgflow.discrete.DiscreteJoint`), one row of weight 1 per trial;
-``TrialMatrix`` and ``plug_in_cmi`` are the public names of that table and of
-its ``cmi``.
+(:class:`~msgflow.discrete.DiscreteJoint`), one row of weight 1 per trial.
 
-Detection replays the exact detector's subset cascade as a sequence of
-conditional-independence permutation tests: the statistic is the plug-in
-conditional mutual information, the null is built by permuting the edge
-column within strata of identical conditioning values (every replicate
-table of a stratum is drawn at once, one vectorised hypergeometric call per
-cell, whatever the alphabet sizes), and the whole per-edge cascade is
-Bonferroni-corrected, which stays valid under the arbitrary dependence
-between the cascade's tests.  A cascade runs with enough
-replicates that its smallest p-value lies below its Bonferroni level, and
-its verdict records that count.
+Detection replays the exact detector's subset search as a sequence of
+conditional-independence permutation tests: the family is the subsets the
+exact search (:mod:`msgflow.flow`) tries, up to a size limit and in the same
+order, and since some subset of the slice is a witness exactly when some
+subset of the edge's source component is, that family tests the same null
+hypothesis.  A constant edge carries nothing and runs no test.  The
+statistic is the plug-in conditional mutual information, the null is built
+by permuting the edge column within strata of identical conditioning values
+(every replicate table of a stratum is drawn at once, one vectorised
+hypergeometric call per cell, whatever the alphabet sizes), and the whole
+per-edge cascade is Bonferroni-corrected, which stays valid under the
+arbitrary dependence between the cascade's tests.  A cascade runs with
+enough replicates that its smallest p-value lies below its Bonferroni level,
+and its verdict records that count.
 
 All randomness is driven by spawned child streams of one master seed, so
 identical inputs give bit-identical trials and p-values.
@@ -26,7 +28,6 @@ identical inputs give bit-identical trials and p-values.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,11 +41,9 @@ from .errors import (
     DegenerateTestWarning,
     ValidationError,
 )
+from .flow import _candidates, _component, _subsets
 from .graph import EdgeRef
 from .system import ColumnPass, MessageSpec, NoiseSpec, SystemSpec
-
-TrialMatrix = DiscreteJoint
-plug_in_cmi = DiscreteJoint.cmi
 
 # numpy's hypergeometric sampler refuses good or bad counts of 10**9 or more.
 DRAW_LIMIT = 10**9
@@ -213,9 +212,16 @@ def detect_flow_sampled(
 ) -> SampledVerdict:
     """Run the per-edge cascade: marginal test, then growing conditioning subsets.
 
-    Each test runs at the Bonferroni level ``alpha / N`` where ``N`` counts
-    every test the full cascade could run; the cascade stops at the first
-    rejection and later tests are left unrun.
+    The family is the subsets of the edge's source component of at most
+    ``max_subset_size`` edges (``flow._component``, the whole slice for
+    trials without ``sources``), in the exact search's order; test i draws
+    from the i-th stream spawned from ``seed``.  Each test runs at the
+    Bonferroni level ``alpha / N`` where ``N`` counts the family; the cascade
+    stops at the first rejection and later tests are left unrun.
+    ``max_subset_size`` is checked against the non-constant edges of the
+    slice.  A constant edge returns "no flow" with no test: empty
+    ``p_values``, ``n_tests_planned`` and ``replicates`` 0, and ``level``
+    ``alpha``.
 
     A permutation p-value is never below ``1 / (1 + n_perm)``, so a level
     under that floor could never be reached.  Each test therefore draws
@@ -229,32 +235,27 @@ def detect_flow_sampled(
         raise ValidationError("alpha must be in (0, 1)")
     if n_perm < 1:
         raise ValidationError("need at least one permutation")
-    cands = tuple(
-        e
-        for e in sorted(trials.edges_at(edge.time))
-        if e != edge and not trials.is_constant(e)
-    )
+    cands = _candidates(trials, edge.time, frozenset([edge]))
     if not 0 <= max_subset_size <= len(cands):
         raise ValidationError(
             f"max_subset_size {max_subset_size} is not between 0 and the "
             f"{len(cands)} available conditioning edges"
         )
-    n_tests = sum(math.comb(len(cands), k) for k in range(max_subset_size + 1))
+    if trials.is_constant(edge):
+        return SampledVerdict(edge, False, None, (), 0, alpha, 0)
+    family = list(_subsets(_component(trials, [edge], frozenset([edge])), max_subset_size))
+    n_tests = len(family)
     level = alpha / n_tests
     n_perm = max(n_perm, math.ceil(n_tests / alpha))
     streams = np.random.SeedSequence(seed).spawn(n_tests)
     p_values = []
-    i = 0
-    for k in range(max_subset_size + 1):
-        for sub in itertools.combinations(cands, k):
-            p = permutation_ci_test(
-                trials, [m], [edge], list(sub), n_perm=n_perm,
-                seed=_stream_seed(streams[i]),
-            )
-            i += 1
-            p_values.append((sub, p))
-            if p <= level:
-                return SampledVerdict(edge, True, sub, tuple(p_values), n_tests, level, n_perm)
+    for sub, stream in zip(family, streams):
+        p = permutation_ci_test(
+            trials, [m], [edge], list(sub), n_perm=n_perm, seed=_stream_seed(stream)
+        )
+        p_values.append((sub, p))
+        if p <= level:
+            return SampledVerdict(edge, True, sub, tuple(p_values), n_tests, level, n_perm)
     return SampledVerdict(edge, False, None, tuple(p_values), n_tests, level, n_perm)
 
 

@@ -6,7 +6,9 @@ and ``sample_trials`` return, one realization at a time through
 ``assert_same_table`` compares two tables column by column, telling equal
 values of different types apart.  ``unpruned`` gives a joint whose flow
 search tries every subset of the slice, the brute force that the search
-pruned by shared sources must agree with.
+pruned by shared sources must agree with; ``set_answers`` collects the
+edge-set questions to compare on both.  ``reference_cascade`` is the
+sampled cascade written as its own loop over the subsets of the whole slice.
 """
 
 from __future__ import annotations
@@ -85,3 +87,44 @@ def unpruned(joint):
     out = copy.copy(joint)
     out.sources = None
     return out
+
+
+def set_answers(joint, message) -> dict:
+    """``set_flow`` on every pair of same-time edges and on each whole slice,
+    and each slice's ``separability_partition``."""
+    out = {}
+    for t in joint.times():
+        edges = tuple(sorted(joint.edges_at(t)))
+        for sub in itertools.chain(itertools.combinations(edges, 2), [edges]):
+            out[sub] = mf.set_flow(joint, sub, message)
+        out[t] = mf.separability_partition(joint, t, message)
+    return out
+
+
+def reference_cascade(trials, edge, alpha, max_subset_size, n_perm, seed, message=None):
+    """``detect_flow_sampled`` over every subset of the slice, up to
+    ``max_subset_size``, with one spawned stream per planned test; a constant
+    edge runs its tests like any other."""
+    m = trials.default_message(message)
+    cands = tuple(
+        e
+        for e in sorted(trials.edges_at(edge.time))
+        if e != edge and not trials.is_constant(e)
+    )
+    n_tests = sum(math.comb(len(cands), k) for k in range(max_subset_size + 1))
+    level = alpha / n_tests
+    n_perm = max(n_perm, math.ceil(n_tests / alpha))
+    streams = np.random.SeedSequence(seed).spawn(n_tests)
+    p_values = []
+    i = 0
+    for k in range(max_subset_size + 1):
+        for sub in itertools.combinations(cands, k):
+            p = mf.permutation_ci_test(
+                trials, [m], [edge], list(sub), n_perm=n_perm,
+                seed=int(streams[i].generate_state(1, np.uint32)[0]),
+            )
+            i += 1
+            p_values.append((sub, p))
+            if p <= level:
+                return mf.SampledVerdict(edge, True, sub, tuple(p_values), n_tests, level, n_perm)
+    return mf.SampledVerdict(edge, False, None, tuple(p_values), n_tests, level, n_perm)

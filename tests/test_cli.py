@@ -228,7 +228,7 @@ def test_simulate_round_trip(tmp_path):
     out = tmp_path / "trials.csv"
     assert run("simulate", "--fixture", "ce2", "--n-trials", "20", "--seed", "3",
                "--out", str(out)) == 0
-    trials = mf.TrialMatrix.from_csv(out)
+    trials = mf.DiscreteJoint.from_csv(out)
     assert trials.n_rows == 20
     assert trials.variables[0] == "M"
     assert edge("A", 1, "B") in trials.variables

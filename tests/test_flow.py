@@ -14,7 +14,7 @@ from msgflow import (
 )
 from msgflow.exprs import msg
 from msgflow.graph import NodeRef, edge
-from reference import unpruned
+from reference import set_answers, unpruned
 
 
 def test_edge_flow_witnesses_ce1(joints):
@@ -115,18 +115,18 @@ def test_separability_partition_all_fixture_slices(joints):
                 assert not (r & s)
 
 
-def test_separability_caps_the_flowing_set():
-    # A0 copies the message to four edges that read no source: each one's
-    # search fits a cap of 2, but the witness check inside the flowing set
-    # of four would try every subset of the other three.
+def test_separability_checks_the_flowing_set_within_the_edge_cap():
+    # A0 copies the message to four edges that read no source.  Each one's
+    # search fits a cap of 2, and the witness check inside the flowing set
+    # searches a part of the same component, so the cap holds there too.
     g = UnrolledGraph(("A", "B", "C", "D"), 1)
     fns = {NodeRef("A", 0): {e: msg() for e in g.outgoing(NodeRef("A", 0))}}
     spec = SystemSpec(g, MessageSpec.bernoulli("M"), functions=fns, declared_inputs=("A",))
     j = mf.enumerate_joint(spec)
     assert all(mf.edge_flow(j, e, max_candidates=2)[0] for e in fns[NodeRef("A", 0)])
-    with pytest.raises(SearchSpaceError, match="in the flowing set"):
-        mf.separability_partition(j, 0, max_candidates=2)
-    assert mf.separability_partition(j, 0)[0] == frozenset(fns[NodeRef("A", 0)])
+    r = mf.separability_partition(j, 0, max_candidates=2)[0]
+    assert r == frozenset(fns[NodeRef("A", 0)])
+    assert r == mf.separability_partition(j, 0)[0]
 
 
 def test_separability_constant_system():
@@ -179,6 +179,7 @@ def test_pruned_search_matches_unpruned_on_fixtures(joints, sk_joint):
             assert got == mf.analyze(unpruned(j), m, quantify=True).entries, (name, m)
             for e, entry in got.items():
                 assert mf.edge_flow(j, e, m) == (entry.has_flow, entry.witness), (name, m, e)
+            assert set_answers(j, m) == set_answers(unpruned(j), m), (name, m)
 
 
 def test_search_space_guard(joints):

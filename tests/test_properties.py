@@ -10,7 +10,7 @@ import msgflow as mf
 from msgflow import ModelViolationAtInput, NoPathFound
 from msgflow import flow
 from randsys import random_noisy_system, random_system
-from reference import unpruned
+from reference import set_answers, unpruned
 
 
 def _flags(joint):
@@ -180,16 +180,24 @@ def test_quantified_zero_iff_no_flow_random(seed):
 
 
 def test_pruned_search_matches_unpruned_on_noisy_systems():
-    # Verdicts and witnesses are equal.  The maximum information is equal in
-    # exact arithmetic; the unpruned search may take it at a superset of
-    # the pruned argmax, whose equal value rounds a few ulps higher.
-    pruned = 0
+    # Verdicts, witnesses and the answers about edge sets are equal.  The
+    # maximum information is equal in exact arithmetic; the unpruned search
+    # may take it at a superset of the pruned argmax, whose equal value
+    # rounds a few ulps higher.
+    pruned = pruned_pairs = 0
     for seed in range(200):
         joint = mf.enumerate_joint(random_noisy_system(seed))
         ref = unpruned(joint)
         for t in joint.times():
             for e in joint.edges_at(t):
-                pruned += len(flow._component(joint, e)) < len(flow._component(ref, e))
+                alone = frozenset([e])
+                pruned += len(flow._component(joint, [e], alone)) < len(
+                    flow._component(ref, [e], alone)
+                )
+            for pair in itertools.combinations(sorted(joint.edges_at(t)), 2):
+                pruned_pairs += len(flow._component(joint, pair)) < len(
+                    flow._component(ref, pair)
+                )
         for m in joint.message_vars:
             want = mf.analyze(ref, m, quantify=True).entries
             got = mf.analyze(joint, m, quantify=True).entries
@@ -200,4 +208,11 @@ def test_pruned_search_matches_unpruned_on_noisy_systems():
                 q = got[e].quantified
                 assert q <= entry.quantified, (seed, m, e)
                 assert q == pytest.approx(entry.quantified, rel=1e-12, abs=0), (seed, m, e)
-    assert pruned > 1000  # the generator exercises the pruning
+            assert set_answers(joint, m) == set_answers(ref, m), (seed, m)
+    assert pruned > 1000 and pruned_pairs > 1000  # the generator exercises the pruning
+
+
+def test_pruned_set_search_matches_unpruned_on_random_systems():
+    for seed in range(300):
+        joint = mf.enumerate_joint(random_system(seed))
+        assert set_answers(joint, "M") == set_answers(unpruned(joint), "M"), seed

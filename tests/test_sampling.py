@@ -10,12 +10,11 @@ import msgflow as mf
 from msgflow import (
     ContinuousSamplingWarning,
     DegenerateTestWarning,
-    TrialMatrix,
     ValidationError,
 )
 from msgflow.graph import NodeRef, edge
 from randsys import random_system
-from reference import assert_same_table, reference_trials
+from reference import assert_same_table, reference_cascade, reference_trials
 
 
 @pytest.fixture(scope="module")
@@ -74,16 +73,16 @@ def test_trials_match_reference_on_fixtures(fixtures, name):
 
 
 def test_plug_in_cmi_close_to_exact(ce1_trials):
-    est = mf.plug_in_cmi(ce1_trials, ["M"], [edge("A", 1, "B")], [edge("C", 1, "B")])
+    est = ce1_trials.cmi(["M"], [edge("A", 1, "B")], [edge("C", 1, "B")])
     assert abs(est - 1.0) < 0.05
 
 
 def test_plug_in_constant_column_zero(ce1_trials):
-    assert mf.plug_in_cmi(ce1_trials, ["M"], [edge("B", 0, "B")]) == 0.0
+    assert ce1_trials.cmi(["M"], [edge("B", 0, "B")]) == 0.0
 
 
 def test_plug_in_bias_level(ce1_trials):
-    est = mf.plug_in_cmi(ce1_trials, ["M"], [edge("C", 1, "B")])
+    est = ce1_trials.cmi(["M"], [edge("C", 1, "B")])
     assert est <= 0.01
 
 
@@ -91,7 +90,7 @@ def test_gaussian_sampling_warns_and_ci_rejects(fixtures):
     with pytest.warns(ContinuousSamplingWarning):
         trials = mf.sample_trials(fixtures["sk"].spec, 50, seed=1)
     with pytest.raises(ValidationError):
-        mf.plug_in_cmi(trials, ["M"], [edge("A", 0, "B")])
+        trials.cmi(["M"], [edge("A", 0, "B")])
 
 
 def test_permutation_rejects_synergy(ce1_trials):
@@ -252,8 +251,7 @@ def test_detect_null_edge_all_p_high(fixtures):
     v = mf.detect_flow_sampled(
         trials, edge("B", 0, "B"), alpha=0.05, max_subset_size=1, n_perm=99, seed=1
     )
-    assert not v.has_flow
-    assert all(p == 1.0 for _, p in v.p_values)  # constant column
+    assert v == mf.SampledVerdict(edge("B", 0, "B"), False, None, (), 0, 0.05, 0)  # no test
 
 
 def test_detect_validates_subset_size(fixtures):
@@ -262,6 +260,20 @@ def test_detect_validates_subset_size(fixtures):
         mf.detect_flow_sampled(trials, edge("A", 1, "B"), max_subset_size=5)
     with pytest.raises(ValidationError):
         mf.detect_flow_sampled(trials, edge("A", 1, "B"), max_subset_size=-1)
+    with pytest.raises(ValidationError):  # checked before a constant edge returns
+        mf.detect_flow_sampled(trials, edge("B", 0, "B"), max_subset_size=5)
+
+
+@pytest.mark.parametrize("name", ["ce1", "ce2", "ce3", "mult-msg", "hidden-ignored"])
+def test_cascade_matches_the_whole_slice_reference(fixtures, name):
+    trials = mf.sample_trials(fixtures[name].spec, 3_000, seed=5)
+    for m in trials.message_vars:
+        for i, e in enumerate(sorted(trials.edge_vars)):
+            if trials.is_constant(e):
+                continue
+            cands = [x for x in trials.edges_at(e.time) if x != e and not trials.is_constant(x)]
+            args = (trials, e, 0.05, min(2, len(cands)), 199, 17 * i + 3, m)
+            assert mf.detect_flow_sampled(*args) == reference_cascade(*args), (m, e)
 
 
 def test_detection_agrees_with_exact_on_ce1(fixtures, joints):
@@ -290,7 +302,7 @@ def test_csv_round_trip(fixtures, tmp_path):
     trials.to_csv(path)
     header = path.read_text().splitlines()[0]
     assert header.startswith("M,") and "#weight" not in header  # trials weigh 1
-    again = TrialMatrix.from_csv(path)
+    again = mf.DiscreteJoint.from_csv(path)
     assert again.variables == trials.variables
     assert again.rows == trials.rows
 
