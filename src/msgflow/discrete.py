@@ -76,9 +76,10 @@ class JointVariables:
     """Variable bookkeeping shared by every joint: messages, edges, times.
 
     ``sources`` maps each edge to the independent random sources it reads
-    (``SystemSpec.sources``); the flow search uses it to prune.  Joints
-    built from a system set it; None, as for tables read from CSV or
-    sampled trials, means every edge reads one shared source.
+    (``SystemSpec.sources``); the flow search and the sampled cascade use
+    it to prune.  Exact joints and sampled trials built from a system set
+    it; None, as for a derived message or a table read from CSV (``to_csv``
+    writes no sources), means every edge reads one shared source.
     """
 
     def __init__(self, variables: Sequence[VarId]) -> None:

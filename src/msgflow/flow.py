@@ -35,10 +35,9 @@ search may take it at a superset whose equal value rounds a few ulps higher.
 A search may also be restricted to a part R of the slice: its component is
 still grown over the whole slice, and the subsets of R ∩ comp(T) then stand
 for every subset of R, since W ⊆ R gives S ⊆ R ∩ comp(T).  A joint without
-``sources`` (a derived message, a table read from CSV or sampled trials)
-counts every edge as reading one shared source, and the same code then
-searches the whole slice.  The candidate cap applies to the component
-searched.
+``sources`` (a derived message or a table read from CSV) counts every edge
+as reading one shared source, and the same code then searches the whole
+slice.  The candidate cap applies to the component searched.
 
 Three weaker tests (marginal dependence; conditioning on single edges;
 conditioning on all other edges) are kept available as ``candidate_flow`` —

@@ -44,7 +44,14 @@ class NodeRef:
 
 @dataclass(frozen=True, order=True)
 class EdgeRef:
-    """A directed edge between nodes at consecutive times."""
+    """A directed edge between nodes at consecutive times.
+
+    Edges key every column lookup and source set, so the hash is computed
+    once, as the value the dataclass would return, ``hash((src, dst))``;
+    set and dict order is therefore the same as without the cache.  A
+    pickle stores only ``(src, dst)``, so a process with another string
+    hash seed recomputes it.
+    """
 
     src: NodeRef
     dst: NodeRef
@@ -54,6 +61,13 @@ class EdgeRef:
             raise ValidationError(
                 f"edge {self.src}->{self.dst} must connect consecutive times"
             )
+        object.__setattr__(self, "_hash", hash((self.src, self.dst)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return EdgeRef, (self.src, self.dst)
 
     @property
     def time(self) -> int:

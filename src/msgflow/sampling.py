@@ -10,15 +10,21 @@ returns the same table the exact engine uses
 Detection replays the exact detector's subset search as a sequence of
 conditional-independence permutation tests: the family is the subsets the
 exact search (:mod:`msgflow.flow`) tries, up to a size limit and in the same
-order, and since some subset of the slice is a witness exactly when some
-subset of the edge's source component is, that family tests the same null
-hypothesis.  A constant edge carries nothing and runs no test.  The
-statistic is the plug-in conditional mutual information, the null is built
-by permuting the edge column within strata of identical conditioning values
-(every replicate table of a stratum is drawn at once, one vectorised
-hypergeometric call per cell, whatever the alphabet sizes), and the whole
-per-edge cascade is Bonferroni-corrected, which stays valid under the
-arbitrary dependence between the cascade's tests.  A cascade runs with
+order.  With sources on the trials that is the subsets of the edge's source
+component comp(e); without them (a derived message, a table read from CSV)
+it is the subsets of the whole slice.  Both families test the same null
+hypothesis, "no S gives I(M; e | S) > 0": some subset of the slice is a
+witness exactly when some subset of comp(e) is (the proof is in
+:mod:`msgflow.flow`).  Bonferroni over the smaller family still bounds the
+per-edge family-wise error by alpha, and each of its tests runs at a larger
+level than in the whole slice's family, so its power can only rise.  A
+constant edge carries nothing and runs no test.  The statistic is the
+plug-in conditional mutual information, the null is built by permuting the
+edge column within strata of identical conditioning values (every replicate
+table of a stratum is drawn at once, one vectorised hypergeometric call per
+cell, whatever the alphabet sizes), and the whole per-edge cascade is
+Bonferroni-corrected, which stays valid under the arbitrary dependence
+between the cascade's tests.  A cascade runs with
 enough replicates that its smallest p-value lies below its Bonferroni level,
 and its verdict records that count.
 
@@ -54,7 +60,9 @@ def sample_trials(spec: SystemSpec, n: int, seed: int) -> DiscreteJoint:
 
     One vectorized draw per source, in a fixed order: the message first (a
     derived message draws nothing), then the noises by node; then one
-    :class:`~msgflow.system.ColumnPass` over all trials.
+    :class:`~msgflow.system.ColumnPass` over all trials.  The trials record
+    each edge's random sources (``SystemSpec.sources``, None for a derived
+    message), so the cascade searches each edge's source component.
     """
     if n < 1:
         raise ValidationError("need at least one trial")
@@ -72,7 +80,9 @@ def sample_trials(spec: SystemSpec, n: int, seed: int) -> DiscreteJoint:
         msg = _draw(spec.message, rng, n)
     noise = {v: _draw(spec.noise[v], rng, n) for v in noise_nodes}
     fwd = ColumnPass(spec)
-    return DiscreteJoint.from_codes(fwd.variables, fwd(msg, noise), fwd.values())
+    trials = DiscreteJoint.from_codes(fwd.variables, fwd(msg, noise), fwd.values())
+    trials.sources = spec.sources()
+    return trials
 
 
 def _draw(law: MessageSpec | NoiseSpec, rng, n: int) -> np.ndarray:
@@ -217,11 +227,15 @@ def detect_flow_sampled(
     trials without ``sources``), in the exact search's order; test i draws
     from the i-th stream spawned from ``seed``.  Each test runs at the
     Bonferroni level ``alpha / N`` where ``N`` counts the family; the cascade
-    stops at the first rejection and later tests are left unrun.
+    stops at the first rejection and later tests are left unrun.  The
+    component holds every minimal witness of the slice, so the smaller
+    family tests the same null at family-wise error at most alpha, with
+    each test at a level no lower than the whole slice would give.
     ``max_subset_size`` is checked against the non-constant edges of the
-    slice.  A constant edge returns "no flow" with no test: empty
-    ``p_values``, ``n_tests_planned`` and ``replicates`` 0, and ``level``
-    ``alpha``.
+    slice, then clamped to the component's size; ``n_tests_planned``
+    counts the family so clamped.  A constant edge returns "no flow" with no test:
+    empty ``p_values``, ``n_tests_planned`` and ``replicates`` 0, and
+    ``level`` ``alpha``.
 
     A permutation p-value is never below ``1 / (1 + n_perm)``, so a level
     under that floor could never be reached.  Each test therefore draws

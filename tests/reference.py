@@ -8,7 +8,10 @@ values of different types apart.  ``unpruned`` gives a joint whose flow
 search tries every subset of the slice, the brute force that the search
 pruned by shared sources must agree with; ``set_answers`` collects the
 edge-set questions to compare on both.  ``reference_cascade`` is the
-sampled cascade written as its own loop over the subsets of the whole slice.
+sampled cascade written as its own loop over the subsets of
+``reference_component``: the edge's source component, grown one edge at a
+time over pairs of edges that share a source, or the whole slice when the
+trials carry no sources.
 """
 
 from __future__ import annotations
@@ -101,23 +104,41 @@ def set_answers(joint, message) -> dict:
     return out
 
 
-def reference_cascade(trials, edge, alpha, max_subset_size, n_perm, seed, message=None):
-    """``detect_flow_sampled`` over every subset of the slice, up to
-    ``max_subset_size``, with one spawned stream per planned test; a constant
-    edge runs its tests like any other."""
-    m = trials.default_message(message)
+def reference_component(trials, edge) -> tuple:
+    """The non-constant edges of ``edge``'s slice, other than ``edge``, that
+    reach it through a chain of edges each sharing a source with the next;
+    every non-constant edge of the slice when ``trials.sources`` is None."""
     cands = tuple(
         e
         for e in sorted(trials.edges_at(edge.time))
         if e != edge and not trials.is_constant(e)
     )
-    n_tests = sum(math.comb(len(cands), k) for k in range(max_subset_size + 1))
+    if trials.sources is None:
+        return cands
+    seen, todo = {edge}, [edge]
+    while todo:
+        x = todo.pop()
+        for y in cands:
+            if y not in seen and trials.sources[x] & trials.sources[y]:
+                seen.add(y)
+                todo.append(y)
+    return tuple(e for e in cands if e in seen)
+
+
+def reference_cascade(trials, edge, alpha, max_subset_size, n_perm, seed, message=None):
+    """``detect_flow_sampled`` over every subset of ``reference_component``
+    of at most ``max_subset_size`` edges, with one spawned stream per planned
+    test; a constant edge runs its tests like any other."""
+    m = trials.default_message(message)
+    cands = reference_component(trials, edge)
+    top = min(max_subset_size, len(cands))
+    n_tests = sum(math.comb(len(cands), k) for k in range(top + 1))
     level = alpha / n_tests
     n_perm = max(n_perm, math.ceil(n_tests / alpha))
     streams = np.random.SeedSequence(seed).spawn(n_tests)
     p_values = []
     i = 0
-    for k in range(max_subset_size + 1):
+    for k in range(top + 1):
         for sub in itertools.combinations(cands, k):
             p = mf.permutation_ci_test(
                 trials, [m], [edge], list(sub), n_perm=n_perm,

@@ -158,18 +158,19 @@ def test_mutated_spec_never_crashes(tmp_path, fixture, data):
 
 
 def test_sampled_report_records_the_cascade(tmp_path):
-    # A0->A1's three-test cascade at alpha 0.05 needs ceil(3 / 0.05) = 60
-    # replicates, more than the 19 asked for; the report says so.
+    # A0->A1 shares no source with another edge: its cascade is one test at
+    # alpha 0.05, which needs ceil(1 / 0.05) = 20 replicates, more than the
+    # 19 asked for; the report says so.
     out = tmp_path / "rep.json"
     assert run("analyze", "--fixture", "ce1", "--engine", "sampled",
                "--n-trials", "2000", "--seed", "1", "--alpha", "0.05",
                "--n-perm", "19", "--max-conditioning", "1", "--out", str(out)) == 0
     rep = json.loads(out.read_text())["reports"]["M"]
     row = next(r for r in rep["edges"] if r["edge"] == "A0->A1")
-    assert (row["replicates"], row["n_tests_planned"]) == (60, 3)
-    assert row["level"] == pytest.approx(0.05 / 3)
+    assert (row["replicates"], row["n_tests_planned"]) == (20, 1)
+    assert row["level"] == 0.05
     again = report_from_dict(rep)
-    assert again.entries[edge("A", 0, "A")].replicates == 60
+    assert again.entries[edge("A", 0, "A")].replicates == 20
     assert report_to_dict(again) == rep
 
 
@@ -236,17 +237,19 @@ def test_simulate_round_trip(tmp_path):
 
 def test_sampled_conditioning_cap(tmp_path):
     # Without --max-conditioning the sampled engine tests subsets of at most
-    # two edges; an explicit cap is honoured.
+    # two edges; an explicit cap is honoured.  In butterfly, B1->B2 carries
+    # nothing about M1 and its source component holds three edges.
     sizes = {}
     for extra in ((), ("--max-conditioning", "3")):
         out = tmp_path / "rep.json"
-        assert run("analyze", "--fixture", "ce3", "--engine", "sampled",
+        assert run("analyze", "--fixture", "butterfly", "--engine", "sampled",
                    "--n-trials", "500", "--seed", "3", "--alpha", "0.05",
                    "--n-perm", "19", "--out", str(out), *extra) == 0
         doc = json.loads(out.read_text())
         sizes[extra] = max(
             len(test["conditioning"])
-            for row in doc["reports"]["M"]["edges"]
+            for rep in doc["reports"].values()
+            for row in rep["edges"]
             for test in row["p_values"]
         )
     assert sizes == {(): 2, ("--max-conditioning", "3"): 3}

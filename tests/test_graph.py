@@ -1,5 +1,14 @@
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import msgflow
 from msgflow import EdgeRef, NodeRef, ValidationError, unroll
 from msgflow.graph import edge
 
@@ -105,3 +114,22 @@ def test_edge_ref_validation_and_parse():
     assert NodeRef.parse("AB12") == NodeRef("AB", 12)
     with pytest.raises(ValidationError):
         NodeRef.parse("12")
+
+
+def test_edge_ref_hash_survives_copies_and_pickles():
+    e = edge("A", 0, "B")
+    assert hash(e) == hash((e.src, e.dst))  # the dataclass's own value
+    moved = dataclasses.replace(e, dst=NodeRef("C", 1))
+    assert moved != e and hash(moved) == hash((NodeRef("A", 0), NodeRef("C", 1)))
+    for same in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e), dataclasses.replace(e)):
+        assert same == e and hash(same) == hash(e) and same in {e}
+    # A pickle written under another string hash seed gets this process's hash.
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": str(Path(msgflow.__file__).parents[1])}
+    code = ("import pickle, sys; from msgflow.graph import edge; "
+            "sys.stdout.buffer.write(pickle.dumps(edge('A', 0, 'B')))")
+    data = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          check=True, timeout=60).stdout
+    loaded = pickle.loads(data)
+    assert loaded == e and hash(loaded) == hash(e) and loaded in {e}

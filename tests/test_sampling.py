@@ -13,8 +13,8 @@ from msgflow import (
     ValidationError,
 )
 from msgflow.graph import NodeRef, edge
-from randsys import random_system
-from reference import assert_same_table, reference_cascade, reference_trials
+from randsys import random_noisy_system, random_system
+from reference import assert_same_table, reference_cascade, reference_trials, unpruned
 
 
 @pytest.fixture(scope="module")
@@ -264,9 +264,9 @@ def test_detect_validates_subset_size(fixtures):
         mf.detect_flow_sampled(trials, edge("B", 0, "B"), max_subset_size=5)
 
 
-@pytest.mark.parametrize("name", ["ce1", "ce2", "ce3", "mult-msg", "hidden-ignored"])
-def test_cascade_matches_the_whole_slice_reference(fixtures, name):
-    trials = mf.sample_trials(fixtures[name].spec, 3_000, seed=5)
+def _cascades_match_reference(trials) -> int:
+    """Compare every non-constant cascade with ``reference_cascade``; count them."""
+    n = 0
     for m in trials.message_vars:
         for i, e in enumerate(sorted(trials.edge_vars)):
             if trials.is_constant(e):
@@ -274,6 +274,34 @@ def test_cascade_matches_the_whole_slice_reference(fixtures, name):
             cands = [x for x in trials.edges_at(e.time) if x != e and not trials.is_constant(x)]
             args = (trials, e, 0.05, min(2, len(cands)), 199, 17 * i + 3, m)
             assert mf.detect_flow_sampled(*args) == reference_cascade(*args), (m, e)
+            n += 1
+    return n
+
+
+CASCADE_FIXTURES = ["ce1", "ce2", "ce3", "mult-msg", "hidden-ignored"]
+
+
+@pytest.mark.parametrize("name", CASCADE_FIXTURES)
+def test_cascade_matches_the_whole_slice_reference(fixtures, name):
+    # Trials without sources search the whole slice, with the same p-values.
+    trials = unpruned(mf.sample_trials(fixtures[name].spec, 3_000, seed=5))
+    assert _cascades_match_reference(trials) > 0
+
+
+@pytest.mark.parametrize("name", CASCADE_FIXTURES)
+def test_cascade_matches_the_component_reference(fixtures, name):
+    spec = fixtures[name].spec
+    trials = mf.sample_trials(spec, 3_000, seed=5)
+    assert trials.sources == spec.sources()
+    assert _cascades_match_reference(trials) > 0
+
+
+def test_derived_message_trials_search_the_whole_slice(fixtures):
+    # A derived message is a function of the noise: the trials carry no
+    # sources, and every cascade searches its whole slice.
+    trials = mf.sample_trials(fixtures["output-msg"].spec, 2_000, seed=6)
+    assert trials.sources is None
+    assert _cascades_match_reference(trials) > 0
 
 
 def test_detection_agrees_with_exact_on_ce1(fixtures, joints):
@@ -340,13 +368,52 @@ def test_detection_rate_monotone_in_trial_count(fixtures, joints):
 
 
 def test_cascade_draws_enough_replicates_to_reach_its_level(fixtures):
-    # With 19 permutations no p-value is below 1/20 = 0.05, above the level
-    # 0.05/3 of this three-test cascade; the cascade draws
-    # ceil(3/0.05) = 60 replicates instead, so the flow is found.
+    # A0->A1 shares no source with another edge, so its cascade is the one
+    # marginal test at level 0.05.  With 9 permutations no p-value is below
+    # 1/10; the cascade draws ceil(1/0.05) = 20 replicates instead.
     trials = mf.sample_trials(fixtures["ce1"].spec, 2_000, seed=1)
-    v = mf.detect_flow_sampled(
-        trials, edge("A", 0, "A"), alpha=0.05, max_subset_size=1, n_perm=19, seed=0
-    )
-    assert v.n_tests_planned == 3
+    args = (edge("A", 0, "A"), 0.05, 1)
+    v = mf.detect_flow_sampled(trials, *args, n_perm=9, seed=0)
+    assert (v.n_tests_planned, v.replicates, v.level) == (1, 20, 0.05)
+    assert v.has_flow and v.witness == ()
+    assert v.p_values == (((), 1 / 21),)
+    # Over the whole slice the family holds three tests at level 0.05/3;
+    # 19 permutations cannot reach it, and ceil(3/0.05) = 60 replicates do.
+    v = mf.detect_flow_sampled(unpruned(trials), *args, n_perm=19, seed=0)
+    assert (v.n_tests_planned, v.replicates) == (3, 60)
     assert v.has_flow and v.witness == ()
     assert v.p_values == (((), 1 / 61),)
+
+
+def test_component_cascade_agrees_with_exact_on_noisy_systems():
+    # The README's sampled settings: 10,000 trials, alpha 0.01, 1,999
+    # permutations, subsets of at most two edges.  On the null edges, false
+    # alarms stay within acceptance 10's bound of 2 alpha.  No flow is missed
+    # whose minimal witness fits the cap and whose exact quantified value
+    # exceeds 0.01 bits; weaker ones may be (0.0018 bits at most here).
+    nulls = alarms = flows = pruned = 0
+    missed = []
+    for seed in range(60):
+        spec = random_noisy_system(seed)
+        joint = mf.enumerate_joint(spec)
+        trials = mf.sample_trials(spec, 10_000, seed=seed)
+        for m in trials.message_vars:
+            exact = mf.analyze(joint, m, quantify=True)
+            for i, e in enumerate(sorted(trials.edge_vars)):
+                if trials.is_constant(e):
+                    continue
+                n = sum(x != e and not trials.is_constant(x) for x in trials.edges_at(e.time))
+                k = min(2, n)
+                v = mf.detect_flow_sampled(trials, e, 0.01, k, 1999, 1000 * seed + i, m)
+                pruned += v.n_tests_planned < sum(math.comb(n, j) for j in range(k + 1))
+                want = exact.entries[e]
+                if not want.has_flow:
+                    nulls += 1
+                    alarms += v.has_flow
+                elif len(want.witness) <= 2:
+                    flows += 1
+                    if not v.has_flow and want.quantified > 0.01:
+                        missed.append((seed, m, e, want.quantified))
+    assert nulls > 300 and flows > 200 and pruned > 400
+    assert alarms <= 2 * 0.01 * nulls
+    assert missed == []
