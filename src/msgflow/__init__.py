@@ -55,12 +55,7 @@ from .paths import (
     find_info_paths,
     zero_information_cut,
 )
-from .sampling import (
-    SampledVerdict,
-    detect_flow_sampled,
-    permutation_ci_test,
-    sample_trials,
-)
+from .sampling import detect_flow_sampled, permutation_ci_test, sample_trials
 from .system import MessageSpec, NoiseSpec, SystemSpec, load_system, save_system
 
 __version__ = "0.1.0"
@@ -91,7 +86,6 @@ __all__ = [
     "ObservationMask",
     "PathGraph",
     "PathList",
-    "SampledVerdict",
     "SearchSpaceError",
     "SpecParseError",
     "SystemSpec",

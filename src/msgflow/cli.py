@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -43,47 +42,6 @@ EXIT_NO_PATH = 5
 EXIT_MODEL_VIOLATION = 6
 
 SAMPLED_MAX_CONDITIONING = 2
-
-
-@dataclass
-class AnalysisConfig:
-    """Resolved analysis parameters for one invocation."""
-
-    spec: SystemSpec
-    messages: tuple[str, ...]
-    engine: str  # exact | gaussian | sampled
-    n_trials: Optional[int] = None
-    seed: Optional[int] = None
-    alpha: Optional[float] = None
-    n_perm: Optional[int] = None
-    max_conditioning_size: Optional[int] = None
-    quantify: bool = False
-    out_format: str = "json"
-
-    def __post_init__(self):
-        sampled = {
-            "n_trials": self.n_trials,
-            "seed": self.seed,
-            "alpha": self.alpha,
-            "n_perm": self.n_perm,
-        }
-        if self.engine == "sampled":
-            missing = [k for k, v in sampled.items() if v is None]
-            if missing:
-                raise ValidationError(f"sampled engine needs {missing}")
-        else:
-            extra = [k for k, v in sampled.items() if v is not None]
-            if extra:
-                raise ValidationError(f"{extra} only apply to the sampled engine")
-        if self.engine not in ("exact", "gaussian", "sampled"):
-            raise ValidationError(f"unknown engine {self.engine!r}")
-        if self.max_conditioning_size is None:
-            # A sampled cascade's Bonferroni level shrinks with its length.
-            self.max_conditioning_size = (
-                SAMPLED_MAX_CONDITIONING
-                if self.engine == "sampled"
-                else flow.DEFAULT_MAX_CANDIDATES
-            )
 
 
 def _load_spec(args) -> SystemSpec:
@@ -121,81 +79,64 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _constant_edges(spec: SystemSpec, joint) -> tuple[EdgeRef, ...]:
-    return tuple(e for e in joint.edge_vars if joint.is_constant(e))
-
-
 def cmd_analyze(args) -> int:
     spec = _load_spec(args)
-    config = AnalysisConfig(
-        spec=spec,
-        messages=_messages(spec, args),
-        engine=args.engine,
-        n_trials=args.n_trials,
-        seed=args.seed,
-        alpha=args.alpha,
-        n_perm=args.n_perm,
-        max_conditioning_size=args.max_conditioning,
-        quantify=args.quantify,
-        out_format=args.format,
-    )
-    if config.engine == "sampled":
-        trials = sampling.sample_trials(spec, config.n_trials, config.seed)
-        streams = np.random.SeedSequence(config.seed).spawn(len(config.messages))
+    messages = _messages(spec, args)
+    sampled = {
+        "n_trials": args.n_trials,
+        "seed": args.seed,
+        "alpha": args.alpha,
+        "n_perm": args.n_perm,
+    }
+    if args.engine == "sampled":
+        missing = [k for k, v in sampled.items() if v is None]
+        if missing:
+            raise ValidationError(f"sampled engine needs {missing}")
+        trials = sampling.sample_trials(spec, args.n_trials, args.seed)
+        streams = np.random.SeedSequence(args.seed).spawn(len(messages))
         reports = {
-            m: _sampled_report(trials, m, config, ss)
-            for m, ss in zip(config.messages, streams)
+            m: _sampled_report(trials, m, args, ss) for m, ss in zip(messages, streams)
         }
         joint = None
     else:
-        joint = _joint_for(spec, config.engine)
+        extra = [k for k, v in sampled.items() if v is not None]
+        if extra:
+            raise ValidationError(f"{extra} only apply to the sampled engine")
+        max_candidates = (
+            flow.DEFAULT_MAX_CANDIDATES if args.max_conditioning is None else args.max_conditioning
+        )
+        joint = _joint_for(spec, args.engine)
         reports = flow.analyze_messages(
-            joint,
-            config.messages,
-            quantify=config.quantify,
-            max_candidates=config.max_conditioning_size,
+            joint, messages, quantify=args.quantify, max_candidates=max_candidates
         )
-    if config.out_format == "json":
+    if args.format == "json":
         _emit(report.reports_to_json(reports), args.out)
-    elif config.out_format == "dot":
-        constant = _constant_edges(spec, joint) if joint is not None else ()
-        _emit(
-            report.to_dot(spec.graph, reports, constant, thickness=config.quantify),
-            args.out,
-        )
+    elif args.format == "dot":
+        constant = () if joint is None else tuple(filter(joint.is_constant, joint.edge_vars))
+        _emit(report.to_dot(spec.graph, reports, constant, thickness=args.quantify), args.out)
     else:
         _emit(_text_report(reports), args.out)
     return 0
 
 
 def _sampled_report(
-    trials, message: str, config: AnalysisConfig, stream: np.random.SeedSequence
+    trials, message: str, args, stream: np.random.SeedSequence
 ) -> flow.FlowReport:
+    # A sampled cascade's Bonferroni level shrinks with its length.
+    max_subset_size = (
+        SAMPLED_MAX_CONDITIONING if args.max_conditioning is None else args.max_conditioning
+    )
     rep = flow.FlowReport(message=message, engine="sampled")
     edges = sorted(trials.edge_vars)
     for e, edge_stream in zip(edges, stream.spawn(len(edges))):
-        cands = [
-            x
-            for x in trials.edges_at(e.time)
-            if x != e and not trials.is_constant(x)
-        ]
-        verdict = sampling.detect_flow_sampled(
+        rep.entries[e] = sampling.detect_flow_sampled(
             trials,
             e,
-            alpha=config.alpha,
-            max_subset_size=min(config.max_conditioning_size, len(cands)),
-            n_perm=config.n_perm,
+            alpha=args.alpha,
+            max_subset_size=max_subset_size,
+            n_perm=args.n_perm,
             seed=int(edge_stream.generate_state(1, np.uint64)[0]),
             message=message,
-        )
-        rep.entries[e] = flow.FlowEntry(
-            e,
-            verdict.has_flow,
-            verdict.witness,
-            p_values=verdict.p_values,
-            level=verdict.level,
-            n_tests_planned=verdict.n_tests_planned,
-            replicates=verdict.replicates,
         )
     return rep
 

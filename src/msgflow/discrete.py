@@ -75,6 +75,9 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 class JointVariables:
     """Variable bookkeeping shared by every joint: messages, edges, times.
 
+    ``edges_at(t)`` lists each slice in canonical (sorted) order, whatever
+    the column order, so the flow search and its reports need not sort.
+
     ``sources`` maps each edge to the independent random sources it reads
     (``SystemSpec.sources``); the flow search and the sampled cascade use
     it to prune.  Exact joints and sampled trials built from a system set
@@ -95,7 +98,7 @@ class JointVariables:
             v for v in self.variables if isinstance(v, EdgeRef)
         )
         edges_at: dict[int, list[EdgeRef]] = {}
-        for e in self.edge_vars:
+        for e in sorted(self.edge_vars):
             edges_at.setdefault(e.time, []).append(e)
         self._edges_at = {t: tuple(es) for t, es in edges_at.items()}
 

@@ -121,7 +121,7 @@ def _candidates(
     """The non-constant edges at time t outside ``exclude``, in canonical order."""
     return tuple(
         e
-        for e in sorted(joint.edges_at(t))
+        for e in joint.edges_at(t)
         if e not in exclude and not joint.is_constant(e)
     )
 
@@ -294,7 +294,7 @@ def separability_partition(
     candidate cap, and raises beyond it.
     """
     m = joint.default_message(message)
-    edges = tuple(sorted(joint.edges_at(t)))
+    edges = joint.edges_at(t)
     if not edges:
         raise ValidationError(f"no edges at time {t}")
     flags = {
@@ -343,7 +343,7 @@ def analyze(
     engine = "gaussian" if isinstance(joint, GaussianJoint) else "exact"
     report = FlowReport(message=m, engine=engine)
     for t in joint.times():
-        for e in sorted(joint.edges_at(t)):
+        for e in joint.edges_at(t):
             if quantify:  # one walk of the search gives the witness and the value
                 witness, q = _witness_and_bits(joint, m, e, max_candidates)
             else:

@@ -10,9 +10,10 @@ returns the same table the exact engine uses
 Detection replays the exact detector's subset search as a sequence of
 conditional-independence permutation tests: the family is the subsets the
 exact search (:mod:`msgflow.flow`) tries, up to a size limit and in the same
-order.  With sources on the trials that is the subsets of the edge's source
-component comp(e); without them (a derived message, a table read from CSV)
-it is the subsets of the whole slice.  Both families test the same null
+order, the size limit clamped to the searched edges.  With sources on the
+trials that is the subsets of the edge's source component comp(e); without
+them (a derived message, a table read from CSV) it is the subsets of the
+whole slice.  Both families test the same null
 hypothesis, "no S gives I(M; e | S) > 0": some subset of the slice is a
 witness exactly when some subset of comp(e) is (the proof is in
 :mod:`msgflow.flow`).  Bonferroni over the smaller family still bounds the
@@ -25,8 +26,9 @@ table of a stratum is drawn at once, one vectorised hypergeometric call per
 cell, whatever the alphabet sizes), and the whole per-edge cascade is
 Bonferroni-corrected, which stays valid under the arbitrary dependence
 between the cascade's tests.  A cascade runs with
-enough replicates that its smallest p-value lies below its Bonferroni level,
-and its verdict records that count.
+enough replicates that its smallest p-value lies below its Bonferroni level.
+Its verdict is the edge's report entry (:class:`~msgflow.flow.FlowEntry`),
+which records that count with the p-values, the level and the family size.
 
 All randomness is driven by spawned child streams of one master seed, so
 identical inputs give bit-identical trials and p-values.
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,7 +48,7 @@ from .errors import (
     DegenerateTestWarning,
     ValidationError,
 )
-from .flow import _candidates, _component, _subsets
+from .flow import FlowEntry, _component, _subsets
 from .graph import EdgeRef
 from .system import ColumnPass, MessageSpec, NoiseSpec, SystemSpec
 
@@ -198,19 +199,6 @@ def permutation_ci_test(
     return (1 + exceed) / (1 + n_perm)
 
 
-@dataclass(frozen=True)
-class SampledVerdict:
-    """Outcome of the per-edge test cascade."""
-
-    edge: EdgeRef
-    has_flow: bool
-    witness: Optional[tuple[EdgeRef, ...]]
-    p_values: tuple  # ((conditioning subset, p), ...) in test order; run tests only
-    n_tests_planned: int
-    level: float
-    replicates: int  # drawn per test: n_perm, or more to reach the level
-
-
 def detect_flow_sampled(
     trials: DiscreteJoint,
     edge: EdgeRef,
@@ -219,23 +207,23 @@ def detect_flow_sampled(
     n_perm: int = 999,
     seed: int = 0,
     message: Optional[str] = None,
-) -> SampledVerdict:
+) -> FlowEntry:
     """Run the per-edge cascade: marginal test, then growing conditioning subsets.
 
-    The family is the subsets of the edge's source component of at most
-    ``max_subset_size`` edges (``flow._component``, the whole slice for
-    trials without ``sources``), in the exact search's order; test i draws
-    from the i-th stream spawned from ``seed``.  Each test runs at the
-    Bonferroni level ``alpha / N`` where ``N`` counts the family; the cascade
-    stops at the first rejection and later tests are left unrun.  The
-    component holds every minimal witness of the slice, so the smaller
-    family tests the same null at family-wise error at most alpha, with
-    each test at a level no lower than the whole slice would give.
-    ``max_subset_size`` is checked against the non-constant edges of the
-    slice, then clamped to the component's size; ``n_tests_planned``
-    counts the family so clamped.  A constant edge returns "no flow" with no test:
-    empty ``p_values``, ``n_tests_planned`` and ``replicates`` 0, and
-    ``level`` ``alpha``.
+    Returns the edge's report entry (:class:`~msgflow.flow.FlowEntry`), with
+    ``quantified`` None.  The family is the subsets of the edge's source
+    component of at most ``max_subset_size`` edges (``flow._component``, the
+    whole slice for trials without ``sources``), in the exact search's
+    order; test i draws from the i-th stream spawned from ``seed``.  Each
+    test runs at the Bonferroni level ``alpha / N`` where ``N`` counts the
+    family; the cascade stops at the first rejection and later tests are
+    left unrun.  The component holds every minimal witness of the slice, so
+    the smaller family tests the same null at family-wise error at most
+    alpha, with each test at a level no lower than the whole slice would
+    give.  ``max_subset_size`` must be at least 0 and is clamped to the
+    component's size; ``n_tests_planned`` counts the family so clamped.  A
+    constant edge returns "no flow" with no test: empty ``p_values``,
+    ``n_tests_planned`` and ``replicates`` 0, and ``level`` ``alpha``.
 
     A permutation p-value is never below ``1 / (1 + n_perm)``, so a level
     under that floor could never be reached.  Each test therefore draws
@@ -249,14 +237,10 @@ def detect_flow_sampled(
         raise ValidationError("alpha must be in (0, 1)")
     if n_perm < 1:
         raise ValidationError("need at least one permutation")
-    cands = _candidates(trials, edge.time, frozenset([edge]))
-    if not 0 <= max_subset_size <= len(cands):
-        raise ValidationError(
-            f"max_subset_size {max_subset_size} is not between 0 and the "
-            f"{len(cands)} available conditioning edges"
-        )
+    if max_subset_size < 0:
+        raise ValidationError(f"max_subset_size must be at least 0, got {max_subset_size}")
     if trials.is_constant(edge):
-        return SampledVerdict(edge, False, None, (), 0, alpha, 0)
+        return FlowEntry(edge, False, None, None, (), alpha, 0, 0)
     family = list(_subsets(_component(trials, [edge], frozenset([edge])), max_subset_size))
     n_tests = len(family)
     level = alpha / n_tests
@@ -269,8 +253,8 @@ def detect_flow_sampled(
         )
         p_values.append((sub, p))
         if p <= level:
-            return SampledVerdict(edge, True, sub, tuple(p_values), n_tests, level, n_perm)
-    return SampledVerdict(edge, False, None, tuple(p_values), n_tests, level, n_perm)
+            return FlowEntry(edge, True, sub, None, tuple(p_values), level, n_tests, n_perm)
+    return FlowEntry(edge, False, None, None, tuple(p_values), level, n_tests, n_perm)
 
 
 def _stream_seed(ss: np.random.SeedSequence) -> int:

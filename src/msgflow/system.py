@@ -314,16 +314,16 @@ class SystemSpec:
     def from_json_dict(d: dict) -> "SystemSpec":
         """Build a system from its JSON document.
 
-        A malformed document (a value of the wrong type, a missing key
-        inside a field, a zero denominator) raises SpecParseError; a missing
-        top-level field, or a well-formed document that breaks a rule of the
-        model, raises ValidationError.
+        A malformed document (not an object, a missing key at any level, a
+        value of the wrong type, a zero denominator) raises SpecParseError; a
+        well-formed document that breaks a rule of the model raises
+        ValidationError.
         """
         if not isinstance(d, dict):
-            raise ValidationError("system spec must be a JSON object")
+            raise SpecParseError("system spec must be a JSON object")
         missing = {"nodes", "horizon", "message", "functions"} - set(d)
         if missing:
-            raise ValidationError(f"system spec missing fields: {sorted(missing)}")
+            raise SpecParseError(f"system spec missing fields: {sorted(missing)}")
         try:
             parts = SystemSpec._read_json_dict(d)
         except MsgflowError:

@@ -147,5 +147,5 @@ def reference_cascade(trials, edge, alpha, max_subset_size, n_perm, seed, messag
             i += 1
             p_values.append((sub, p))
             if p <= level:
-                return mf.SampledVerdict(edge, True, sub, tuple(p_values), n_tests, level, n_perm)
-    return mf.SampledVerdict(edge, False, None, tuple(p_values), n_tests, level, n_perm)
+                return mf.FlowEntry(edge, True, sub, None, tuple(p_values), level, n_tests, n_perm)
+    return mf.FlowEntry(edge, False, None, None, tuple(p_values), level, n_tests, n_perm)

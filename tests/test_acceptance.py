@@ -248,16 +248,11 @@ def test_criterion_10_sampled_detector_calibration(fixtures, joints):
             trials = mf.sample_trials(fx.spec, n_trials, seed=SEED_BASE + 1000 + run)
             run_ok = True
             for i, e in enumerate(sorted(trials.edge_vars)):
-                cands = [
-                    x
-                    for x in trials.edges_at(e.time)
-                    if x != e and not trials.is_constant(x)
-                ]
                 verdict = mf.detect_flow_sampled(
                     trials,
                     e,
                     alpha=alpha,
-                    max_subset_size=min(2, len(cands)),
+                    max_subset_size=2,
                     n_perm=1999,
                     seed=SEED_BASE + 7919 * run + i,
                 )

@@ -45,7 +45,7 @@ def test_analyze_json_report(tmp_path):
 def test_analyze_exit_codes(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
-    assert run("analyze", "--spec", str(empty)) == 3
+    assert run("analyze", "--spec", str(empty)) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("not json {")
     assert run("analyze", "--spec", str(bad)) == 2
@@ -73,6 +73,9 @@ def _analyze_doc(tmp_path, doc) -> int:
     return run("analyze", "--spec", str(spec))
 
 
+MISSING = object()  # the key is removed
+
+
 @pytest.mark.parametrize(
     "path, value",
     [
@@ -80,14 +83,22 @@ def _analyze_doc(tmp_path, doc) -> int:
         (("message", "pmf", 0, "p"), [1, 0]),  # zero denominator
         (("horizon",), "3"),
         (("declared_inputs",), [["A"]]),  # a node name that is not a string
+        (("functions",), MISSING),  # a missing top-level field
+        ((), []),  # a document that is not an object
     ],
 )
 def test_malformed_spec_is_a_parse_error(tmp_path, path, value):
     doc = mf.build("ce1").spec.to_json_dict()
-    target = doc
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
+    if not path:
+        doc = value
+    else:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        if value is MISSING:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
     assert _analyze_doc(tmp_path, doc) == 2
 
 

@@ -14,6 +14,7 @@ from msgflow import (
 )
 from msgflow.exprs import msg
 from msgflow.graph import NodeRef, edge
+from msgflow.report import reports_to_json
 from reference import set_answers, unpruned
 
 
@@ -198,6 +199,19 @@ def test_negative_cap_is_invalid(joints):
     ):
         with pytest.raises(ValidationError, match="at least 0"):
             search()
+
+
+@pytest.mark.parametrize("name", ["ce1", "ce3", "butterfly"])
+def test_slices_are_canonical_whatever_the_column_order(joints, name):
+    j = joints[name]
+    rev = mf.DiscreteJoint(j.variables[::-1], [row[::-1] for row in j.rows], j.probs)
+    rev.sources = j.sources
+    for t in j.times():
+        assert rev.edges_at(t) == tuple(sorted(rev.edges_at(t))) == j.edges_at(t)
+    for quantify in (False, True):
+        got = mf.analyze_messages(rev, quantify=quantify)
+        want = mf.analyze_messages(j, quantify=quantify)
+        assert reports_to_json(got) == reports_to_json(want)
 
 
 def test_analyze_messages_warns_on_dependence(joints):

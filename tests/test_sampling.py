@@ -251,17 +251,30 @@ def test_detect_null_edge_all_p_high(fixtures):
     v = mf.detect_flow_sampled(
         trials, edge("B", 0, "B"), alpha=0.05, max_subset_size=1, n_perm=99, seed=1
     )
-    assert v == mf.SampledVerdict(edge("B", 0, "B"), False, None, (), 0, 0.05, 0)  # no test
+    assert v == mf.FlowEntry(edge("B", 0, "B"), False, None, None, (), 0.05, 0, 0)  # no test
 
 
 def test_detect_validates_subset_size(fixtures):
     trials = mf.sample_trials(fixtures["ce1"].spec, 100, seed=9)
     with pytest.raises(ValidationError):
-        mf.detect_flow_sampled(trials, edge("A", 1, "B"), max_subset_size=5)
-    with pytest.raises(ValidationError):
         mf.detect_flow_sampled(trials, edge("A", 1, "B"), max_subset_size=-1)
     with pytest.raises(ValidationError):  # checked before a constant edge returns
-        mf.detect_flow_sampled(trials, edge("B", 0, "B"), max_subset_size=5)
+        mf.detect_flow_sampled(trials, edge("B", 0, "B"), max_subset_size=-1)
+
+
+@pytest.mark.parametrize("name", ["ce2", "butterfly"])
+def test_subset_size_is_clamped_to_the_component(fixtures, name):
+    # Any size beyond the edge's source component plans the same family.
+    trials = mf.sample_trials(fixtures[name].spec, 1_000, seed=11)
+    sizes = []
+    for m in trials.message_vars:
+        for i, e in enumerate(sorted(trials.edge_vars)):
+            size = len(mf.flow._component(trials, [e], frozenset([e])))
+            same = dict(alpha=0.05, n_perm=19, seed=i, message=m)
+            clamped = mf.detect_flow_sampled(trials, e, max_subset_size=50, **same)
+            assert clamped == mf.detect_flow_sampled(trials, e, max_subset_size=size, **same)
+            sizes.append(size)
+    assert max(sizes) >= 2
 
 
 def _cascades_match_reference(trials) -> int:
@@ -271,8 +284,7 @@ def _cascades_match_reference(trials) -> int:
         for i, e in enumerate(sorted(trials.edge_vars)):
             if trials.is_constant(e):
                 continue
-            cands = [x for x in trials.edges_at(e.time) if x != e and not trials.is_constant(x)]
-            args = (trials, e, 0.05, min(2, len(cands)), 199, 17 * i + 3, m)
+            args = (trials, e, 0.05, 2, 199, 17 * i + 3, m)
             assert mf.detect_flow_sampled(*args) == reference_cascade(*args), (m, e)
             n += 1
     return n
@@ -308,10 +320,8 @@ def test_detection_agrees_with_exact_on_ce1(fixtures, joints):
     trials = mf.sample_trials(fixtures["ce1"].spec, 10_000, seed=2024)
     exact = mf.analyze(joints["ce1"])
     for e in trials.edge_vars:
-        cands = [x for x in trials.edges_at(e.time) if x != e and not trials.is_constant(x)]
         v = mf.detect_flow_sampled(
-            trials, e, alpha=0.01, max_subset_size=min(2, len(cands)),
-            n_perm=1999, seed=77,
+            trials, e, alpha=0.01, max_subset_size=2, n_perm=1999, seed=77
         )
         assert v.has_flow == exact.has_flow(e), e
 
@@ -347,16 +357,11 @@ def test_detection_rate_monotone_in_trial_count(fixtures, joints):
         for run in range(20):
             trials = mf.sample_trials(spec, n, seed=550_000 + run)
             for i, e in enumerate(edges):
-                cands = [
-                    x
-                    for x in trials.edges_at(e.time)
-                    if x != e and not trials.is_constant(x)
-                ]
                 v = mf.detect_flow_sampled(
                     trials,
                     e,
                     alpha=0.01,
-                    max_subset_size=min(2, len(cands)),
+                    max_subset_size=2,
                     n_perm=999,
                     seed=31 * run + i,
                 )
@@ -402,10 +407,9 @@ def test_component_cascade_agrees_with_exact_on_noisy_systems():
             for i, e in enumerate(sorted(trials.edge_vars)):
                 if trials.is_constant(e):
                     continue
+                v = mf.detect_flow_sampled(trials, e, 0.01, 2, 1999, 1000 * seed + i, m)
                 n = sum(x != e and not trials.is_constant(x) for x in trials.edges_at(e.time))
-                k = min(2, n)
-                v = mf.detect_flow_sampled(trials, e, 0.01, k, 1999, 1000 * seed + i, m)
-                pruned += v.n_tests_planned < sum(math.comb(n, j) for j in range(k + 1))
+                pruned += v.n_tests_planned < sum(math.comb(n, j) for j in range(min(2, n) + 1))
                 want = exact.entries[e]
                 if not want.has_flow:
                     nulls += 1
