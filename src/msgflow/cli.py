@@ -60,6 +60,8 @@ def _load_spec(args) -> SystemSpec:
 
 
 def _joint_for(spec: SystemSpec, engine: str):
+    if engine == "sampled":
+        raise ValidationError("only analyze runs the sampled engine")
     if engine == "gaussian" or (engine == "exact" and spec.is_gaussian):
         return linear_propagate(spec)
     return enumerate_joint(spec)
@@ -92,6 +94,8 @@ def cmd_analyze(args) -> int:
         missing = [k for k, v in sampled.items() if v is None]
         if missing:
             raise ValidationError(f"sampled engine needs {missing}")
+        if args.quantify:
+            raise ValidationError("--quantify does not apply to the sampled engine")
         trials = sampling.sample_trials(spec, args.n_trials, args.seed)
         streams = np.random.SeedSequence(args.seed).spawn(len(messages))
         reports = {

@@ -12,10 +12,12 @@ weight:
 
 Both engines compute their columns with the column forward pass
 (:class:`~msgflow.system.ColumnPass`) and build the table from the code
-columns (``DiscreteJoint.from_codes``).  The enumerator feeds the pass the
-realization grid in chunks of ``CHUNK`` realizations, so its memory does not
-grow with the realization count, and sums integer weights without a Fraction
-per realization.
+columns (``DiscreteJoint.from_codes``).  The pass, like the rows
+constructor, already numbers each column's values by first appearance and
+lists only values some row holds, so the table stores its codes as given.
+The enumerator feeds the pass the realization grid in chunks of ``CHUNK``
+realizations, so its memory does not grow with the realization count, and
+sums integer weights without a Fraction per realization.
 
 Every query asks one question of one (c, a, b) weight grid, built by
 ``weight_grid`` with C compressed to its observed strata:
@@ -159,8 +161,6 @@ class DiscreteJoint(JointVariables):
             raise ValidationError(f"every row needs {width} values")
         if weights is not None:
             fracs = [Fraction(w) for w in weights]
-            if len(fracs) != n:
-                raise ValidationError("rows and weights differ in length")
             denom = math.lcm(*(w.denominator for w in fracs))
             weights = [w * denom for w in fracs]
         codes = np.empty((width, n), dtype=np.int64)
@@ -179,10 +179,12 @@ class DiscreteJoint(JointVariables):
         values: Sequence[Sequence],
         weights: Optional[Sequence[int]] = None,
     ) -> "DiscreteJoint":
-        """A table from code columns: ``codes[j]`` indexes the distinct values
-        ``values[j]``, and ``weights`` are non-negative integers (1 per row
-        without them).  Codes are renumbered to first appearance; values no
-        row holds are dropped."""
+        """A table from code columns: ``codes[j]`` (int64) indexes the distinct
+        values ``values[j]``, and ``weights`` are non-negative integers (1 per
+        row without them).  The table keeps the codes as given, so they must
+        number each column's values in order of first appearance, and every
+        value must be held by some row, as the column pass and the rows
+        constructor produce them."""
         table = cls.__new__(cls)
         JointVariables.__init__(table, variables)
         table._fill(codes, values, weights)
@@ -206,16 +208,9 @@ class DiscreteJoint(JointVariables):
         dtype = np.int64 if self.total * self.total <= _INT64_MAX else object
         self.weights = np.array(ints, dtype=dtype)
 
-        self.codes = np.empty((width, n), dtype=np.int64)
-        kept = []
-        for j in range(width):
-            order = codes[j][first_rows(codes[j], len(values[j]))]
-            remap = np.empty(len(values[j]), dtype=np.int64)
-            remap[order] = np.arange(len(order))
-            self.codes[j] = remap[codes[j]]
-            kept.append(tuple(values[j][i] for i in order.tolist()))
-        self.values: tuple[tuple, ...] = tuple(kept)
-        self._finite = [not any(isinstance(x, float) for x in vs) for vs in kept]
+        self.codes = codes
+        self.values: tuple[tuple, ...] = tuple(map(tuple, values))
+        self._finite = [not any(isinstance(x, float) for x in vs) for vs in self.values]
 
     # ----- rows and columns --------------------------------------------
 
@@ -365,9 +360,9 @@ def _parse_weight(text: str) -> int:
     try:
         w = int(text)
     except ValueError:
-        w = 0
-    if w <= 0:
-        raise ValidationError(f"row weight {text!r} is not a positive integer")
+        w = -1
+    if w < 0:
+        raise ValidationError(f"row weight {text!r} is not a non-negative integer")
     return w
 
 

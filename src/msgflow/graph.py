@@ -145,16 +145,14 @@ class UnrolledGraph:
         self._edges = tuple(sorted(e for es in per_time for e in es))
         self._node_set = frozenset(self._nodes)
         self._edge_set = frozenset(self._edges)
-        self._incoming: dict[NodeRef, tuple[EdgeRef, ...]] = {v: () for v in self._nodes}
-        self._outgoing: dict[NodeRef, tuple[EdgeRef, ...]] = {v: () for v in self._nodes}
+        # Built by walking the sorted edges, so each list is sorted too.
         inc: dict[NodeRef, list[EdgeRef]] = {v: [] for v in self._nodes}
         out: dict[NodeRef, list[EdgeRef]] = {v: [] for v in self._nodes}
         for e in self._edges:
             inc[e.dst].append(e)
             out[e.src].append(e)
-        for v in self._nodes:
-            self._incoming[v] = tuple(sorted(inc[v]))
-            self._outgoing[v] = tuple(sorted(out[v]))
+        self._incoming = {v: tuple(es) for v, es in inc.items()}
+        self._outgoing = {v: tuple(es) for v, es in out.items()}
 
     @property
     def is_complete(self) -> bool:

@@ -190,6 +190,22 @@ def test_sampled_requires_parameters():
     assert run("analyze", "--fixture", "ce1", "--seed", "4") == 3
 
 
+def test_sampled_quantify_is_rejected(capsys):
+    assert run("analyze", "--fixture", "ce1", "--engine", "sampled", "--n-trials", "200",
+               "--seed", "1", "--alpha", "0.05", "--n-perm", "99", "--quantify") == 3
+    assert "--quantify" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, args", [
+    ("paths", ("--target", "B2")),
+    ("hidden", ("--hide", "C")),
+    ("derived", ("--query-edges", "B2->B3", "--given-edges", "A1->B2", "C1->B2")),
+])
+def test_only_analyze_runs_the_sampled_engine(command, args, capsys):
+    assert run(command, "--fixture", "ce1", "--engine", "sampled", *args) == 3
+    assert "only analyze runs the sampled engine" in capsys.readouterr().err
+
+
 def test_paths_command(tmp_path):
     out = tmp_path / "paths.json"
     assert (

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,8 +11,9 @@ from msgflow import discrete
 from msgflow import BudgetExceededError, MessageSpec, NoiseSpec, SystemSpec, ValidationError
 from msgflow.exprs import msg
 from msgflow.graph import NodeRef, UnrolledGraph, edge
+from msgflow.system import first_rows
 
-from randsys import random_system
+from randsys import random_noisy_system, random_system
 from reference import assert_same_table, reference_joint
 
 
@@ -244,6 +246,32 @@ def test_enumeration_across_chunks():
     assert_same_table(mf.enumerate_joint(spec), reference_joint(spec))
 
 
+_TABLE_CASES = (
+    [name for name in mf.FIXTURE_NAMES if name != "sk"]  # sk is linear-Gaussian
+    + [f"randsys-{seed}" for seed in range(0, 300, 30)]
+    + [f"noisy-{seed}" for seed in range(0, 200, 20)]
+)
+
+
+@pytest.mark.parametrize("case", _TABLE_CASES)
+def test_producers_number_values_by_first_appearance(fixtures, case):
+    # ``from_codes`` keeps the codes it is given: enumerate_joint and
+    # sample_trials must hand it each column's values numbered by first
+    # appearance, every one of them held by some row.
+    kind, _, seed = case.partition("-")
+    if kind == "randsys":
+        spec = random_system(int(seed))
+    elif kind == "noisy":
+        spec = random_noisy_system(int(seed))
+    else:
+        spec = fixtures[case].spec
+    for table in (mf.enumerate_joint(spec), mf.sample_trials(spec, 300, seed=5)):
+        assert table.codes.dtype == np.int64
+        for codes, values in zip(table.codes, table.values):
+            k = len(values)
+            assert codes[first_rows(codes, k)].tolist() == list(range(k))
+
+
 def test_weighted_csv_round_trip(tmp_path):
     j = mf.DiscreteJoint(["M"], [(0,), (1,)], [Fraction(1, 3), Fraction(2, 3)])
     path = tmp_path / "joint.csv"
@@ -252,10 +280,20 @@ def test_weighted_csv_round_trip(tmp_path):
     again = mf.DiscreteJoint.from_csv(path)
     assert again.probs == j.probs
     assert again.entropy(["M"]) == pytest.approx(0.918, abs=5e-4)
-    for bad in ("0", "-1", "1.5", "x", ""):
+    for bad in ("-1", "1.5", "x", ""):
         path.write_text(f"M,#weight\n0,1\n1,{bad}\n")
         with pytest.raises(ValidationError):
             mf.DiscreteJoint.from_csv(path)
+
+
+def test_zero_weight_csv_round_trip(tmp_path):
+    # The rows constructor accepts zero-weight rows, so from_csv reads them back.
+    j = mf.DiscreteJoint(["A", "B"], [(0, 0), (1, 1)], [1, 0])
+    path = tmp_path / "joint.csv"
+    j.to_csv(path)
+    assert path.read_text().splitlines() == ["A,B,#weight", "0,0,1", "1,1,0"]
+    again = mf.DiscreteJoint.from_csv(path)
+    assert again.rows == j.rows and again.weights.tolist() == [1, 0]
 
 
 def test_mixed_regimes_rejected():

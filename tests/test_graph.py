@@ -72,6 +72,19 @@ def test_outgoing():
     assert edge("A", 1, "A") in g.outgoing(NodeRef("A", 1))
 
 
+def test_sparse_adjacency_lists_are_sorted():
+    # Nodes and adjacency listed in reverse order still give each node its
+    # edges in canonical (sorted) order.
+    names = ("C", "B", "A")
+    adjacency = [(a, b) for a in names for b in names if a != b]
+    g = unroll(names, 2, adjacency=adjacency)
+    for v in g.nodes:
+        assert g.incoming(v) == tuple(sorted(e for e in g.edges if e.dst == v))
+        assert g.outgoing(v) == tuple(sorted(e for e in g.edges if e.src == v))
+    assert g.incoming(NodeRef("B", 1)) == (edge("A", 0, "B"), edge("C", 0, "B"))
+    assert g.outgoing(NodeRef("B", 1)) == (edge("B", 1, "A"), edge("B", 1, "C"))
+
+
 def test_membership_and_errors():
     g = unroll(("A", "B"), 1)
     assert NodeRef("A", 1) in g
