@@ -1,34 +1,36 @@
 """Builders for the worked example systems, with pinned expected results.
 
 Each fixture packages a system together with the edge sets the detector must
-flag and, where meaningful, the exact flow paths to chosen targets.  Expected
-entries carry a provenance tag: ``"given"`` when the behavior is part of the
-example's external statement of record, ``"derived"`` when it was computed
-independently (by hand enumeration or a closed form) before being frozen
-here.
+flag and, where meaningful, the exact flow paths to chosen targets.  Each
+catalogue entry says in one word where its expected results come from:
+*given* when the behavior is part of the example's external statement of
+record, *derived* when it was computed independently (by hand enumeration or
+a closed form) before being frozen here, *none* when it pins no result.
 
 Fixture catalogue:
 
-* ``ce1``   — relay masks the secret with a one-time pad; a joint look at the
-  pad and the masked value reveals it (pure synergy).
-* ``ce2``   — same idea with two pads, so single-edge conditioning stays blind.
-* ``ce3``   — pad masking plus a duplicated masked copy, so conditioning on
-  *all* other edges stays blind too.
-* ``mult-msg`` — two dependent messages sharing a component; both flows appear
-  on both wires.
-* ``butterfly`` — two-message crossover relay: after the mixing node combines
-  the messages, every downstream wire carries flow about both.
-* ``fft-even`` / ``fft-phase`` — a 4-point spectral transform with the message
-  encoded in the even part, or in the phase, of the input signal.
-* ``sk``    — iterative feedback coding: a sender repeatedly transmits the
-  receiver's estimation error over a noisy forward link with noiseless
+* ``ce1`` (given) — relay masks the secret with a one-time pad; a joint look
+  at the pad and the masked value reveals it (pure synergy).
+* ``ce2`` (derived) — same idea with two pads, so single-edge conditioning
+  stays blind.
+* ``ce3`` (given) — pad masking plus a duplicated masked copy, so
+  conditioning on *all* other edges stays blind too.
+* ``mult-msg`` (given) — two dependent messages sharing a component; both
+  flows appear on both wires.
+* ``butterfly`` (given) — two-message crossover relay: after the mixing node
+  combines the messages, every downstream wire carries flow about both.
+* ``fft-even`` / ``fft-phase`` (given) — a 4-point spectral transform with
+  the message encoded in the even part, or in the phase, of the input signal.
+* ``sk`` (derived) — iterative feedback coding: a sender repeatedly transmits
+  the receiver's estimation error over a noisy forward link with noiseless
   feedback.
-* ``output-msg`` — a gated boolean circuit whose message is defined at the
-  output; the active branch depends on an external parameter.
-* ``hidden-ignored`` / ``hidden-local`` / ``hidden-masked`` — small systems for
-  the unobserved-node alarms: a relevant hidden wire that the receiver
-  ignores; a hidden wire caught only by the per-node check; and a hidden wire
-  masked by a redundant observed copy that no observational check can catch.
+* ``output-msg`` (given) — a gated boolean circuit whose message is defined
+  at the output; the active branch depends on an external parameter.
+* ``hidden-ignored`` (derived) / ``hidden-local`` (none) / ``hidden-masked``
+  (none) — small systems for the unobserved-node alarms: a relevant hidden
+  wire that the receiver ignores; a hidden wire caught only by the per-node
+  check; and a hidden wire masked by a redundant observed copy that no
+  observational check can catch.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ class Fixture:
     expected_paths: dict[tuple[str, str], tuple[tuple[str, ...], ...]] = field(
         default_factory=dict
     )
-    provenance: dict[str, str] = field(default_factory=dict)
 
 
 def _edges(*triples) -> frozenset[EdgeRef]:
@@ -91,7 +92,6 @@ def _build_ce1() -> Fixture:
         expected_flow={
             "M": _edges(("A", 0, "A"), ("A", 1, "B"), ("C", 1, "B"), ("B", 2, "B"))
         },
-        provenance={"expected_flow[M]": "given"},
     )
 
 
@@ -136,7 +136,6 @@ def _build_ce2() -> Fixture:
                 ("B", 2, "B"),
             )
         },
-        provenance={"expected_flow[M]": "derived"},
     )
 
 
@@ -184,7 +183,6 @@ def _build_ce3() -> Fixture:
                 ("B", 2, "B"),
             )
         },
-        provenance={"expected_flow[M]": "given"},
     )
 
 
@@ -208,7 +206,6 @@ def _build_mult_msg() -> Fixture:
         spec,
         ("M1", "M2"),
         expected_flow={"M1": both, "M2": both},
-        provenance={"expected_flow[M1]": "given", "expected_flow[M2]": "given"},
     )
 
 
@@ -267,13 +264,6 @@ def _build_butterfly() -> Fixture:
             ),
             ("M2", "A4"): (("C0", "B1", "C2", "C3", "A4"),),
             ("M1", "B4"): (("C0", "A1", "C2", "C3", "B4"),),
-        },
-        provenance={
-            "expected_flow[M1]": "given",
-            "expected_flow[M2]": "given",
-            "expected_paths[M1->A4]": "given",
-            "expected_paths[M2->A4]": "given",
-            "expected_paths[M1->B4]": "given",
         },
     )
 
@@ -354,7 +344,6 @@ def _build_fft_even() -> Fixture:
                 ("C", 2, "C"),
             )
         },
-        provenance={"expected_flow[M]": "given"},
     )
 
 
@@ -409,7 +398,6 @@ def _build_fft_phase() -> Fixture:
                 ("B", 2, "B"),
             )
         },
-        provenance={"expected_flow[M]": "given"},
     )
 
 
@@ -476,7 +464,6 @@ def _build_sk(sigma2=1, iterations: int = 3) -> Fixture:
         spec,
         ("M",),
         expected_flow={"M": frozenset(flow)},
-        provenance={"expected_flow[M]": "derived"},
     )
 
 
@@ -529,7 +516,6 @@ def _build_output_msg(gate: Optional[int] = 1) -> Fixture:
         spec,
         ("M",),
         expected_flow={"M": flow},
-        provenance={"expected_flow[M]": "given"},
     )
 
 
@@ -559,7 +545,6 @@ def _build_hidden_ignored() -> Fixture:
                 ("A", 0, "A"), ("A", 0, "H"), ("A", 1, "A"), ("H", 1, "A"), ("A", 2, "A")
             )
         },
-        provenance={"expected_flow[M]": "derived"},
     )
 
 
@@ -593,21 +578,11 @@ def _hidden_pad_system(redundant_copy: bool) -> SystemSpec:
 
 
 def _build_hidden_local() -> Fixture:
-    return Fixture(
-        "hidden-local",
-        _hidden_pad_system(redundant_copy=False),
-        ("M",),
-        provenance={},
-    )
+    return Fixture("hidden-local", _hidden_pad_system(redundant_copy=False), ("M",))
 
 
 def _build_hidden_masked() -> Fixture:
-    return Fixture(
-        "hidden-masked",
-        _hidden_pad_system(redundant_copy=True),
-        ("M",),
-        provenance={},
-    )
+    return Fixture("hidden-masked", _hidden_pad_system(redundant_copy=True), ("M",))
 
 
 _BUILDERS = {

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .gaussian import linear_propagate
 from .graph import EdgeRef, NodeRef
-from .system import SystemSpec, load_system, save_system
+from .system import SystemSpec, load_system
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -50,7 +50,7 @@ def _load_spec(args) -> SystemSpec:
     if args.fixture:
         params = {}
         if args.fixture == "sk":
-            params = {"sigma2": Fraction(args.sigma2), "iterations": args.iterations}
+            params = {"sigma2": args.sigma2, "iterations": args.iterations}
         elif args.fixture == "output-msg":
             params = {"gate": None if args.gate == "random" else int(args.gate)}
         return canon.build(args.fixture, **params).spec
@@ -59,18 +59,15 @@ def _load_spec(args) -> SystemSpec:
     return load_system(args.spec)
 
 
-def _joint_for(spec: SystemSpec, engine: str):
-    if engine == "sampled":
-        raise ValidationError("only analyze runs the sampled engine")
-    if engine == "gaussian" or (engine == "exact" and spec.is_gaussian):
-        return linear_propagate(spec)
-    return enumerate_joint(spec)
+def _joint_for(spec: SystemSpec):
+    return linear_propagate(spec) if spec.is_gaussian else enumerate_joint(spec)
 
 
-def _messages(spec: SystemSpec, args) -> tuple[str, ...]:
-    if args.message:
-        return tuple(args.message)
-    return spec.message.components
+def _load_query(args):
+    """The spec, its exact joint and the one message a query is about."""
+    spec = _load_spec(args)
+    joint = _joint_for(spec)
+    return spec, joint, joint.default_message(args.message)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -81,9 +78,13 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _emit_json(doc, out: Optional[str]) -> None:
+    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
+
+
 def cmd_analyze(args) -> int:
     spec = _load_spec(args)
-    messages = _messages(spec, args)
+    messages = tuple(args.message) if args.message else spec.message.components
     sampled = {
         "n_trials": args.n_trials,
         "seed": args.seed,
@@ -96,12 +97,11 @@ def cmd_analyze(args) -> int:
             raise ValidationError(f"sampled engine needs {missing}")
         if args.quantify:
             raise ValidationError("--quantify does not apply to the sampled engine")
-        trials = sampling.sample_trials(spec, args.n_trials, args.seed)
+        joint = sampling.sample_trials(spec, args.n_trials, args.seed)
         streams = np.random.SeedSequence(args.seed).spawn(len(messages))
         reports = {
-            m: _sampled_report(trials, m, args, ss) for m, ss in zip(messages, streams)
+            m: _sampled_report(joint, m, args, ss) for m, ss in zip(messages, streams)
         }
-        joint = None
     else:
         extra = [k for k, v in sampled.items() if v is not None]
         if extra:
@@ -109,14 +109,14 @@ def cmd_analyze(args) -> int:
         max_candidates = (
             flow.DEFAULT_MAX_CANDIDATES if args.max_conditioning is None else args.max_conditioning
         )
-        joint = _joint_for(spec, args.engine)
+        joint = _joint_for(spec)
         reports = flow.analyze_messages(
             joint, messages, quantify=args.quantify, max_candidates=max_candidates
         )
     if args.format == "json":
         _emit(report.reports_to_json(reports), args.out)
     elif args.format == "dot":
-        constant = () if joint is None else tuple(filter(joint.is_constant, joint.edge_vars))
+        constant = tuple(filter(joint.is_constant, joint.edge_vars))
         _emit(report.to_dot(spec.graph, reports, constant, thickness=args.quantify), args.out)
     else:
         _emit(_text_report(reports), args.out)
@@ -166,13 +166,8 @@ def _text_report(reports) -> str:
 
 
 def cmd_paths(args) -> int:
-    spec = _load_spec(args)
-    joint = _joint_for(spec, args.engine)
-    message = args.message[0] if args.message else joint.default_message()
-    max_candidates = (
-        flow.DEFAULT_MAX_CANDIDATES if args.max_conditioning is None else args.max_conditioning
-    )
-    rep = flow.analyze(joint, message, max_candidates=max_candidates)
+    spec, joint, message = _load_query(args)
+    rep = flow.analyze(joint, message, max_candidates=args.max_conditioning)
     target = NodeRef.parse(args.target)
     v_ip = flow.input_nodes(joint, spec.graph, message)
     h = paths.find_info_paths(rep, spec.graph, target, v_ip)
@@ -192,14 +187,12 @@ def cmd_paths(args) -> int:
             "node_visits": h.node_visits,
             "edge_inspections": h.edge_inspections,
         }
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _emit_json(doc, args.out)
     return 0
 
 
 def cmd_hidden(args) -> int:
-    spec = _load_spec(args)
-    joint = _joint_for(spec, args.engine)
-    message = args.message[0] if args.message else joint.default_message()
+    spec, joint, message = _load_query(args)
     mask = derived.ObservationMask(frozenset(args.hide))
     mask.validate(spec.graph)
     alarms = []
@@ -220,14 +213,12 @@ def cmd_hidden(args) -> int:
         "hidden": sorted(mask.hidden_names),
         "alarms": alarms,
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit_json(doc, args.out)
     return 0
 
 
 def cmd_derived(args) -> int:
-    spec = _load_spec(args)
-    joint = _joint_for(spec, args.engine)
-    message = args.message[0] if args.message else joint.default_message()
+    _, joint, message = _load_query(args)
     q = [EdgeRef.parse(e) for e in args.query_edges]
     p = [EdgeRef.parse(e) for e in args.given_edges]
     verdict = derived.is_derived(joint, q, p, message)
@@ -240,50 +231,35 @@ def cmd_derived(args) -> int:
         "is_derived": verdict,
         "leftover_bits": "inf" if math.isinf(value) else value,
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit_json(doc, args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    spec = _load_spec(args)
-    trials = sampling.sample_trials(spec, args.n_trials, args.seed)
-    if not args.out:
-        raise ValidationError("simulate needs --out for the CSV file")
+    trials = sampling.sample_trials(_load_spec(args), args.n_trials, args.seed)
     trials.to_csv(args.out)
     return 0
 
 
 def cmd_fixtures(args) -> int:
     if args.build:
-        fx = canon.build(args.build)
-        if args.out:
-            save_system(fx.spec, args.out)
-        else:
-            sys.stdout.write(json.dumps(fx.spec.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        _emit_json(canon.build(args.build).spec.to_json_dict(), args.out)
         return 0
     for name in canon.FIXTURE_NAMES:
         sys.stdout.write(name + "\n")
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_system(p: argparse.ArgumentParser, out_required: bool = False) -> None:
+    """The options that name the system, and the output file."""
     p.add_argument("--spec", help="SystemSpec JSON file")
     p.add_argument("--fixture", help="built-in fixture name")
-    p.add_argument("--message", action="append", help="message variable (repeatable)")
-    p.add_argument(
-        "--engine", default="exact", choices=["exact", "gaussian", "sampled"]
-    )
-    p.add_argument(
-        "--max-conditioning",
-        type=int,
-        help=f"conditioning cap (default {flow.DEFAULT_MAX_CANDIDATES} candidates "
-        "sharing a random source with the edge; "
-        f"sampled engine: subsets of at most {SAMPLED_MAX_CONDITIONING} edges)",
-    )
-    p.add_argument("--sigma2", default="1", help="sk fixture: forward noise variance")
+    p.add_argument("--sigma2", type=Fraction, default="1", help="sk fixture: noise variance")
     p.add_argument("--iterations", type=int, default=3, help="sk fixture: iterations")
-    p.add_argument("--gate", default="1", help="output-msg fixture: 0, 1 or 'random'")
-    p.add_argument("--out", help="output file (default stdout)")
+    p.add_argument("--gate", default="1", choices=["0", "1", "random"], help="output-msg fixture")
+    p.add_argument(
+        "--out", required=out_required, help=None if out_required else "output file, or stdout"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,9 +269,19 @@ def build_parser() -> argparse.ArgumentParser:
         "information about a message, and recover the flow paths.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    one_message = "message variable (default: the only one)"
 
     p = sub.add_parser("analyze", help="per-edge flow verdicts")
-    _add_common(p)
+    _add_system(p)
+    p.add_argument("--message", action="append", help="message variable (repeatable)")
+    p.add_argument("--engine", default="exact", choices=["exact", "sampled"])
+    p.add_argument(
+        "--max-conditioning",
+        type=int,
+        help=f"conditioning cap (default {flow.DEFAULT_MAX_CANDIDATES} candidates "
+        "sharing a random source with the edge; "
+        f"sampled engine: subsets of at most {SAMPLED_MAX_CONDITIONING} edges)",
+    )
     p.add_argument("--n-trials", type=int, help="sampled engine: trial count")
     p.add_argument("--seed", type=int, help="sampled engine: master seed")
     p.add_argument("--alpha", type=float, help="sampled engine: family error level")
@@ -305,25 +291,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("paths", help="recover flow paths to a target node")
-    _add_common(p)
+    _add_system(p)
+    p.add_argument("--message", help=one_message)
+    p.add_argument(
+        "--max-conditioning",
+        type=int,
+        default=flow.DEFAULT_MAX_CANDIDATES,
+        help="conditioning cap: candidates sharing a random source with the edge "
+        "(default %(default)s)",
+    )
     p.add_argument("--target", required=True, help="target node id, e.g. A4")
     p.add_argument("--limit", type=int, default=10_000)
     p.add_argument("--format", default="json", choices=["json", "dot"])
     p.set_defaults(fn=cmd_paths)
 
     p = sub.add_parser("hidden", help="hidden-node alarms under an observation mask")
-    _add_common(p)
+    _add_system(p)
+    p.add_argument("--message", help=one_message)
     p.add_argument("--hide", action="append", required=True, help="hidden base node")
     p.set_defaults(fn=cmd_hidden)
 
     p = sub.add_parser("derived", help="does one edge set add anything beyond another?")
-    _add_common(p)
+    _add_system(p)
+    p.add_argument("--message", help=one_message)
     p.add_argument("--query-edges", nargs="+", required=True, metavar="EDGE")
     p.add_argument("--given-edges", nargs="+", required=True, metavar="EDGE")
     p.set_defaults(fn=cmd_derived)
 
     p = sub.add_parser("simulate", help="draw trials and export them as CSV")
-    _add_common(p)
+    _add_system(p, out_required=True)
     p.add_argument("--n-trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(fn=cmd_simulate)

@@ -342,17 +342,18 @@ class DiscreteJoint(JointVariables):
     @staticmethod
     def from_csv(path) -> "DiscreteJoint":
         """Read a table written by ``to_csv``; without a ``#weight`` column
-        each line is one trial of weight 1."""
+        each line is one trial of weight 1.  Blank lines are skipped."""
         with open(path, newline="") as fh:
-            r = csv.reader(fh)
-            header = next(r)
-            weighted = header[-1:] == [WEIGHT_HEADER]
-            variables = tuple(
-                EdgeRef.parse(h) if "->" in h else h for h in header[: len(header) - weighted]
-            )
-            lines = list(r)
+            lines = [line for line in csv.reader(fh) if line]
+        if not lines:
+            raise ValidationError(f"{path} has no header line")
+        header, lines = lines[0], lines[1:]
+        weighted = header[-1:] == [WEIGHT_HEADER]
+        variables = tuple(
+            EdgeRef.parse(h) if "->" in h else h for h in header[: len(header) - weighted]
+        )
         rows = [tuple(_parse_cell(x) for x in line[: len(line) - weighted]) for line in lines]
-        weights = [_parse_weight(line[-1] if line else "") for line in lines] if weighted else None
+        weights = [_parse_weight(line[-1]) for line in lines] if weighted else None
         return DiscreteJoint(variables, rows, weights)
 
 

@@ -67,6 +67,8 @@ def sample_trials(spec: SystemSpec, n: int, seed: int) -> DiscreteJoint:
     """
     if n < 1:
         raise ValidationError("need at least one trial")
+    if seed < 0:
+        raise ValidationError(f"seed {seed} is negative")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     noise_nodes = spec.noise_nodes()
     if spec.is_gaussian or any(spec.noise[v].kind == "gaussian" for v in noise_nodes):

@@ -605,6 +605,8 @@ def load_system(path) -> SystemSpec:
     try:
         with open(path) as fh:
             d = json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecParseError(f"invalid JSON in {path}: {exc}") from exc
     return SystemSpec.from_json_dict(d)

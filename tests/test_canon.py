@@ -25,16 +25,6 @@ def test_every_fixture_flow_set_matches(fixtures, joints, sk_joint):
             assert rep.flowing() == want, (name, message)
 
 
-def test_provenance_tags_present(fixtures):
-    for name, fx in fixtures.items():
-        for message in fx.expected_flow:
-            tag = fx.provenance.get(f"expected_flow[{message}]")
-            assert tag in ("given", "derived"), (name, message)
-        for (message, target) in fx.expected_paths:
-            tag = fx.provenance.get(f"expected_paths[{message}->{target}]")
-            assert tag in ("given", "derived"), (name, message, target)
-
-
 def test_expected_edges_exist_in_spec(fixtures):
     for name, fx in fixtures.items():
         for message, want in fx.expected_flow.items():

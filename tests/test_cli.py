@@ -1,5 +1,9 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -12,7 +16,14 @@ from msgflow.system import load_system, save_system
 
 
 def run(*argv):
-    return main(list(argv))
+    """main's exit code, including argparse's exit 2 on a bad command line."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+SAMPLED = ("--n-trials", "200", "--seed", "1", "--alpha", "0.05", "--n-perm", "99")
 
 
 def test_analyze_butterfly_dot(tmp_path, fixtures, joints):
@@ -191,8 +202,7 @@ def test_sampled_requires_parameters():
 
 
 def test_sampled_quantify_is_rejected(capsys):
-    assert run("analyze", "--fixture", "ce1", "--engine", "sampled", "--n-trials", "200",
-               "--seed", "1", "--alpha", "0.05", "--n-perm", "99", "--quantify") == 3
+    assert run("analyze", "--fixture", "ce1", "--engine", "sampled", *SAMPLED, "--quantify") == 3
     assert "--quantify" in capsys.readouterr().err
 
 
@@ -200,10 +210,88 @@ def test_sampled_quantify_is_rejected(capsys):
     ("paths", ("--target", "B2")),
     ("hidden", ("--hide", "C")),
     ("derived", ("--query-edges", "B2->B3", "--given-edges", "A1->B2", "C1->B2")),
+    ("simulate", ("--n-trials", "20", "--seed", "1")),
 ])
-def test_only_analyze_runs_the_sampled_engine(command, args, capsys):
-    assert run(command, "--fixture", "ce1", "--engine", "sampled", *args) == 3
-    assert "only analyze runs the sampled engine" in capsys.readouterr().err
+def test_only_analyze_runs_the_sampled_engine(command, args, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert run(command, "--fixture", "ce1", "--engine", "sampled", *args, "--out", out) == 2
+    assert "unrecognized arguments: --engine sampled" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--fixture", "ce1", "--n-trials", "20", "--seed", "1", "--engine", "exact"),
+    ("simulate", "--fixture", "ce1", "--n-trials", "20", "--seed", "1", "--message", "Q"),
+    ("simulate", "--fixture", "ce1", "--n-trials", "20", "--seed", "1",
+     "--max-conditioning", "1"),
+    ("hidden", "--fixture", "ce1", "--hide", "C", "--max-conditioning", "-7"),
+    ("derived", "--fixture", "ce1", "--query-edges", "B2->B3", "--given-edges", "A1->B2",
+     "--max-conditioning", "-7"),
+    ("analyze", "--fixture", "sk", "--engine", "gaussian"),
+])
+def test_options_a_command_does_not_read_exit_2(argv, tmp_path):
+    assert run(*argv, "--out", str(tmp_path / "out")) == 2
+
+
+def _cli(*argv):
+    src = Path(mf.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-m", "msgflow.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("analyze", "--spec", "{tmp}/missing.json"), 2),
+    (("analyze", "--spec", "{tmp}"), 2),
+    (("analyze", "--spec", "{tmp}/latin1.json"), 2),
+    (("analyze", "--fixture", "ce1", "--engine", "sampled", "--n-trials", "20",
+      "--seed", "-1", "--alpha", "0.05", "--n-perm", "99"), 3),
+    (("simulate", "--fixture", "ce1", "--n-trials", "20", "--seed", "-1",
+      "--out", "{tmp}/t.csv"), 3),
+    (("simulate", "--fixture", "ce1", "--n-trials", "20", "--seed", "1"), 2),
+    (("analyze", "--fixture", "sk", "--sigma2", "abc"), 2),
+    (("analyze", "--fixture", "output-msg", "--gate", "x"), 2),
+])
+def test_malformed_input_exits_without_traceback(argv, code, tmp_path):
+    (tmp_path / "latin1.json").write_bytes(b'{"nodes": ["\xe9"]}')
+    proc = _cli(*(a.format(tmp=tmp_path) for a in argv))
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_repeated_message_takes_the_last(capsys):
+    assert run("paths", "--fixture", "butterfly", "--message", "M1", "--message", "M2",
+               "--target", "A4") == 0
+    assert json.loads(capsys.readouterr().out)["message"] == "M2"
+
+
+def _dot_edges(text):
+    return {line.split()[0] + line.split()[2] for line in text.splitlines() if " -> " in line}
+
+
+def test_sampled_dot_hides_constant_edges(capsys):
+    assert run("analyze", "--fixture", "ce1", "--format", "dot") == 0
+    exact = _dot_edges(capsys.readouterr().out)
+    assert run("analyze", "--fixture", "ce1", "--format", "dot", "--engine", "sampled",
+               *SAMPLED) == 0
+    assert _dot_edges(capsys.readouterr().out) == exact
+    assert len(exact) == 6
+
+
+def test_text_report(capsys):
+    assert run("analyze", "--fixture", "ce1", "--format", "text", "--quantify") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "message M (exact engine)"
+    assert "  t=1: flow on 2/9 edges" in lines
+    assert "    A1->B2 given {C1->B2} [1.0000 bits]" in lines
+    assert run("analyze", "--fixture", "ce1", "--format", "text", "--engine", "sampled",
+               "--n-trials", "2000", "--seed", "1", "--alpha", "0.05", "--n-perm", "99") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "message M (sampled engine)"
+    assert "    A1->B2 given {C1->B2}" in lines
+    assert not any("bits" in line for line in lines)
 
 
 def test_paths_command(tmp_path):

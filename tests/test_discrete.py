@@ -296,6 +296,22 @@ def test_zero_weight_csv_round_trip(tmp_path):
     assert again.rows == j.rows and again.weights.tolist() == [1, 0]
 
 
+def test_csv_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "trials.csv"
+    path.write_text("M,A0->A1\n0,1\n\n1,0\n\n")
+    trials = mf.DiscreteJoint.from_csv(path)
+    assert trials.variables == ("M", edge("A", 0, "A"))
+    assert trials.rows == ((0, 1), (1, 0))
+
+
+def test_empty_csv_is_a_validation_error(tmp_path):
+    for text in ("", "\n\n"):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match="no header"):
+            mf.DiscreteJoint.from_csv(path)
+
+
 def test_mixed_regimes_rejected():
     from msgflow import NoiseSpec
 
