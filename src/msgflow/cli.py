@@ -41,8 +41,6 @@ EXIT_BUDGET = 4
 EXIT_NO_PATH = 5
 EXIT_MODEL_VIOLATION = 6
 
-SAMPLED_MAX_CONDITIONING = 2
-
 
 def _load_spec(args) -> SystemSpec:
     if args.fixture and args.spec:
@@ -85,6 +83,8 @@ def _emit_json(doc, out: Optional[str]) -> None:
 def cmd_analyze(args) -> int:
     spec = _load_spec(args)
     messages = tuple(args.message) if args.message else spec.message.components
+    if len(set(messages)) < len(messages):
+        raise ValidationError(f"a message is given more than once: {list(messages)}")
     sampled = {
         "n_trials": args.n_trials,
         "seed": args.seed,
@@ -126,9 +126,8 @@ def cmd_analyze(args) -> int:
 def _sampled_report(
     trials, message: str, args, stream: np.random.SeedSequence
 ) -> flow.FlowReport:
-    # A sampled cascade's Bonferroni level shrinks with its length.
     max_subset_size = (
-        SAMPLED_MAX_CONDITIONING if args.max_conditioning is None else args.max_conditioning
+        sampling.DEFAULT_MAX_SUBSET if args.max_conditioning is None else args.max_conditioning
     )
     rep = flow.FlowReport(message=message, engine="sampled")
     edges = sorted(trials.edge_vars)
@@ -280,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help=f"conditioning cap (default {flow.DEFAULT_MAX_CANDIDATES} candidates "
         "sharing a random source with the edge; "
-        f"sampled engine: subsets of at most {SAMPLED_MAX_CONDITIONING} edges)",
+        f"sampled engine: subsets of at most {sampling.DEFAULT_MAX_SUBSET} edges)",
     )
     p.add_argument("--n-trials", type=int, help="sampled engine: trial count")
     p.add_argument("--seed", type=int, help="sampled engine: master seed")

@@ -17,10 +17,9 @@ rational/complex arithmetic); const; select k (tuple component); concat
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import ExpressionTypeError, NonAffineError, SpecParseError
+from .errors import ExpressionTypeError, SpecParseError
 from .graph import EdgeRef, NodeRef
 from .values import (
     Value,
@@ -209,71 +208,3 @@ def _sole_msg(env: EvalEnv) -> Value:
             "bare msg leaf is ambiguous: message has several components"
         )
     return next(iter(env.msg_values.values()))
-
-
-@dataclass(frozen=True)
-class AffineForm:
-    """``constant + sum(coeff * base_var)`` with exact rational coefficients.
-
-    Base variables are ``("msg", name)`` or ``("noise", NodeRef)`` keys.
-    """
-
-    constant: Fraction
-    coeffs: tuple  # sorted tuple of ((kind, key), Fraction)
-
-    def coeff_map(self) -> dict:
-        return dict(self.coeffs)
-
-
-def _affine(constant: Fraction, coeffs: dict) -> AffineForm:
-    items = tuple(sorted(((k, v) for k, v in coeffs.items() if v != 0), key=lambda kv: repr(kv[0])))
-    return AffineForm(Fraction(constant), items)
-
-
-def affine_form(
-    expr: Expr, env: dict, own: Optional[NodeRef], sole_msg: Optional[str] = None
-) -> AffineForm:
-    """Reduce an expression to an affine form over message/noise base variables.
-
-    ``env`` maps EdgeRef -> AffineForm for incoming transmissions; ``sole_msg``
-    resolves a bare msg leaf.  Raises NonAffineError for boolean/tuple
-    operators or products of non-constants.
-    """
-    op = expr[0]
-    if op == "const":
-        v = expr[1]
-        if not isinstance(v, (int, Fraction)):
-            raise NonAffineError(f"non-rational constant {v!r} in affine context")
-        return _affine(Fraction(v), {})
-    if op == "edge":
-        return env[expr[1]]
-    if op == "noise":
-        node = expr[1] if expr[1] is not None else own
-        if node is None:
-            raise NonAffineError("noise leaf outside a node context")
-        return _affine(Fraction(0), {("noise", node): Fraction(1)})
-    if op == "msg":
-        name = expr[1] if expr[1] is not None else sole_msg
-        if name is None:
-            raise NonAffineError("bare msg leaf with no unique message component")
-        return _affine(Fraction(0), {("msg", name): Fraction(1)})
-    if op == "negate":
-        f = affine_form(expr[1], env, own, sole_msg)
-        return _affine(-f.constant, {k: -v for k, v in f.coeffs})
-    if op == "add" or op == "sub":
-        a = affine_form(expr[1], env, own, sole_msg)
-        b = affine_form(expr[2], env, own, sole_msg)
-        sign = 1 if op == "add" else -1
-        coeffs = dict(a.coeffs)
-        for k, v in b.coeffs:
-            coeffs[k] = coeffs.get(k, Fraction(0)) + sign * v
-        return _affine(a.constant + sign * b.constant, coeffs)
-    if op == "mul":
-        a = affine_form(expr[1], env, own, sole_msg)
-        b = affine_form(expr[2], env, own, sole_msg)
-        if a.coeffs and b.coeffs:
-            raise NonAffineError("product of two non-constant expressions")
-        if b.coeffs:
-            a, b = b, a
-        return _affine(a.constant * b.constant, {k: v * b.constant for k, v in a.coeffs})
-    raise NonAffineError(f"operator {op!r} is not affine")

@@ -2,9 +2,9 @@
 
 For systems whose node functions are all affine and whose message and noise
 are scalar Gaussians, every transmission is a rational linear combination of
-the base variables (message, intrinsic noises).  The joint is then fully
-described by a mean vector and covariance matrix, both kept in exact rational
-arithmetic.
+the base variables (message, intrinsic noises) plus a constant, and the
+covariance matrix, kept in exact rational arithmetic, describes everything
+the flow tests read (a constant shifts no variance, so no mean is kept).
 
 Conditional variances are computed by solving the (possibly singular, always
 consistent) normal equations with exact fraction elimination, so "variance is
@@ -19,10 +19,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .discrete import JointVariables, VarId
-from .errors import NonAffineError, ValidationError
-from .exprs import AffineForm, affine_form
-from .graph import EdgeRef
+from .errors import ExpressionTypeError, NonAffineError, ValidationError
+from .exprs import EvalEnv
 from .system import SystemSpec
+from .values import Affine
 
 
 def _solve_psd(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -61,22 +61,16 @@ def _solve_psd(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]
 
 
 class GaussianJoint(JointVariables):
-    """Mean and covariance over (message, edge transmissions), exact rationals."""
+    """Covariance over (message, edge transmissions), exact rationals."""
 
-    def __init__(
-        self,
-        variables: Sequence[VarId],
-        mean: Sequence[Fraction],
-        cov: Sequence[Sequence[Fraction]],
-    ) -> None:
+    def __init__(self, variables: Sequence[VarId], cov: Sequence[Sequence[Fraction]]) -> None:
         super().__init__(variables)
-        self.mean: tuple[Fraction, ...] = tuple(Fraction(m) for m in mean)
         self.cov: tuple[tuple[Fraction, ...], ...] = tuple(
             tuple(Fraction(x) for x in row) for row in cov
         )
         n = len(self.variables)
-        if len(self.mean) != n or len(self.cov) != n:
-            raise ValidationError("mean/covariance shape mismatch")
+        if len(self.cov) != n or any(len(row) != n for row in self.cov):
+            raise ValidationError("covariance shape mismatch")
         for i in range(n):
             for j in range(i, n):
                 if self.cov[i][j] != self.cov[j][i]:
@@ -155,38 +149,39 @@ class GaussianJoint(JointVariables):
 def linear_propagate(spec: SystemSpec) -> GaussianJoint:
     """Exact second-order propagation through an affine system.
 
-    Each transmission is reduced to an affine form over the base variables
-    (the scalar message and every declared intrinsic noise); the covariance is
-    assembled from those coefficient rows and the base variances.  The joint
-    records each edge's random sources (``SystemSpec.sources``) for the flow
-    search.
+    ``SystemSpec.propagate``'s compiled node functions run, in its order, on
+    the message ``Affine(M)`` and each noise node v as ``Affine(v)``; the
+    covariance is assembled from the coefficients of the affine forms they
+    return and the base variances.  Any other transmission value, or a
+    function that fails on affine inputs, raises NonAffineError naming the
+    edge.  The joint records each edge's random sources
+    (``SystemSpec.sources``) for the flow search.
     """
     if not spec.is_gaussian:
         raise ValidationError("linear_propagate needs a gaussian message")
-    for v, ns in spec.noise.items():
-        if ns.kind != "gaussian":
-            raise ValidationError(f"noise at {v} is not gaussian")
     msg_name = spec.message.components[0]
-    base: list = [("msg", msg_name)] + [("noise", v) for v in spec.noise_nodes()]
-    base_var = {("msg", msg_name): spec.message.variance}
-    for v in spec.noise_nodes():
-        base_var[("noise", v)] = spec.noise[v].variance
+    base_var = {msg_name: spec.message.variance}
+    base_var.update((v, ns.variance) for v, ns in spec.noise.items())
 
     graph = spec.graph
-    env: dict[EdgeRef, AffineForm] = {}
-    edge_order = tuple(e for t in range(graph.horizon) for e in graph.edges_at(t))
-    for t in range(graph.horizon):
-        for v in graph.nodes_at(t):
-            for e in graph.outgoing(v):
-                try:
-                    env[e] = affine_form(spec.expr_for(e), env, v, sole_msg=msg_name)
-                except NonAffineError as exc:
-                    raise NonAffineError(f"edge {e}: {exc}") from exc
+    env = EvalEnv(
+        edges=dict.fromkeys(graph.edges, 0),
+        msg_values={msg_name: Affine(msg_name)},
+        noise_values={v: Affine(v) for v in spec.noise},
+    )
+    for v, e, fn in spec.compiled():
+        env.own_noise = env.noise_values.get(v, 0)
+        try:
+            value = fn(env)
+        except (ExpressionTypeError, NonAffineError) as exc:
+            raise NonAffineError(f"edge {e}: {exc}") from exc
+        if not isinstance(value, (Affine, int, Fraction)):
+            raise NonAffineError(f"edge {e}: {value!r} is not an affine form")
+        env.edges[e] = value
 
+    edge_order = tuple(e for t in range(graph.horizon) for e in graph.edges_at(t))
     variables: tuple = (msg_name,) + edge_order
-    msg_row = {("msg", msg_name): Fraction(1)}
-    rows = [msg_row] + [env[e].coeff_map() for e in edge_order]
-    consts = [Fraction(0)] + [env[e].constant for e in edge_order]
+    rows = [{msg_name: Fraction(1)}] + [getattr(env.edges[e], "coeffs", {}) for e in edge_order]
     n = len(variables)
     cov = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
@@ -200,6 +195,6 @@ def linear_propagate(spec: SystemSpec) -> GaussianJoint:
                 if cj is not None:
                     s += ci * cj * base_var[k]
             cov[i][j] = cov[j][i] = s
-    joint = GaussianJoint(variables, consts, cov)
+    joint = GaussianJoint(variables, cov)
     joint.sources = spec.sources()
     return joint

@@ -131,6 +131,8 @@ def enumerate_paths(h: PathGraph, limit: int = 10_000) -> PathList:
 
     Truncates after ``limit`` paths and says so in the flag.
     """
+    if limit < 0:
+        raise ValidationError(f"limit must be at least 0, got {limit}")
     succ: dict[NodeRef, list[NodeRef]] = {}
     for e in h.edges:
         succ.setdefault(e.src, []).append(e.dst)

@@ -54,6 +54,7 @@ from .system import ColumnPass, MessageSpec, NoiseSpec, SystemSpec
 
 # numpy's hypergeometric sampler refuses good or bad counts of 10**9 or more.
 DRAW_LIMIT = 10**9
+DEFAULT_MAX_SUBSET = 2  # a cascade's Bonferroni level shrinks with its length
 
 
 def sample_trials(spec: SystemSpec, n: int, seed: int) -> DiscreteJoint:
@@ -205,7 +206,7 @@ def detect_flow_sampled(
     trials: DiscreteJoint,
     edge: EdgeRef,
     alpha: float = 0.05,
-    max_subset_size: int = 2,
+    max_subset_size: int = DEFAULT_MAX_SUBSET,
     n_perm: int = 999,
     seed: int = 0,
     message: Optional[str] = None,

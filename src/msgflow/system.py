@@ -19,6 +19,8 @@ Two forward passes push realizations through the node functions:
 the reference the tests compare against; :class:`ColumnPass` computes whole
 columns of realizations for the exact enumerator and the trial sampler,
 running each node function once per distinct combination of its inputs.
+The linear-Gaussian engine runs ``propagate``'s functions, in its order, on
+affine forms (:func:`msgflow.gaussian.linear_propagate`).
 """
 
 from __future__ import annotations
@@ -263,7 +265,8 @@ class SystemSpec:
 
     # ----- propagation --------------------------------------------------
 
-    def _compile(self):
+    def compiled(self) -> tuple:
+        """(node, edge, compiled function) for each edge with a function, in forward order."""
         if self._compiled is None:
             plan = []
             for t in range(self.graph.horizon):
@@ -283,7 +286,7 @@ class SystemSpec:
         """Forward pass: every edge transmission of one realization."""
         out: dict[EdgeRef, Value] = {e: 0 for e in self.graph.edges}
         env = EvalEnv(edges=out, msg_values=dict(msg_values), noise_values=dict(noise_values))
-        for v, e, fn in self._compile():
+        for v, e, fn in self.compiled():
             env.own_noise = noise_values.get(v, 0)
             out[e] = fn(env)
         return out

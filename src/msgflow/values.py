@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import ExpressionTypeError
+from .errors import ExpressionTypeError, NonAffineError
 
 Rational = Union[int, Fraction]
 
@@ -31,6 +31,67 @@ class ComplexQ:
 
     def __repr__(self) -> str:
         return f"ComplexQ({self.re!r}, {self.im!r})"
+
+
+class Affine:
+    """An exact affine form ``const + sum(coeffs[x] * x)`` over base variables.
+
+    ``Affine(x)`` is the base variable x.  Sums, differences and negations
+    of forms and rationals are forms, and so are products in which one
+    factor reads no variable; any other product raises NonAffineError.
+    No coefficient is zero.
+    """
+
+    __slots__ = ("const", "coeffs")
+
+    def __init__(self, var) -> None:
+        self.const = Fraction(0)
+        self.coeffs = {var: Fraction(1)}
+
+    @staticmethod
+    def _of(const, coeffs: dict) -> "Affine":
+        a = object.__new__(Affine)
+        a.const = Fraction(const)
+        a.coeffs = {x: c for x, c in coeffs.items() if c != 0}
+        return a
+
+    def __add__(self, other):
+        if isinstance(other, Affine):
+            coeffs = dict(self.coeffs)
+            for x, c in other.coeffs.items():
+                coeffs[x] = coeffs.get(x, 0) + c
+            return Affine._of(self.const + other.const, coeffs)
+        if isinstance(other, (int, Fraction)):
+            return Affine._of(self.const + other, self.coeffs)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Affine":
+        return Affine._of(-self.const, {x: -c for x, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, Affine):
+            if self.coeffs and other.coeffs:
+                raise NonAffineError("product of two non-constant affine forms")
+            form, k = (self, other.const) if self.coeffs else (other, self.const)
+        elif isinstance(other, (int, Fraction)):
+            form, k = self, other
+        else:
+            return NotImplemented
+        return Affine._of(form.const * k, {x: c * k for x, c in form.coeffs.items()})
+
+    __rmul__ = __mul__
+
+    def __repr__(self) -> str:
+        terms = "".join(f" + {c}*{x}" for x, c in self.coeffs.items())
+        return f"Affine({self.const}{terms})"
 
 
 Scalar = int | Fraction | ComplexQ
@@ -57,7 +118,7 @@ def _parts(v: Scalar) -> tuple[Fraction, Fraction]:
     raise ExpressionTypeError(f"not a numeric scalar: {v!r}")
 
 
-_REAL = (int, Fraction, float)  # floats appear only when sampling gaussian systems
+_REAL = (int, Fraction, float, Affine)  # float: gaussian sampling; Affine: linear_propagate
 
 
 def vadd(a: Scalar, b: Scalar) -> Scalar:

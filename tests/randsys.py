@@ -3,6 +3,8 @@
 Systems stay small on purpose: at most four base nodes and four time steps,
 binary alphabets, at most two intrinsic noise sources, so exact enumeration
 and exhaustive subset searches stay cheap across hundreds of draws.
+``random_affine_system`` draws linear-Gaussian systems of the same size for
+the covariance engine.
 """
 
 from __future__ import annotations
@@ -135,4 +137,59 @@ def random_noisy_system(seed: int) -> SystemSpec:
                 functions[v] = fns
     return SystemSpec(
         graph, message, noise=noise_map, functions=functions, declared_inputs=inputs
+    )
+
+
+_AFFINE_CONSTANTS = (0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))
+
+
+def _random_affine_expr(rng: random.Random, leaves: list, depth: int = 2):
+    """An add/sub/negate/mul-by-constant tree over ``leaves`` and constants."""
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        if not leaves or rng.random() < 0.15:
+            return const(rng.choice(_AFFINE_CONSTANTS))
+        return rng.choice(leaves)
+    sub = lambda: _random_affine_expr(rng, leaves, depth - 1)
+    if r < 0.45:
+        return ("negate", sub())
+    if r < 0.7:
+        return ("mul", const(rng.choice(_AFFINE_CONSTANTS)), sub())
+    return (rng.choice(("add", "sub")), sub(), sub())
+
+
+def random_affine_system(seed: int) -> SystemSpec:
+    """A small linear-Gaussian system: at most three base nodes, horizon at
+    most three, at most four noise sources of variance 1, 1/4 or 4, and node
+    functions built from add, sub, negate, multiplication by a rational
+    constant and rational constants, over the message, the node's noise and
+    its incoming edges.  The message has variance 1."""
+    rng = random.Random(seed)
+    names = NAMES[: rng.randint(1, 3)]
+    horizon = rng.randint(1, 3)
+    base = {(a, a) for a in names}
+    base.update((a, b) for a in names for b in names if a != b and rng.random() < 0.5)
+    graph = UnrolledGraph(names, horizon, base)
+
+    eligible = [v for v in graph.nodes if v.time < horizon]
+    noise_nodes = rng.sample(eligible, k=rng.randint(0, min(4, len(eligible))))
+    variances = (1, Fraction(1, 4), 4)
+    noise_map = {v: NoiseSpec.gaussian(rng.choice(variances)) for v in noise_nodes}
+    inputs = tuple(sorted(rng.sample(names, k=rng.randint(1, len(names)))))
+
+    functions = {}
+    for t in range(horizon):
+        for v in graph.nodes_at(t):
+            leaves = [msg()] if t == 0 and v.name in inputs else []
+            leaves.extend(edge_in(e) for e in graph.incoming(v))
+            if v in noise_map:
+                leaves.append(noise())
+            fns = {e: _random_affine_expr(rng, leaves) for e in graph.outgoing(v)}
+            functions[v] = {e: x for e, x in fns.items() if rng.random() < 0.85}
+    return SystemSpec(
+        graph,
+        MessageSpec.gaussian("M"),
+        noise=noise_map,
+        functions=functions,
+        declared_inputs=inputs,
     )

@@ -267,6 +267,28 @@ def test_repeated_message_takes_the_last(capsys):
     assert json.loads(capsys.readouterr().out)["message"] == "M2"
 
 
+@pytest.mark.parametrize("engine", [(), ("--engine", "sampled", *SAMPLED)], ids=["exact", "sampled"])
+def test_analyze_rejects_a_repeated_message(engine, monkeypatch, capsys):
+    # Rejected before either engine runs.
+    def unreachable(*args):
+        raise AssertionError("an engine ran")
+
+    monkeypatch.setattr("msgflow.cli._joint_for", unreachable)
+    monkeypatch.setattr("msgflow.cli.sampling.sample_trials", unreachable)
+    assert run("analyze", "--fixture", "butterfly", "--message", "M1", "--message", "M2",
+               "--message", "M1", *engine) == 3
+    assert "more than once" in capsys.readouterr().err
+
+
+def test_paths_limit_must_not_be_negative(capsys):
+    argv = ("paths", "--fixture", "butterfly", "--message", "M2", "--target", "A4")
+    assert run(*argv, "--limit", "-1") == 3
+    assert "limit must be at least 0" in capsys.readouterr().err
+    assert run(*argv, "--limit", "0") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["paths"], doc["truncated"]) == ([], True)
+
+
 def _dot_edges(text):
     return {line.split()[0] + line.split()[2] for line in text.splitlines() if " -> " in line}
 

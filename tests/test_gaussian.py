@@ -5,8 +5,13 @@ import pytest
 
 import msgflow as mf
 from msgflow import MessageSpec, NoiseSpec, NonAffineError, SystemSpec, ValidationError
-from msgflow.exprs import edge_in, msg, noise
+from msgflow.cli import main
+from msgflow.errors import ExpressionTypeError
+from msgflow.exprs import const, edge_in, msg, noise
 from msgflow.graph import NodeRef, UnrolledGraph, edge
+from msgflow.system import save_system
+from msgflow.values import Affine, make_complex, vadd, vmul, vneg, vsub
+from randsys import random_affine_system
 
 
 def test_sk_second_estimate_variance(sk_joint):
@@ -49,17 +54,109 @@ def test_scalar_restriction(sk_joint):
         sk_joint.cmi(["M", edge("A", 0, "B")], [edge("B", 1, "A")])
 
 
-def test_non_affine_rejected():
-    g = UnrolledGraph(("A",), 1)
-    spec = SystemSpec(
-        g,
+def _one_edge(expr, noisy=True):
+    """A0->A1 computes ``expr`` from the message and, if ``noisy``, A0's noise."""
+    return SystemSpec(
+        UnrolledGraph(("A",), 1),
         MessageSpec.gaussian("M", 1),
-        noise={NodeRef("A", 0): NoiseSpec.gaussian(1)},
-        functions={NodeRef("A", 0): {edge("A", 0, "A"): ("mul", msg(), noise())}},
+        noise={NodeRef("A", 0): NoiseSpec.gaussian(4)} if noisy else {},
+        functions={NodeRef("A", 0): {edge("A", 0, "A"): expr}},
         declared_inputs=("A",),
     )
-    with pytest.raises(NonAffineError):
+
+
+@pytest.mark.parametrize("expr", [
+    ("xor", msg(), noise()),
+    ("not", msg()),
+    ("mod", 2, msg()),
+    ("concat", msg(), noise()),
+    ("add", msg(), const(make_complex(0, 1))),
+    const(make_complex(0, 1)),
+    ("mul", msg(), noise()),
+    ("mul", ("add", msg(), const(1)), ("sub", noise(), msg())),
+], ids=["xor", "not", "mod", "concat", "complex-sum", "complex-const", "product", "product-of-sums"])
+def test_non_affine_rejected(expr, tmp_path):
+    spec = _one_edge(expr)
+    with pytest.raises(NonAffineError, match="^edge A0->A1: "):
         mf.linear_propagate(spec)
+    path = tmp_path / "spec.json"
+    save_system(spec, path)
+    assert main(["analyze", "--spec", str(path)]) == 3
+
+
+@pytest.mark.parametrize("expr, var, cov_m", [
+    (("xor", const(1), const(1)), 0, 0),
+    (("select", 0, ("concat", msg(), noise())), 1, 1),
+    (("select", 1, ("concat", msg(), noise())), 4, 0),
+    (("mul", ("sub", msg(), msg()), noise()), 0, 0),
+    (("mul", ("mod", 3, const(5)), ("add", msg(), noise())), 20, 2),
+], ids=["xor-of-constants", "select-msg", "select-noise", "cancelled-product", "mod-of-constant"])
+def test_values_that_are_affine_are_accepted(expr, var, cov_m):
+    # The node functions run on affine values, so an expression is accepted
+    # whenever its value is affine, whatever operators build it.
+    g = mf.linear_propagate(_one_edge(expr))
+    assert g.variance(edge("A", 0, "A")) == var
+    assert g.covariance("M", edge("A", 0, "A")) == cov_m
+
+
+def test_noise_leaf_of_a_noiseless_node_reads_zero():
+    g = mf.linear_propagate(_one_edge(("add", msg(), noise()), noisy=False))
+    assert g.variance(edge("A", 0, "A")) == 1
+    assert g.covariance("M", edge("A", 0, "A")) == 1
+
+
+def test_affine_arithmetic():
+    m, z = Affine("M"), Affine("Z")
+    form = vsub(vmul(Fraction(1, 2), vadd(m, 3)), vneg(z))
+    assert (form.const, form.coeffs) == (Fraction(3, 2), {"M": Fraction(1, 2), "Z": 1})
+    zero = vsub(m, m)
+    assert (zero.const, zero.coeffs) == (0, {})
+    assert vmul(zero, z).coeffs == {}
+    assert vmul(vadd(zero, 2), z).coeffs == {"Z": 2}
+    with pytest.raises(NonAffineError):
+        vmul(m, vadd(z, 1))
+    with pytest.raises(ExpressionTypeError):
+        vadd(m, make_complex(1, 1))
+
+
+def _twin_covariance(spec):
+    """The covariance matrix of the gaussian ``spec``'s variables, computed by
+    exact enumeration of its node functions on a uniform +-s message and
+    +-s noises, s the square root of each variance (all variances here are
+    squares of rationals)."""
+    def pm(var):
+        root = Fraction(math.isqrt(var.numerator), math.isqrt(var.denominator))
+        assert root * root == var
+        return [(-root, Fraction(1, 2)), (root, Fraction(1, 2))]
+
+    twin = SystemSpec(
+        spec.graph,
+        MessageSpec.discrete(("M",), [((x,), p) for x, p in pm(spec.message.variance)]),
+        noise={v: NoiseSpec.discrete(pm(ns.variance)) for v, ns in spec.noise.items()},
+        functions=spec.functions,
+        declared_inputs=tuple(spec.declared_inputs),
+    )
+    joint = mf.enumerate_joint(twin)
+    rows, probs = joint.rows, joint.probs
+    mean = [sum(p * row[i] for row, p in zip(rows, probs)) for i in range(len(joint.variables))]
+    return joint.variables, [
+        [sum(p * (row[i] - mi) * (row[j] - mj) for row, p in zip(rows, probs))
+         for j, mj in enumerate(mean)]
+        for i, mi in enumerate(mean)
+    ]
+
+
+@pytest.mark.parametrize("seeds", [range(0, 100), range(100, 200)], ids=["0-99", "100-199"])
+def test_covariance_matches_enumeration_of_the_same_functions(seeds):
+    # Second moments of affine functions depend only on the sources'
+    # variances, so a two-point law of the same variance gives the same
+    # covariance; the enumeration runs the node functions on plain rationals.
+    for seed in seeds:
+        spec = random_affine_system(seed)
+        g = mf.linear_propagate(spec)
+        variables, cov = _twin_covariance(spec)
+        assert variables == g.variables, seed
+        assert [list(row) for row in g.cov] == cov, seed
 
 
 def test_covariance_symmetric_psd_diagonal(sk_joint):
