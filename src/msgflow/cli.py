@@ -97,6 +97,11 @@ def cmd_analyze(args) -> int:
             raise ValidationError(f"sampled engine needs {missing}")
         if args.quantify:
             raise ValidationError("--quantify does not apply to the sampled engine")
+        if spec.is_continuous:
+            raise ValidationError(
+                "the sampled engine tests discrete trials; this system has a gaussian "
+                "message or noise"
+            )
         joint = sampling.sample_trials(spec, args.n_trials, args.seed)
         streams = np.random.SeedSequence(args.seed).spawn(len(messages))
         reports = {
@@ -284,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-trials", type=int, help="sampled engine: trial count")
     p.add_argument("--seed", type=int, help="sampled engine: master seed")
     p.add_argument("--alpha", type=float, help="sampled engine: family error level")
-    p.add_argument("--n-perm", type=int, help="sampled engine: permutations per test")
+    p.add_argument("--n-perm", type=int, help="sampled engine: permutations per permutation test")
     p.add_argument("--quantify", action="store_true", help="report flow volumes")
     p.add_argument("--format", default="json", choices=["json", "dot", "text"])
     p.set_defaults(fn=cmd_analyze)

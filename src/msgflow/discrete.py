@@ -29,8 +29,9 @@ Every query asks one question of one (c, a, b) weight grid, built by
   ``dependent``, never from a float threshold.
 * ``cmi`` — I(A;B|C) in bits as a float, for display; on trials it is the
   plug-in estimate.
-* the permutation test of :mod:`msgflow.sampling` reads its per-stratum
-  contingency tables from the same grid.
+* the conditional-independence tests of :mod:`msgflow.sampling` read their
+  per-stratum contingency tables from the same grid, and the G-test its
+  statistic from ``grid_cmi``, the grid-level body of ``cmi``.
 
 Weights are int64 when the squared total weight fits in int64, so no product
 of two margins can overflow; otherwise they are Python ints in object arrays,
@@ -308,16 +309,7 @@ class DiscreteJoint(JointVariables):
 
         On trials this is the plug-in estimate from the empirical counts.
         """
-        g = self.weight_grid(a_vars, b_vars, c_vars)
-        w_ac = g.sum(axis=2)
-        w_bc = g.sum(axis=1)
-        w_c = w_ac.sum(axis=1)
-        live = g > 0
-        num = (g * w_c[:, None, None])[live]
-        den = (w_ac[:, :, None] * w_bc[:, None, :])[live]
-        share = (g[live] / self.total).astype(np.float64)
-        bits = float(np.sum(share * np.log2((num / den).astype(np.float64))))
-        return max(bits, 0.0)
+        return grid_cmi(self.weight_grid(a_vars, b_vars, c_vars), self.total)
 
     def entropy(self, vars: Sequence[VarId]) -> float:
         """H(vars) in bits."""
@@ -355,6 +347,20 @@ class DiscreteJoint(JointVariables):
         rows = [tuple(_parse_cell(x) for x in line[: len(line) - weighted]) for line in lines]
         weights = [_parse_weight(line[-1]) for line in lines] if weighted else None
         return DiscreteJoint(variables, rows, weights)
+
+
+def grid_cmi(g: np.ndarray, total: int) -> float:
+    """I(A;B|C) in bits of a (c, a, b) weight grid of total weight ``total``:
+    Σ (w_abc/total)·log2(w_abc·w_c / (w_ac·w_bc)) over the occupied cells."""
+    w_ac = g.sum(axis=2)
+    w_bc = g.sum(axis=1)
+    w_c = w_ac.sum(axis=1)
+    live = g > 0
+    num = (g * w_c[:, None, None])[live]
+    den = (w_ac[:, :, None] * w_bc[:, None, :])[live]
+    share = (g[live] / total).astype(np.float64)
+    bits = float(np.sum(share * np.log2((num / den).astype(np.float64))))
+    return max(bits, 0.0)
 
 
 def _parse_weight(text: str) -> int:

@@ -82,7 +82,7 @@ class FlowEntry:
     p_values: Optional[tuple] = None  # sampled engine only, as are the fields below
     level: Optional[float] = None  # the Bonferroni level of each test
     n_tests_planned: Optional[int] = None
-    replicates: Optional[int] = None  # permutation replicates drawn per test
+    replicates: Optional[int] = None  # per permutation test; 0 if every test was a G-test
 
 
 @dataclass

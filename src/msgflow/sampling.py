@@ -8,27 +8,41 @@ returns the same table the exact engine uses
 (:class:`~msgflow.discrete.DiscreteJoint`), one row of weight 1 per trial.
 
 Detection replays the exact detector's subset search as a sequence of
-conditional-independence permutation tests: the family is the subsets the
-exact search (:mod:`msgflow.flow`) tries, up to a size limit and in the same
-order, the size limit clamped to the searched edges.  With sources on the
-trials that is the subsets of the edge's source component comp(e); without
-them (a derived message, a table read from CSV) it is the subsets of the
-whole slice.  Both families test the same null
-hypothesis, "no S gives I(M; e | S) > 0": some subset of the slice is a
-witness exactly when some subset of comp(e) is (the proof is in
-:mod:`msgflow.flow`).  Bonferroni over the smaller family still bounds the
-per-edge family-wise error by alpha, and each of its tests runs at a larger
-level than in the whole slice's family, so its power can only rise.  A
-constant edge carries nothing and runs no test.  The statistic is the
-plug-in conditional mutual information, the null is built by permuting the
-edge column within strata of identical conditioning values (every replicate
-table of a stratum is drawn at once, one vectorised hypergeometric call per
-cell, whatever the alphabet sizes), and the whole per-edge cascade is
-Bonferroni-corrected, which stays valid under the arbitrary dependence
-between the cascade's tests.  A cascade runs with
-enough replicates that its smallest p-value lies below its Bonferroni level.
-Its verdict is the edge's report entry (:class:`~msgflow.flow.FlowEntry`),
-which records that count with the p-values, the level and the family size.
+conditional-independence tests: the family is the subsets the exact search
+(:mod:`msgflow.flow`) tries, up to a size limit and in the same order, the
+size limit clamped to the searched edges.  With sources on the trials that
+is the subsets of the edge's source component comp(e); without them (a
+derived message, a table read from CSV) it is the subsets of the whole
+slice.  Both families test the same null hypothesis, "no S gives
+I(M; e | S) > 0": some subset of the slice is a witness exactly when some
+subset of comp(e) is (the proof is in :mod:`msgflow.flow`).  Bonferroni over
+the smaller family still bounds the per-edge family-wise error by alpha, and
+each of its tests runs at a larger level than in the whole slice's family,
+so its power can only rise.  A constant edge carries nothing and runs no
+test.  The whole per-edge cascade is Bonferroni-corrected, which stays valid
+under the arbitrary dependence between the cascade's tests.
+
+Each test reads one weight grid over (conditioning stratum, M, e) and takes
+one of two routes (``_ci_test``):
+
+* the G-test, when every cell of every free stratum (more than one occupied
+  value of M and of e) expects at least ``COCHRAN_MIN_EXPECTED`` trials
+  under the null (Cochran's rule, checked in integers).  G = 2·n·ln 2 times
+  the plug-in conditional information in bits, on Σ (R_c − 1)(K_c − 1)
+  degrees of freedom, and p is its chi-square tail (``chi2_sf``);
+* the permutation test otherwise: the statistic is the plug-in conditional
+  mutual information, the null is built by permuting the edge column
+  within strata of identical conditioning values (every replicate table of
+  a stratum is drawn at once, one vectorised hypergeometric call per cell,
+  whatever the alphabet sizes), and a cascade runs with enough replicates
+  that its smallest p-value lies below its Bonferroni level.
+
+Both routes test the same conditional-independence null; Tsamardinos &
+Borboudakis (ECML PKDD 2010) compare them.  The G-test draws nothing and
+takes strata of any weight.  The verdict is the edge's report entry
+(:class:`~msgflow.flow.FlowEntry`), which records the p-values, the level,
+the family size and the replicates each permutation test drew, 0 when no
+test of the cascade permuted.
 
 All randomness is driven by spawned child streams of one master seed, so
 identical inputs give bit-identical trials and p-values.
@@ -38,11 +52,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .discrete import DiscreteJoint, VarId
+from .discrete import DiscreteJoint, VarId, grid_cmi
 from .errors import (
     ContinuousSamplingWarning,
     DegenerateTestWarning,
@@ -55,6 +69,10 @@ from .system import ColumnPass, MessageSpec, NoiseSpec, SystemSpec
 # numpy's hypergeometric sampler refuses good or bad counts of 10**9 or more.
 DRAW_LIMIT = 10**9
 DEFAULT_MAX_SUBSET = 2  # a cascade's Bonferroni level shrinks with its length
+# Cochran's rule: a test takes the G-test when every free cell expects this many.
+COCHRAN_MIN_EXPECTED = 5
+_EPS = 2.0**-52  # relative tolerance of the chi-square tail's series and fraction
+_MAX_TERMS = 100_000  # the fraction converges in O(sqrt(df)) terms
 
 
 def sample_trials(spec: SystemSpec, n: int, seed: int) -> DiscreteJoint:
@@ -72,7 +90,7 @@ def sample_trials(spec: SystemSpec, n: int, seed: int) -> DiscreteJoint:
         raise ValidationError(f"seed {seed} is negative")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     noise_nodes = spec.noise_nodes()
-    if spec.is_gaussian or any(spec.noise[v].kind == "gaussian" for v in noise_nodes):
+    if spec.is_continuous:
         warnings.warn(
             "sampling a continuous system; the discrete CI tests will not accept it",
             ContinuousSamplingWarning,
@@ -98,7 +116,113 @@ def _draw(law: MessageSpec | NoiseSpec, rng, n: int) -> np.ndarray:
     return rng.choice(len(probs), size=n, p=probs)
 
 
-# ----- permutation testing ------------------------------------------------
+# ----- conditional-independence tests -------------------------------------
+
+
+class _Strata(NamedTuple):
+    """A test's (c, a, b) weight grid and its margins."""
+
+    tables: np.ndarray  # w_abc, shape (kc, ka, kb)
+    rows: np.ndarray  # w_ac
+    cols: np.ndarray  # w_bc
+    n_c: np.ndarray  # w_c
+    free: np.ndarray  # more than one occupied A value and more than one B value
+
+
+def _strata(trials: DiscreteJoint, a_vars, b_vars, c_vars) -> Optional[_Strata]:
+    """The grid of a test of A against B given C, or None when p is 1 without
+    a test: a constant column is independent of everything, and a stratum of
+    one trial has nothing to permute (warned when every stratum is one)."""
+    tables = trials.weight_grid(a_vars, b_vars, c_vars)
+    if tables.shape[1] <= 1 or tables.shape[2] <= 1:
+        return None
+    rows = tables.sum(axis=2)
+    cols = tables.sum(axis=1)
+    n_c = rows.sum(axis=1)
+    if np.all(n_c <= 1):
+        warnings.warn(
+            "every conditioning stratum has one trial; the test is degenerate",
+            DegenerateTestWarning,
+            stacklevel=3,
+        )
+        return None
+    free = (np.count_nonzero(rows, axis=1) > 1) & (np.count_nonzero(cols, axis=1) > 1)
+    return _Strata(tables, rows, cols, n_c, free)
+
+
+def _dense(s: _Strata) -> bool:
+    """Cochran's rule: every cell of a free stratum whose row and column are
+    occupied expects at least ``COCHRAN_MIN_EXPECTED`` trials under the null,
+    w_ac·w_bc >= COCHRAN_MIN_EXPECTED·w_c, checked in integers.  The
+    products fit, since an int64 grid holds the squared total weight."""
+    rows, cols = s.rows[s.free], s.cols[s.free]
+    expected = rows[:, :, None] * cols[:, None, :]
+    floor = COCHRAN_MIN_EXPECTED * s.n_c[s.free][:, None, None]
+    return bool(np.all((expected >= floor) | (expected == 0)))
+
+
+def _g_statistic(s: _Strata) -> tuple[float, int]:
+    """G = 2·Σ w_abc·ln(w_abc·w_c / (w_ac·w_bc)) = 2·n·ln 2·Î(A; B | C) and
+    its degrees of freedom Σ_c (R_c − 1)(K_c − 1), for R_c occupied A values
+    and K_c occupied B values in stratum c (Agresti, *Categorical Data
+    Analysis*).  A forced stratum adds nothing to either: with one occupied
+    A value every cell has w_ac = w_c and w_abc = w_bc, so its log ratio is
+    exactly ln 1, and (R_c − 1)(K_c − 1) is 0."""
+    n = int(s.n_c.sum())
+    g = 2.0 * n * math.log(2.0) * grid_cmi(s.tables, n)
+    r = np.count_nonzero(s.rows, axis=1) - 1
+    k = np.count_nonzero(s.cols, axis=1) - 1
+    return g, int(np.dot(r, k))
+
+
+def chi2_sf(x: float, df: int) -> float:
+    """The chi-square upper tail P(X >= x) on ``df`` degrees of freedom: the
+    regularized upper incomplete gamma Q(df/2, x/2), by its series below
+    a + 1 and its continued fraction (modified Lentz) above (Numerical
+    Recipes, §6.2).  df 0 is the point mass at 0."""
+    a, z = df / 2.0, x / 2.0
+    if df == 0 or z <= 0.0:
+        return 1.0
+    scale = math.exp(a * math.log(z) - z - math.lgamma(a))
+    if z < a + 1.0:
+        # P(a, z) = e^-z z^a / Γ(a) · Σ_i z^i / (a (a+1) … (a+i))
+        term = total = 1.0 / a
+        ap = a
+        while abs(term) > abs(total) * _EPS:
+            ap += 1.0
+            term *= z / ap
+            total += term
+        return max(1.0 - scale * total, 0.0)
+    tiny = 1e-300
+    b = z + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    h = d
+    for i in range(1, _MAX_TERMS):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            break
+    return scale * h
+
+
+def _ci_test(
+    trials: DiscreteJoint, a_vars, b_vars, c_vars, n_perm: int, seed: int
+) -> tuple[float, int]:
+    """One test of a cascade: its p-value and the permutation replicates it
+    drew.  The G-test where the grid is dense (``_dense``), the permutation
+    test on the same grid otherwise; a test that needs neither draws 0."""
+    s = _strata(trials, a_vars, b_vars, c_vars)
+    if s is None:
+        return 1.0, 0
+    if _dense(s):
+        return chi2_sf(*_g_statistic(s)), 0
+    return _permutation_p(s, n_perm, seed), n_perm
 
 
 def _xlog2x(counts: np.ndarray) -> np.ndarray:
@@ -139,45 +263,34 @@ def permutation_ci_test(
     """
     if n_perm < 1:
         raise ValidationError("need at least one permutation")
-    n = trials.total
-    tables = trials.weight_grid(a_vars, b_vars, c_vars)
-    if tables.shape[1] <= 1 or tables.shape[2] <= 1:
-        # A constant column is independent of everything; every permuted
-        # statistic equals the observed 0.
-        return 1.0
-    if n >= DRAW_LIMIT:  # no stratum outweighs the total
-        heaviest = tables.sum(axis=(1, 2)).max()
-        if heaviest >= DRAW_LIMIT:
-            raise ValidationError(
-                f"a conditioning stratum weighs {heaviest}; the permutation test "
-                f"takes strata below {DRAW_LIMIT}, the largest count numpy's "
-                "hypergeometric sampler draws from"
-            )
-        # Every count fits int64, also when the grid holds Python ints.
-        tables = tables.astype(np.int64)
-    rows = tables.sum(axis=2)
-    cols = tables.sum(axis=1)
-    n_c = rows.sum(axis=1)
-    if np.all(n_c <= 1):
-        warnings.warn(
-            "every conditioning stratum has one trial; the test is degenerate",
-            DegenerateTestWarning,
-            stacklevel=2,
+    s = _strata(trials, a_vars, b_vars, c_vars)
+    return 1.0 if s is None else _permutation_p(s, n_perm, seed)
+
+
+def _permutation_p(s: _Strata, n_perm: int, seed: int) -> float:
+    """The body of ``permutation_ci_test`` on a grid ``_strata`` built."""
+    heaviest = s.n_c.max()
+    if heaviest >= DRAW_LIMIT:
+        raise ValidationError(
+            f"a conditioning stratum weighs {heaviest}; the permutation test "
+            f"takes strata below {DRAW_LIMIT}, the largest count numpy's "
+            "hypergeometric sampler draws from"
         )
-        return 1.0
+    # Every count fits int64, also when the grid holds Python ints.
+    tables, rows, cols, n_c = (x.astype(np.int64, copy=False) for x in s[:4])
+    n = int(n_c.sum())
 
     const = float(_xlog2x(n_c) - _xlog2x(rows).sum() - _xlog2x(cols).sum())
     cells = _xlog2x(tables).sum(axis=1)
     observed = max((float(cells.sum()) + const) / n, 0.0)
 
     # Strata whose table is forced by its margins contribute a constant term.
-    is_free = (np.count_nonzero(rows, axis=1) > 1) & (np.count_nonzero(cols, axis=1) > 1)
-    terms = np.full(n_perm, float(cells[~is_free].sum()))
+    terms = np.full(n_perm, float(cells[~s.free].sum()))
 
     # One stream per stratum, split deterministically from the master seed;
     # replicate r combines the r-th table drawn in every stratum, so strata
     # can be sampled independently (and in parallel) with identical results.
-    free = np.flatnonzero(is_free)
+    free = np.flatnonzero(s.free)
     streams = np.random.SeedSequence(seed).spawn(max(len(free), 1))
     for v, child in zip(free, streams):
         rng = np.random.default_rng(child)
@@ -228,10 +341,14 @@ def detect_flow_sampled(
     constant edge returns "no flow" with no test: empty ``p_values``,
     ``n_tests_planned`` and ``replicates`` 0, and ``level`` ``alpha``.
 
-    A permutation p-value is never below ``1 / (1 + n_perm)``, so a level
-    under that floor could never be reached.  Each test therefore draws
+    Each test is a G-test when its grid is dense by Cochran's rule, and a
+    permutation test otherwise (``_ci_test``).  A permutation p-value is
+    never below ``1 / (1 + n_perm)``, so a level under that floor could
+    never be reached.  Each permutation test therefore draws
     ``max(n_perm, ceil(N / alpha))`` replicates; the count is derived from
-    ``alpha`` and ``N``, and is not a separate setting.
+    ``alpha`` and ``N``, and is not a separate setting.  ``replicates``
+    records it when some test of the cascade ran by permutation, and is 0
+    when every test that ran was a G-test.
     """
     m = trials.default_message(message)
     if not trials.has_var(edge):
@@ -250,14 +367,14 @@ def detect_flow_sampled(
     n_perm = max(n_perm, math.ceil(n_tests / alpha))
     streams = np.random.SeedSequence(seed).spawn(n_tests)
     p_values = []
+    replicates = 0
     for sub, stream in zip(family, streams):
-        p = permutation_ci_test(
-            trials, [m], [edge], list(sub), n_perm=n_perm, seed=_stream_seed(stream)
-        )
+        p, drawn = _ci_test(trials, [m], [edge], list(sub), n_perm, _stream_seed(stream))
+        replicates = max(replicates, drawn)
         p_values.append((sub, p))
         if p <= level:
-            return FlowEntry(edge, True, sub, None, tuple(p_values), level, n_tests, n_perm)
-    return FlowEntry(edge, False, None, None, tuple(p_values), level, n_tests, n_perm)
+            return FlowEntry(edge, True, sub, None, tuple(p_values), level, n_tests, replicates)
+    return FlowEntry(edge, False, None, None, tuple(p_values), level, n_tests, replicates)
 
 
 def _stream_seed(ss: np.random.SeedSequence) -> int:

@@ -213,6 +213,11 @@ class SystemSpec:
     def is_gaussian(self) -> bool:
         return self.message.kind == "gaussian"
 
+    @property
+    def is_continuous(self) -> bool:
+        """A gaussian message or some gaussian noise: draws that are floats."""
+        return self.is_gaussian or any(n.kind == "gaussian" for n in self.noise.values())
+
     def expr_for(self, e: EdgeRef) -> Expr:
         return self.functions.get(e.src, {}).get(e, exprs.CONST_ZERO)
 

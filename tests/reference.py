@@ -11,7 +11,8 @@ edge-set questions to compare on both.  ``reference_cascade`` is the
 sampled cascade written as its own loop over the subsets of
 ``reference_component``: the edge's source component, grown one edge at a
 time over pairs of edges that share a source, or the whole slice when the
-trials carry no sources.
+trials carry no sources.  Each of its tests (``reference_test``) picks the
+G-test or the permutation test by its own loop over strata.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -125,10 +127,47 @@ def reference_component(trials, edge) -> tuple:
     return tuple(e for e in cands if e in seen)
 
 
+def reference_test(trials, m, edge, sub, n_perm, seed) -> tuple:
+    """One cascade test as ``(p, replicates drawn)``, routed by its own loop
+    over the strata of ``sub``: the G-test when every cell of a free stratum
+    (two occupied values of ``m`` and of ``edge``) expects at least 5
+    trials, w_ac·w_bc >= 5·w_c in integers, with G = 2·n·ln 2·``cmi`` and
+    df = Σ (R_c − 1)(K_c − 1) over the free strata; ``permutation_ci_test``
+    otherwise.  A constant column or a table of single-trial strata is p = 1
+    with no test."""
+    col = {v: i for i, v in enumerate(trials.variables)}
+    strata = {}
+    for row, w in zip(trials.rows, trials.weights.tolist()):
+        if w:
+            cell = strata.setdefault(tuple(row[col[x]] for x in sub), Counter())
+            cell[row[col[m]], row[col[edge]]] += w
+    if len({a for cell in strata.values() for a, _ in cell}) < 2 or len(
+        {b for cell in strata.values() for _, b in cell}
+    ) < 2:
+        return 1.0, 0
+    if all(sum(cell.values()) <= 1 for cell in strata.values()):
+        return 1.0, 0
+    dense, df = True, 0
+    for cell in strata.values():
+        rows, cols = Counter(), Counter()
+        for (a, b), w in cell.items():
+            rows[a] += w
+            cols[b] += w
+        if len(rows) > 1 and len(cols) > 1:
+            df += (len(rows) - 1) * (len(cols) - 1)
+            w_c = sum(rows.values())
+            dense = dense and all(r * k >= 5 * w_c for r in rows.values() for k in cols.values())
+    if dense:
+        g = 2 * trials.total * math.log(2) * trials.cmi([m], [edge], list(sub))
+        return mf.sampling.chi2_sf(g, df), 0
+    return mf.permutation_ci_test(trials, [m], [edge], list(sub), n_perm=n_perm, seed=seed), n_perm
+
+
 def reference_cascade(trials, edge, alpha, max_subset_size, n_perm, seed, message=None):
     """``detect_flow_sampled`` over every subset of ``reference_component``
     of at most ``max_subset_size`` edges, with one spawned stream per planned
-    test; a constant edge runs its tests like any other."""
+    test, each test run by ``reference_test``; a constant edge runs its
+    tests like any other."""
     m = trials.default_message(message)
     cands = reference_component(trials, edge)
     top = min(max_subset_size, len(cands))
@@ -137,15 +176,16 @@ def reference_cascade(trials, edge, alpha, max_subset_size, n_perm, seed, messag
     n_perm = max(n_perm, math.ceil(n_tests / alpha))
     streams = np.random.SeedSequence(seed).spawn(n_tests)
     p_values = []
-    i = 0
+    replicates = i = 0
     for k in range(top + 1):
         for sub in itertools.combinations(cands, k):
-            p = mf.permutation_ci_test(
-                trials, [m], [edge], list(sub), n_perm=n_perm,
-                seed=int(streams[i].generate_state(1, np.uint32)[0]),
-            )
+            stream_seed = int(streams[i].generate_state(1, np.uint32)[0])
+            p, drawn = reference_test(trials, m, edge, sub, n_perm, stream_seed)
             i += 1
+            replicates = max(replicates, drawn)
             p_values.append((sub, p))
             if p <= level:
-                return mf.FlowEntry(edge, True, sub, None, tuple(p_values), level, n_tests, n_perm)
-    return mf.FlowEntry(edge, False, None, None, tuple(p_values), level, n_tests, n_perm)
+                return mf.FlowEntry(
+                    edge, True, sub, None, tuple(p_values), level, n_tests, replicates
+                )
+    return mf.FlowEntry(edge, False, None, None, tuple(p_values), level, n_tests, replicates)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -181,11 +182,12 @@ def test_mutated_spec_never_crashes(tmp_path, fixture, data):
 
 def test_sampled_report_records_the_cascade(tmp_path):
     # A0->A1 shares no source with another edge: its cascade is one test at
-    # alpha 0.05, which needs ceil(1 / 0.05) = 20 replicates, more than the
-    # 19 asked for; the report says so.
+    # alpha 0.05.  At 20 trials its table is too sparse for the G-test, so it
+    # permutes, and needs ceil(1 / 0.05) = 20 replicates, more than the 19
+    # asked for; the report says so.
     out = tmp_path / "rep.json"
     assert run("analyze", "--fixture", "ce1", "--engine", "sampled",
-               "--n-trials", "2000", "--seed", "1", "--alpha", "0.05",
+               "--n-trials", "20", "--seed", "1", "--alpha", "0.05",
                "--n-perm", "19", "--max-conditioning", "1", "--out", str(out)) == 0
     rep = json.loads(out.read_text())["reports"]["M"]
     row = next(r for r in rep["edges"] if r["edge"] == "A0->A1")
@@ -278,6 +280,19 @@ def test_analyze_rejects_a_repeated_message(engine, monkeypatch, capsys):
     assert run("analyze", "--fixture", "butterfly", "--message", "M1", "--message", "M2",
                "--message", "M1", *engine) == 3
     assert "more than once" in capsys.readouterr().err
+
+
+def test_sampled_engine_rejects_a_gaussian_system_before_sampling(monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("trials were sampled")
+
+    monkeypatch.setattr("msgflow.cli.sampling.sample_trials", unreachable)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("analyze", "--fixture", "sk", "--engine", "sampled", *SAMPLED) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "gaussian" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_paths_limit_must_not_be_negative(capsys):

@@ -374,10 +374,13 @@ def test_detection_rate_monotone_in_trial_count(fixtures, joints):
 
 def test_cascade_draws_enough_replicates_to_reach_its_level(fixtures):
     # A0->A1 shares no source with another edge, so its cascade is the one
-    # marginal test at level 0.05.  With 9 permutations no p-value is below
-    # 1/10; the cascade draws ceil(1/0.05) = 20 replicates instead.
-    trials = mf.sample_trials(fixtures["ce1"].spec, 2_000, seed=1)
+    # marginal test at level 0.05.  At 20 trials its table [[8, 0], [0, 12]]
+    # expects 8·8/20 = 3.2 < 5 trials in a cell, so it runs by permutation.
+    # With 9 permutations no p-value is below 1/10; the cascade draws
+    # ceil(1/0.05) = 20 replicates instead.
+    trials = mf.sample_trials(fixtures["ce1"].spec, 20, seed=1)
     args = (edge("A", 0, "A"), 0.05, 1)
+    assert trials.weight_grid(["M"], [args[0]]).tolist() == [[[8, 0], [0, 12]]]
     v = mf.detect_flow_sampled(trials, *args, n_perm=9, seed=0)
     assert (v.n_tests_planned, v.replicates, v.level) == (1, 20, 0.05)
     assert v.has_flow and v.witness == ()
@@ -388,6 +391,11 @@ def test_cascade_draws_enough_replicates_to_reach_its_level(fixtures):
     assert (v.n_tests_planned, v.replicates) == (3, 60)
     assert v.has_flow and v.witness == ()
     assert v.p_values == (((), 1 / 61),)
+    # At 2,000 trials the table is dense: a G-test, no replicate drawn.
+    v = mf.detect_flow_sampled(mf.sample_trials(fixtures["ce1"].spec, 2_000, seed=1), *args,
+                               n_perm=9, seed=0)
+    assert (v.n_tests_planned, v.replicates) == (1, 0)
+    assert v.has_flow and v.p_values == (((), 0.0),)
 
 
 def test_component_cascade_agrees_with_exact_on_noisy_systems():
@@ -421,3 +429,200 @@ def test_component_cascade_agrees_with_exact_on_noisy_systems():
     assert nulls > 300 and flows > 200 and pruned > 400
     assert alarms <= 2 * 0.01 * nulls
     assert missed == []
+
+
+# ----- the G-test and its routing -----------------------------------------
+
+
+def test_chi2_tail_matches_closed_forms():
+    # Even df: Q(k, z) = e^-z Σ_{i<k} z^i / i! with z = x/2.  df 1: erfc(sqrt(x/2)).
+    xs = [0.0, 1e-9, 0.01, 0.3, 1.0, 2.5, 5.0, 9.9, 10.0, 10.1, 25.0, 60.0, 150.0,
+          400.0, 900.0, 1300.0, 1410.0, 1500.0, 2000.0, 2500.0]
+
+    def even(x, df):
+        # Each Poisson term in logs, so that none underflows before the sum.
+        z = x / 2
+        if z == 0:
+            return 1.0
+        return sum(math.exp(i * math.log(z) - z - math.lgamma(i + 1)) for i in range(df // 2))
+
+    for df, closed in [(1, lambda x, _: math.erfc(math.sqrt(x / 2)))] + [
+        (df, even) for df in (2, 4, 8, 20, 60, 200)
+    ]:
+        ps = [mf.sampling.chi2_sf(x, df) for x in xs]
+        for x, p in zip(xs, ps):
+            assert math.isclose(p, closed(x, df), rel_tol=1e-12, abs_tol=1e-300), (df, x)
+        assert ps[0] == 1.0 and ps[-1] == 0.0  # the tail underflows
+        assert all(q <= p for p, q in zip(ps, ps[1:])), df
+    # A fine sweep across the switch from series to fraction at x = df + 2.
+    sweep = [mf.sampling.chi2_sf(11.0 + i * 1e-3, 10) for i in range(2001)]
+    assert all(q <= p for p, q in zip(sweep, sweep[1:]))
+    assert mf.sampling.chi2_sf(3.0, 0) == 1.0
+
+
+def _g_brute_force(trials, a, b, c):
+    """G and df summed over the free strata, built from the rows one at a time."""
+    col = {v: i for i, v in enumerate(trials.variables)}
+    strata = {}
+    for row, w in zip(trials.rows, trials.weights.tolist()):
+        cell = strata.setdefault(tuple(row[col[x]] for x in c), Counter())
+        cell[row[col[a]], row[col[b]]] += w
+    g, df = 0.0, 0
+    for cell in strata.values():
+        rows, cols = Counter(), Counter()
+        for (x, y), w in cell.items():
+            rows[x] += w
+            cols[y] += w
+        if len(rows) > 1 and len(cols) > 1:
+            w_c = sum(rows.values())
+            df += (len(rows) - 1) * (len(cols) - 1)
+            g += 2 * sum(w * math.log(w * w_c / (rows[x] * cols[y])) for (x, y), w in cell.items())
+    return g, df
+
+
+@pytest.mark.parametrize("name", ["ce1", "ce2", "ce3", "mult-msg"])
+def test_g_statistic_is_the_plug_in_cmi(fixtures, name):
+    trials = mf.sample_trials(fixtures[name].spec, 2_000, seed=3)
+    n_tests = 0
+    for m in trials.message_vars:
+        for e in sorted(trials.edge_vars):
+            if trials.is_constant(e):
+                continue
+            for sub in mf.flow._subsets(mf.flow._component(trials, [e], frozenset([e])), 2):
+                s = mf.sampling._strata(trials, [m], [e], list(sub))
+                g, df = mf.sampling._g_statistic(s)
+                want = 2 * trials.total * math.log(2) * trials.cmi([m], [e], list(sub))
+                assert g == pytest.approx(want, rel=1e-9, abs=1e-9), (m, e, sub)
+                brute_g, brute_df = _g_brute_force(trials, m, e, sub)
+                assert df == brute_df
+                assert g == pytest.approx(max(brute_g, 0.0), rel=1e-9, abs=1e-9)
+                n_tests += 1
+    assert n_tests > 5
+
+
+def test_forced_strata_add_nothing_to_g_or_df():
+    # Two free strata, then strata with one A value, one B value, one trial.
+    free = [(0, 0, 0)] * 5 + [(0, 1, 0)] * 2 + [(1, 0, 0)] * 3 + [(1, 1, 0)] * 6 + [
+        (0, 0, 1), (1, 1, 1), (2, 2, 1), (2, 0, 1), (0, 2, 1), (1, 1, 1)]
+    forced = [(0, 0, 2), (0, 1, 2), (0, 1, 2), (1, 1, 3), (2, 1, 3), (2, 1, 3), (1, 0, 4)]
+    stats = []
+    for rows in (free, free + forced):
+        joint = mf.DiscreteJoint(["A", "B", "C"], rows)
+        stats.append(mf.sampling._g_statistic(mf.sampling._strata(joint, ["A"], ["B"], ["C"])))
+    (g_free, df_free), (g_all, df_all) = stats
+    assert df_free == df_all == 1 + 4
+    assert g_all == pytest.approx(g_free, rel=1e-12)
+    assert g_free == pytest.approx(_g_brute_force(
+        mf.DiscreteJoint(["A", "B", "C"], free), "A", "B", ["C"])[0], rel=1e-12)
+
+
+def _two_by_two(n, a, b, extra=()):
+    """One stratum of weight n with A margin (a, n − a) and B margin
+    (b, n − b), whose smallest expected count is a·b/n; plus ``extra`` rows
+    of weight 1 in strata of their own."""
+    cells = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
+    x = a // 2
+    weights = [x, a - x, b - x, n - a - b + x]
+    return mf.DiscreteJoint(["A", "B", "C"], cells + list(extra), weights + [1] * len(extra))
+
+
+@pytest.mark.parametrize(
+    "b, route", [(499, "permutation"), (500, "G"), (501, "G")], ids=["4.99", "5", "5.01"]
+)
+def test_cochran_rule_routes_the_test(b, route):
+    # Smallest expected count 20·b/2000: 4.99, exactly 5 and 5.01.  A forced
+    # stratum of one trial, whose cell expects 1, does not count.
+    for extra in ((), [(1, 1, 7)]):
+        joint = _two_by_two(2_000, 20, b, extra)
+        args = (joint, ["A"], ["B"], ["C"] if extra else [])
+        p, drawn = mf.sampling._ci_test(*args, n_perm=99, seed=5)
+        if route == "G":
+            assert drawn == 0
+            assert p == mf.sampling.chi2_sf(*mf.sampling._g_statistic(mf.sampling._strata(*args)))
+        else:
+            assert drawn == 99
+            assert p == mf.permutation_ci_test(*args, n_perm=99, seed=5)
+
+
+def test_cochran_rule_skips_values_a_stratum_lacks():
+    # Stratum 0 lacks B = 2 and stratum 1 lacks A = 2; every occupied cell
+    # expects 20 trials, so the test is a G-test.
+    cells = [(a, b, 0) for a in range(3) for b in range(2)]
+    cells += [(a, b, 1) for a in range(2) for b in range(3)]
+    joint = mf.DiscreteJoint(["A", "B", "C"], cells, [20] * len(cells))
+    assert mf.sampling._ci_test(joint, ["A"], ["B"], ["C"], 99, 0) == (1.0, 0)
+
+
+def test_replicates_count_a_permutation_test_before_a_g_test():
+    # Three trials hold e = 2, all with M = 0 and c = 1: the marginal table
+    # expects 1.5 trials in cell (M = 1, e = 2) and permutes.  Given c, the
+    # stratum c = 1 is forced and c = 0 is dense, so the second test is a
+    # G-test; the entry still records the first test's replicates.
+    e, c = edge("A", 0, "B"), edge("C", 0, "B")
+    rows = [(m, x, 0) for m in (0, 1) for x in (0, 1)] + [(0, 2, 1)]
+    trials = mf.DiscreteJoint(["M", e, c], rows, [40, 40, 40, 40, 3])
+    v = mf.detect_flow_sampled(trials, e, 0.05, 1, n_perm=99, seed=0)
+    assert [sub for sub, _ in v.p_values] == [(), (c,)]
+    assert not v.has_flow and v.p_values[1][1] == 1.0
+    assert v.replicates == 99
+
+
+def test_ci_test_degenerate_strata_warn_and_draw_nothing():
+    rows = [(0, 0, 0), (1, 1, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4)]
+    joint = mf.DiscreteJoint(["A", "B", "C"], rows)
+    with pytest.warns(DegenerateTestWarning):
+        assert mf.sampling._ci_test(joint, ["A"], ["B"], ["C"], 19, 0) == (1.0, 0)
+
+
+def test_dense_strata_beyond_the_draw_limit_take_the_g_test():
+    # The permutation test refuses a stratum of 10^9; the G-test needs no draw.
+    cells = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    flat = mf.DiscreteJoint(["A", "B"], cells, [10**9] * 4)
+    assert flat.weights.dtype == object
+    assert mf.sampling._ci_test(flat, ["A"], ["B"], [], 9, 0) == (1.0, 0)
+    tilted = mf.DiscreteJoint(["A", "B"], cells, [2 * 10**9, 10**9, 10**9, 2 * 10**9])
+    assert mf.sampling._ci_test(tilted, ["A"], ["B"], [], 9, 0) == (0.0, 0)
+
+
+@pytest.mark.parametrize("n_trials, alarms_max, misses_max", [(300, 0, 20), (10_000, 1, 4)])
+def test_cascade_agrees_with_exact_under_both_tests(n_trials, alarms_max, misses_max):
+    # random_noisy_system seeds 0–39 at alpha 0.01, cap 2.  False alarms stay
+    # within acceptance 10's bound of 2 alpha per null edge.  The counts the
+    # permutation-only cascade gave on these trials and streams (0 and 20 at
+    # 300 trials, 1 and 4 at 10,000) bound the alarms and misses.
+    nulls = alarms = misses = 0
+    for seed in range(40):
+        spec = random_noisy_system(seed)
+        joint = mf.enumerate_joint(spec)
+        trials = mf.sample_trials(spec, n_trials, seed=seed)
+        for m in trials.message_vars:
+            exact = mf.analyze(joint, m)
+            for i, e in enumerate(sorted(trials.edge_vars)):
+                if trials.is_constant(e):
+                    continue
+                v = mf.detect_flow_sampled(trials, e, 0.01, 2, 999, 1000 * seed + i, m)
+                if exact.entries[e].has_flow:
+                    misses += not v.has_flow
+                else:
+                    nulls += 1
+                    alarms += v.has_flow
+    assert nulls > 200
+    assert alarms <= min(alarms_max, 2 * 0.01 * nulls)
+    assert misses <= misses_max
+
+
+def test_cascade_matches_the_reference_on_sparse_trials(fixtures):
+    # At 60 trials some cascades run permutation tests; each one must match
+    # the reference, route and p-value alike.
+    permuted = 0
+    for name in CASCADE_FIXTURES:
+        trials = mf.sample_trials(fixtures[name].spec, 60, seed=5)
+        for t in (trials, unpruned(trials)):
+            assert _cascades_match_reference(t) > 0
+            permuted += sum(
+                mf.detect_flow_sampled(t, e, 0.05, 2, 199, 17 * i + 3, m).replicates > 0
+                for m in t.message_vars
+                for i, e in enumerate(sorted(t.edge_vars))
+                if not t.is_constant(e)
+            )
+    assert permuted >= 4
