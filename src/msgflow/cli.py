@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 from typing import Optional
 
@@ -338,23 +339,30 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    try:
-        return args.fn(args)
-    except (SpecParseError, json.JSONDecodeError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (BudgetExceededError, SearchSpaceError) as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except NoPathFound as exc:
-        print(f"no path: {exc}", file=sys.stderr)
-        return EXIT_NO_PATH
-    except ModelViolationAtInput as exc:
-        print(f"model violation: {exc}", file=sys.stderr)
-        return EXIT_MODEL_VIOLATION
-    except (ValidationError, MsgflowError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.fn(args)
+        except (SpecParseError, json.JSONDecodeError) as exc:
+            print(f"parse error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        except (BudgetExceededError, SearchSpaceError) as exc:
+            print(f"budget exceeded: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
+        except NoPathFound as exc:
+            print(f"no path: {exc}", file=sys.stderr)
+            return EXIT_NO_PATH
+        except ModelViolationAtInput as exc:
+            print(f"model violation: {exc}", file=sys.stderr)
+            return EXIT_MODEL_VIOLATION
+        except (ValidationError, MsgflowError) as exc:
+            print(f"validation error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a library warning as one line of its own, as errors are printed."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

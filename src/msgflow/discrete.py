@@ -7,8 +7,9 @@ weight:
 
 * an exact joint (``enumerate_joint``) holds every distinct outcome of the
   system once, weighted by its probability over the least common denominator;
-* sampled trials (``sampling.sample_trials``) hold one row per trial, each of
-  weight 1.
+* sampled trials (``sampling.sample_trials``) hold one row per distinct draw
+  of the sources, weighted by its count of trials, so a discrete system's
+  trials have at most as many rows as it has realizations.
 
 Both engines compute their columns with the column forward pass
 (:class:`~msgflow.system.ColumnPass`) and build the table from the code
@@ -39,8 +40,9 @@ run through the same code.  The choice is made from the data, and no float
 enters a verdict.
 
 ``to_csv`` writes the integer row weights in a last ``#weight`` column unless
-every row weighs 1, so exact joints round-trip through ``from_csv`` and trial
-files keep one plain line per trial.
+every row weighs 1, so exact joints and merged trials round-trip through
+``from_csv``; gaussian trials, whose draws are all distinct, keep one plain
+line per trial.
 
 Variable identifiers are message component names (strings) and
 :class:`~msgflow.graph.EdgeRef` objects.
@@ -144,7 +146,7 @@ class DiscreteJoint(JointVariables):
 
     ``weights`` are non-negative rationals, scaled to integers over their
     least common denominator; row i has probability ``weights[i] / total``.
-    Without weights every row (trial) has weight 1.  Both engines build the
+    Without weights every row has weight 1.  Both engines build the
     table from code columns with ``from_codes``; this constructor takes
     decoded rows.
     """
@@ -320,8 +322,9 @@ class DiscreteJoint(JointVariables):
     def to_csv(self, path) -> None:
         """Write a header of variable ids, then one line per row.
 
-        Unless every row weighs 1, as trials do, each line ends with the
-        row's integer weight, in a last column headed ``#weight``.
+        Unless every row weighs 1, as gaussian trials do, each line ends
+        with the row's integer weight, in a last column headed ``#weight``;
+        discrete trials write one weighted line per distinct draw.
         """
         weights = self.weights.tolist()
         weighted = any(w != 1 for w in weights)

@@ -2,10 +2,14 @@
 
 A trial is one independent realization of every random variable in a system,
 observed noiselessly on all edges.  ``sample_trials`` draws each source once
-for all trials and runs the column forward pass
-(:class:`~msgflow.system.ColumnPass`) the exact enumerator also uses.  It
-returns the same table the exact engine uses
-(:class:`~msgflow.discrete.DiscreteJoint`), one row of weight 1 per trial.
+for all trials, merges the trials that drew the same value of every source,
+and runs the column forward pass (:class:`~msgflow.system.ColumnPass`) the
+exact enumerator also uses on one row per distinct draw.  It returns the
+same table the exact engine uses (:class:`~msgflow.discrete.DiscreteJoint`),
+each row weighted by its count of trials.  The tests below read only the
+per-stratum counts, which are sufficient statistics, so the merge changes
+no test: every weight grid, p-value and verdict is the one a table of one
+row per trial gives.
 
 Detection replays the exact detector's subset search as a sequence of
 conditional-independence tests: the family is the subsets the exact search
@@ -64,7 +68,15 @@ from .errors import (
 )
 from .flow import FlowEntry, _component, _subsets
 from .graph import EdgeRef
-from .system import ColumnPass, MessageSpec, NoiseSpec, SystemSpec
+from .system import (
+    ColumnPass,
+    MessageSpec,
+    NoiseSpec,
+    SystemSpec,
+    compress,
+    first_rows,
+    mixed_radix,
+)
 
 # numpy's hypergeometric sampler refuses good or bad counts of 10**9 or more.
 DRAW_LIMIT = 10**9
@@ -79,10 +91,31 @@ def sample_trials(spec: SystemSpec, n: int, seed: int) -> DiscreteJoint:
     """Draw ``n`` independent trials by sampling (message, noises) and propagating.
 
     One vectorized draw per source, in a fixed order: the message first (a
-    derived message draws nothing), then the noises by node; then one
-    :class:`~msgflow.system.ColumnPass` over all trials.  The trials record
-    each edge's random sources (``SystemSpec.sources``, None for a derived
-    message), so the cascade searches each edge's source component.
+    derived message draws nothing), then the noises by node.  Trials with
+    equal draws of every source are merged into one row, weighted by how
+    many trials drew them, in order of their first trial; one
+    :class:`~msgflow.system.ColumnPass` then runs over those rows only.  The
+    trials record each edge's random sources (``SystemSpec.sources``, None
+    for a derived message), so the cascade searches each edge's source
+    component.
+
+    The merge is exact: for every query the merged table builds the weight
+    grid a table of one row per trial builds, so every test, G or
+    permutation, sees the same grid and draws the same stream:
+
+    * A trial's edge values are a function of its source draws, so the
+      trials merged into a row all hold that row's values.
+    * The first trial holding a value of any column is the first trial of
+      its draws (an earlier trial with those draws holds the value too), so
+      keeping first trials in trial order keeps each column's values, their
+      first-appearance codes and decode lists.  Each test's grid therefore
+      has the same axes, and each of its cells sums the same trials.
+    * The total is still ``n``, so the weight dtype is unchanged.
+
+    A discrete source's draws are pmf indices and serve as their own codes;
+    gaussian draws are compressed to their distinct values, which are all
+    distinct almost surely, so gaussian trials keep one row of weight 1
+    per trial, in trial order.
     """
     if n < 1:
         raise ValidationError("need at least one trial")
@@ -97,12 +130,21 @@ def sample_trials(spec: SystemSpec, n: int, seed: int) -> DiscreteJoint:
             stacklevel=2,
         )
     if spec.message.kind == "derived":
-        msg = np.zeros(n, dtype=np.int64)
+        msg, drawn = np.zeros(n, dtype=np.int64), []
     else:
         msg = _draw(spec.message, rng, n)
+        drawn = [(spec.message, msg)]
     noise = {v: _draw(spec.noise[v], rng, n) for v in noise_nodes}
+    drawn += [(spec.noise[v], noise[v]) for v in noise_nodes]
+    # One key per trial for all its draws; a pmf index is its own code.
+    key, k = mixed_radix(
+        [compress(d) if law.kind == "gaussian" else (d, len(law.pmf)) for law, d in drawn], n
+    )
+    first = first_rows(key, k)
     fwd = ColumnPass(spec)
-    trials = DiscreteJoint.from_codes(fwd.variables, fwd(msg, noise), fwd.values())
+    codes = fwd(msg[first], {v: d[first] for v, d in noise.items()})
+    counts = np.bincount(key, minlength=k)[key[first]]
+    trials = DiscreteJoint.from_codes(fwd.variables, codes, fwd.values(), counts.tolist())
     trials.sources = spec.sources()
     return trials
 

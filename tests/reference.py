@@ -2,7 +2,8 @@
 
 ``reference_joint`` and ``reference_trials`` rebuild what ``enumerate_joint``
 and ``sample_trials`` return, one realization at a time through
-``SystemSpec.propagate``, accumulating exact probabilities as Fractions.
+``SystemSpec.propagate``, accumulating exact probabilities as Fractions and
+trial counts as integers.
 ``assert_same_table`` compares two tables column by column, telling equal
 values of different types apart.  ``unpruned`` gives a joint whose flow
 search tries every subset of the slice, the brute force that the search
@@ -60,21 +61,29 @@ def reference_joint(spec) -> mf.DiscreteJoint:
     return mf.DiscreteJoint(_variables(spec), list(acc), list(acc.values()))
 
 
-def reference_trials(spec, n: int, seed: int) -> mf.DiscreteJoint:
+def reference_trials(spec, n: int, seed: int, merge: bool = True) -> mf.DiscreteJoint:
     """``sample_trials`` one trial at a time, from the same draws: message
-    first (none for a derived message), then the noises by node."""
+    first (none for a derived message), then the noises by node.  Trials
+    with equal draws of every source are then merged into one row, weighted
+    by their count, in order of their first trial; ``merge=False`` keeps
+    one row of weight 1 per trial."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     def draw(pmf):
         probs = np.array([float(p) for _, p in pmf])
-        return [pmf[i][0] for i in rng.choice(len(pmf), size=n, p=probs / probs.sum())]
+        return rng.choice(len(pmf), size=n, p=probs / probs.sum()).tolist()
 
-    msgs = draw(spec.message.pmf) if spec.message.kind == "discrete" else [()] * n
+    discrete = spec.message.kind == "discrete"
+    msgs = draw(spec.message.pmf) if discrete else [None] * n
     noise = {v: draw(spec.noise[v].pmf) for v in spec.noise_nodes()}
-    rows = [
-        reference_row(spec, msgs[i], {v: d[i] for v, d in noise.items()}) for i in range(n)
-    ]
-    return mf.DiscreteJoint(_variables(spec), rows)
+    merged: dict = {}
+    for i in range(n):
+        msg = spec.message.pmf[msgs[i]][0] if discrete else ()
+        row = reference_row(spec, msg, {v: spec.noise[v].pmf[d[i]][0] for v, d in noise.items()})
+        key = (msgs[i], *(d[i] for d in noise.values())) if merge else i
+        merged.setdefault(key, [row, 0])[1] += 1
+    rows, counts = zip(*merged.values())
+    return mf.DiscreteJoint(_variables(spec), rows, counts)
 
 
 def assert_same_table(got: mf.DiscreteJoint, want: mf.DiscreteJoint) -> None:

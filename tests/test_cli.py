@@ -14,6 +14,7 @@ from msgflow.cli import main
 from msgflow.graph import edge
 from msgflow.report import report_from_dict, report_to_dict
 from msgflow.system import load_system, save_system
+from reference import assert_same_table
 
 
 def run(*argv):
@@ -381,10 +382,28 @@ def test_simulate_round_trip(tmp_path):
     out = tmp_path / "trials.csv"
     assert run("simulate", "--fixture", "ce2", "--n-trials", "20", "--seed", "3",
                "--out", str(out)) == 0
+    # One weighted line per distinct draw; the file reads back to the table.
     trials = mf.DiscreteJoint.from_csv(out)
-    assert trials.n_rows == 20
+    assert_same_table(trials, mf.sample_trials(mf.build("ce2").spec, 20, seed=3))
+    assert trials.total == 20
     assert trials.variables[0] == "M"
     assert edge("A", 1, "B") in trials.variables
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("analyze", "--fixture", "mult-msg"), "messages M1 and M2 are dependent"),
+        (("simulate", "--fixture", "sk", "--n-trials", "5", "--seed", "1"),
+         "sampling a continuous system"),
+    ],
+    ids=["analyze-mult-msg", "simulate-sk"],
+)
+def test_library_warnings_print_as_one_line(tmp_path, capsys, argv, text):
+    assert run(*argv, "--out", str(tmp_path / "out")) == 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"warning: {text}") and "cli.py" not in err
 
 
 def test_sampled_conditioning_cap(tmp_path):

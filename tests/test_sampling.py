@@ -3,6 +3,7 @@ import math
 import warnings
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +26,7 @@ def ce1_trials(fixtures):
 def test_rows_live_in_exact_support(fixtures, joints):
     trials = mf.sample_trials(fixtures["ce1"].spec, 4, seed=7)
     support = set(joints["ce1"].rows)
-    assert trials.n_rows == 4
+    assert trials.total == 4
     for row in trials.rows:
         assert tuple(row) in support
 
@@ -34,13 +35,13 @@ def test_seeded_determinism(fixtures):
     a = mf.sample_trials(fixtures["ce2"].spec, 500, seed=11)
     b = mf.sample_trials(fixtures["ce2"].spec, 500, seed=11)
     c = mf.sample_trials(fixtures["ce2"].spec, 500, seed=12)
-    assert a.rows == b.rows
-    assert a.rows != c.rows
+    assert a.rows == b.rows and a.weights.tolist() == b.weights.tolist()
+    assert (a.rows, a.weights.tolist()) != (c.rows, c.weights.tolist())
 
 
 def test_empirical_mean_concentrates(fixtures):
     trials = mf.sample_trials(fixtures["ce1"].spec, 100_000, seed=5)
-    mean = sum(trials.column("M")) / trials.n_rows
+    mean = sum(m * w for m, w in zip(trials.column("M"), trials.weights.tolist())) / trials.total
     assert 0.49 <= mean <= 0.51
 
 
@@ -70,6 +71,46 @@ def test_trials_match_reference_on_fixtures(fixtures, name):
     # A derived message, ComplexQ transmissions, a two-component message.
     spec = fixtures[name].spec
     assert_same_table(mf.sample_trials(spec, 300, seed=8), reference_trials(spec, 300, 8))
+
+
+def _discrete_cases(fixtures):
+    named = [(name, fx.spec) for name, fx in fixtures.items() if not fx.spec.is_continuous]
+    return named + [(f"random_system({s})", random_system(s)) for s in range(50)]
+
+
+def test_merged_trials_keep_every_weight_grid(fixtures):
+    # Each grid of a (message component, edge, conditioning set of at most
+    # two edges of its slice) test equals the grid of the per-trial table.
+    for name, spec in _discrete_cases(fixtures):
+        trials = mf.sample_trials(spec, 200, seed=3)
+        per_trial = reference_trials(spec, 200, 3, merge=False)
+        for m, e in itertools.product(trials.message_vars, trials.edge_vars):
+            others = [x for x in trials.edges_at(e.time) if x != e]
+            for k in range(3):
+                for sub in itertools.combinations(others, k):
+                    got = trials.weight_grid([m], [e], list(sub))
+                    want = per_trial.weight_grid([m], [e], list(sub))
+                    assert got.dtype == want.dtype, (name, m, e, sub)
+                    assert got.tolist() == want.tolist(), (name, m, e, sub)
+
+
+def test_merged_rows_are_bounded_by_the_source_alphabets(fixtures):
+    for name, spec in _discrete_cases(fixtures):
+        trials = mf.sample_trials(spec, 3_000, seed=5)
+        assert trials.total == 3_000, name
+        assert trials.n_rows <= spec.realization_count(), name
+
+
+def test_gaussian_trials_keep_one_row_per_trial(fixtures):
+    # Float draws are all distinct: every trial keeps its own row of
+    # weight 1, in trial order (the message column is the message's draws).
+    spec = fixtures["sk"].spec
+    with pytest.warns(ContinuousSamplingWarning):
+        trials = mf.sample_trials(spec, 500, seed=9)
+    rng = np.random.default_rng(np.random.SeedSequence(9))
+    draws = rng.normal(0.0, math.sqrt(float(spec.message.variance)), size=500)
+    assert trials.n_rows == 500 and trials.weights.tolist() == [1] * 500
+    assert trials.column("M") == draws.tolist()
 
 
 def test_plug_in_cmi_close_to_exact(ce1_trials):
@@ -338,11 +379,11 @@ def test_csv_round_trip(fixtures, tmp_path):
     trials = mf.sample_trials(fixtures["ce1"].spec, 50, seed=13)
     path = tmp_path / "trials.csv"
     trials.to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header.startswith("M,") and "#weight" not in header  # trials weigh 1
-    again = mf.DiscreteJoint.from_csv(path)
-    assert again.variables == trials.variables
-    assert again.rows == trials.rows
+    lines = path.read_text().splitlines()
+    # One weighted line per distinct draw of the sources.
+    assert lines[0].startswith("M,") and lines[0].endswith(",#weight")
+    assert len(lines) == 1 + trials.n_rows < 1 + trials.total
+    assert_same_table(mf.DiscreteJoint.from_csv(path), trials)
 
 
 def test_detection_rate_monotone_in_trial_count(fixtures, joints):
