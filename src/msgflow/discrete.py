@@ -21,7 +21,10 @@ realizations, so its memory does not grow with the realization count, and
 sums integer weights without a Fraction per realization.
 
 Every query asks one question of one (c, a, b) weight grid, built by
-``weight_grid`` with C compressed to its observed strata:
+``weight_grid`` with C compressed to its observed strata.  A grid axis is
+one stored column, whose codes serve as they are, or a mixed-radix key of
+several columns, renumbered over its observed values by a presence table
+(``system.compress``), so building a grid sorts nothing:
 
 * ``dependent`` — an exact yes/no decision of I(A;B|C) > 0.  A and B are
   independent given C exactly when every cell of the full grid factorizes,
@@ -58,8 +61,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .graph import EdgeRef
-from .system import ColumnPass, SystemSpec, compress, first_rows, mixed_radix
+from .graph import EdgeRef, edge_key
+from .system import _INT64_MAX, ColumnPass, SystemSpec, compress, first_rows, mixed_radix
 from .values import value_str
 
 # Aliases use ``|``: typing.Union caches its results, which would keep the
@@ -74,14 +77,14 @@ CHUNK = 4096
 
 WEIGHT_HEADER = "#weight"
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
 
 class JointVariables:
     """Variable bookkeeping shared by every joint: messages, edges, times.
 
     ``edges_at(t)`` lists each slice in canonical (sorted) order, whatever
-    the column order, so the flow search and its reports need not sort.
+    the column order, so the flow search and its reports need not sort;
+    ``candidates_at(t)`` keeps its non-constant edges, by the subclass's
+    ``is_constant``, found once per slice for every search of it.
 
     ``sources`` maps each edge to the independent random sources it reads
     (``SystemSpec.sources``); the flow search and the sampled cascade use
@@ -103,9 +106,10 @@ class JointVariables:
             v for v in self.variables if isinstance(v, EdgeRef)
         )
         edges_at: dict[int, list[EdgeRef]] = {}
-        for e in sorted(self.edge_vars):
+        for e in sorted(self.edge_vars, key=edge_key):
             edges_at.setdefault(e.time, []).append(e)
         self._edges_at = {t: tuple(es) for t, es in edges_at.items()}
+        self._candidates: dict[int, tuple[EdgeRef, ...]] = {}
 
     def default_message(self, message: Optional[str] = None) -> str:
         if message is not None:
@@ -123,6 +127,15 @@ class JointVariables:
 
     def edges_at(self, t: int) -> tuple[EdgeRef, ...]:
         return self._edges_at.get(t, ())
+
+    def candidates_at(self, t: int) -> tuple[EdgeRef, ...]:
+        """The non-constant edges at time t, in canonical order: the
+        conditioning candidates of the slice, found once per slice."""
+        cands = self._candidates.get(t)
+        if cands is None:
+            cands = tuple(e for e in self.edges_at(t) if not self.is_constant(e))
+            self._candidates[t] = cands
+        return cands
 
     def has_var(self, v: VarId) -> bool:
         return v in self._index
@@ -247,11 +260,14 @@ class DiscreteJoint(JointVariables):
     def _code(self, vars: Sequence[VarId]) -> tuple[np.ndarray, int]:
         """One code per row for the joint value of ``vars``, and the code count.
 
-        Columns are combined in mixed radix (``mixed_radix``), in the order
-        given; a code count above the row count is compressed at once, so
-        codes stay below rows² and never overflow.  A combination of several
-        columns is compressed to its observed values, which keeps their
-        order.
+        A single column is its stored codes: they are dense, every value is
+        held by a row, and they number values by first appearance.  Several
+        columns are combined in mixed radix (``mixed_radix``), in the order
+        given, and numbered over their observed values only, in mixed-radix
+        order, by a presence table (``compress``; the bound is at most the
+        row count).  Either way the codes depend on the values the rows hold
+        and on their order, not on the row count, so tables that differ only
+        in how their rows are split or merged get the same codes.
         """
         cols = [self._col(v) for v in vars]
         for v, j in zip(vars, cols):
@@ -259,10 +275,10 @@ class DiscreteJoint(JointVariables):
                 raise ValidationError(
                     f"column {v} is continuous; CI tests need finite alphabets"
                 )
+        if len(cols) == 1:
+            return self.codes[cols[0]], len(self.values[cols[0]])
         code, k = mixed_radix([(self.codes[j], len(self.values[j])) for j in cols], self.n_rows)
-        if len(vars) > 1:
-            code, k = compress(code)
-        return code, k
+        return compress(code, k) if cols else (code, k)
 
     def weight_grid(
         self,
@@ -272,9 +288,12 @@ class DiscreteJoint(JointVariables):
     ) -> np.ndarray:
         """Total weight of each (c, a, b) value combination, shape (kc, ka, kb).
 
-        A single column keeps its first-appearance codes; several columns
-        are numbered in mixed-radix order over their observed values.  Each
-        of kc, ka and kb is at most the row count.
+        Each axis is ``_code``'s: a single column keeps its first-appearance
+        codes, and several columns are numbered in mixed-radix order over
+        their observed values, without a sort.  Each of kc, ka and kb is at
+        most the row count, and the grid is the same for any split or merge
+        of rows that keeps their values, their order of first appearance
+        and each value combination's total weight.
         """
         _check_sets(a_vars, b_vars, c_vars)
         a, ka = self._code(a_vars)

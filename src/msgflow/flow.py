@@ -115,17 +115,6 @@ class FlowReport:
         return tuple(sorted({e.time for e in self.entries}))
 
 
-def _candidates(
-    joint: Joint, t: int, exclude: frozenset[EdgeRef] = frozenset()
-) -> tuple[EdgeRef, ...]:
-    """The non-constant edges at time t outside ``exclude``, in canonical order."""
-    return tuple(
-        e
-        for e in joint.edges_at(t)
-        if e not in exclude and not joint.is_constant(e)
-    )
-
-
 def _check_cap(max_candidates: int) -> None:
     if max_candidates < 0:
         raise ValidationError(f"max_candidates must be at least 0, got {max_candidates}")
@@ -156,7 +145,7 @@ def _component(
     """comp(T) without ``exclude``, in canonical order: the candidates of the
     targets' slice joined to a target through chains of shared sources.  The
     component grows over the whole slice; ``exclude`` is removed after."""
-    cands = _candidates(joint, targets[0].time)
+    cands = joint.candidates_at(targets[0].time)
     if joint.sources is None:
         return tuple(x for x in cands if x not in exclude)
     reach, comp = set().union(*(joint.sources[e] for e in targets)), set(targets)
@@ -256,7 +245,9 @@ def candidate_flow(
     if which == 1:
         return False
     others = _cap(
-        _candidates(joint, edge.time, frozenset([edge])), max_candidates, f"at t={edge.time}"
+        tuple(e for e in joint.candidates_at(edge.time) if e != edge),
+        max_candidates,
+        f"at t={edge.time}",
     )
     if which == 2:
         return any(joint.dependent([m], [edge], [o]) for o in others)

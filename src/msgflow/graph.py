@@ -85,6 +85,12 @@ class EdgeRef:
         return EdgeRef(NodeRef.parse(parts[0]), NodeRef.parse(parts[1]))
 
 
+def edge_key(e: EdgeRef) -> tuple:
+    """The sort key of an edge, for ``sorted(..., key=edge_key)``: the same
+    order as the dataclass comparison, at a fraction of its cost."""
+    return (e.src.name, e.src.time, e.dst.name, e.dst.time)
+
+
 def edge(src_name: str, t: int, dst_name: str) -> EdgeRef:
     """Shorthand for the edge from ``src_name`` at time ``t`` to ``dst_name`` at ``t+1``."""
     return EdgeRef(NodeRef(src_name, t), NodeRef(dst_name, t + 1))
@@ -142,7 +148,7 @@ class UnrolledGraph:
                 )
             )
         self._edges_at = tuple(per_time)
-        self._edges = tuple(sorted(e for es in per_time for e in es))
+        self._edges = tuple(sorted((e for es in per_time for e in es), key=edge_key))
         self._node_set = frozenset(self._nodes)
         self._edge_set = frozenset(self._edges)
         # Built by walking the sorted edges, so each list is sorted too.

@@ -8,7 +8,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import SpecParseError
 from .flow import FlowEntry, FlowReport
-from .graph import EdgeRef, UnrolledGraph
+from .graph import EdgeRef, UnrolledGraph, edge_key
 
 REPORT_SCHEMA = "msgflow.flow-report/1"
 
@@ -38,7 +38,7 @@ def _quantified_from_json(q):
 
 def report_to_dict(report: FlowReport) -> dict:
     edges = []
-    for e in sorted(report.entries):
+    for e in sorted(report.entries, key=edge_key):
         entry = report.entries[e]
         row = {
             "edge": str(e),

@@ -33,7 +33,8 @@ one of two routes (``_ci_test``):
   value of M and of e) expects at least ``COCHRAN_MIN_EXPECTED`` trials
   under the null (Cochran's rule, checked in integers).  G = 2·n·ln 2 times
   the plug-in conditional information in bits, on Σ (R_c − 1)(K_c − 1)
-  degrees of freedom, and p is its chi-square tail (``chi2_sf``);
+  degrees of freedom over the free strata, and p is its chi-square tail
+  (``chi2_sf``);
 * the permutation test otherwise: the statistic is the plug-in conditional
   mutual information, the null is built by permuting the edge column
   within strata of identical conditioning values (every replicate table of
@@ -205,15 +206,17 @@ def _dense(s: _Strata) -> bool:
 
 def _g_statistic(s: _Strata) -> tuple[float, int]:
     """G = 2·Σ w_abc·ln(w_abc·w_c / (w_ac·w_bc)) = 2·n·ln 2·Î(A; B | C) and
-    its degrees of freedom Σ_c (R_c − 1)(K_c − 1), for R_c occupied A values
-    and K_c occupied B values in stratum c (Agresti, *Categorical Data
-    Analysis*).  A forced stratum adds nothing to either: with one occupied
-    A value every cell has w_ac = w_c and w_abc = w_bc, so its log ratio is
-    exactly ln 1, and (R_c − 1)(K_c − 1) is 0."""
+    its degrees of freedom Σ_c (R_c − 1)(K_c − 1) over the free strata, for
+    R_c occupied A values and K_c occupied B values in stratum c (Agresti,
+    *Categorical Data Analysis*).  A forced stratum adds nothing to either:
+    with one occupied A value every cell has w_ac = w_c and w_abc = w_bc, so
+    its log ratio is exactly ln 1, and (R_c − 1)(K_c − 1) is 0.  An empty
+    stratum, which a zero-weight row's conditioning value makes, has no
+    cell either; counted, it would add (0 − 1)(0 − 1) = 1."""
     n = int(s.n_c.sum())
     g = 2.0 * n * math.log(2.0) * grid_cmi(s.tables, n)
-    r = np.count_nonzero(s.rows, axis=1) - 1
-    k = np.count_nonzero(s.cols, axis=1) - 1
+    r = np.count_nonzero(s.rows[s.free], axis=1) - 1
+    k = np.count_nonzero(s.cols[s.free], axis=1) - 1
     return g, int(np.dot(r, k))
 
 

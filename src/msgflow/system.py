@@ -374,25 +374,53 @@ class SystemSpec:
 # ----- the column forward pass ------------------------------------------
 
 
-def compress(key: np.ndarray) -> tuple[np.ndarray, int]:
-    """Renumber codes to 0..m-1, keeping their order; returns (codes, m)."""
-    uniq, inverse = np.unique(key, return_inverse=True)
-    return inverse, len(uniq)
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def compress(key: np.ndarray, k: Optional[int] = None) -> tuple[np.ndarray, int]:
+    """Renumber the distinct values of ``key`` to 0..m-1, keeping their order;
+    returns (codes, m), the inverse and count of ``np.unique``.
+
+    When the caller knows every code lies below ``k`` and k is at most twice
+    the row count, a presence table ranks them in O(n + k) without a sort:
+    the rank of a present code is the number of present codes below it.
+    Otherwise, float draws included, ``np.unique`` sorts.
+    """
+    if k is None or k > 2 * len(key):
+        uniq, inverse = np.unique(key, return_inverse=True)
+        return inverse, len(uniq)
+    seen = np.zeros(k, dtype=np.int64)
+    seen[key] = 1
+    present = seen.cumsum()  # present codes up to and including each code
+    return present[key] - 1, int(present[-1])
 
 
 def mixed_radix(columns: Iterable[tuple[np.ndarray, int]], n: int) -> tuple[np.ndarray, int]:
     """One code per row for the joint value of several code columns.
 
-    ``columns`` holds (codes, code count) pairs, combined in mixed radix in
-    the order given.  A code count above the row count ``n`` is compressed
-    at once, so codes stay below n times a column's count and never
-    overflow.  Returns the codes and their count.
+    ``columns`` holds (int64 codes, code count) pairs, combined in mixed
+    radix in the order given; returns the codes and a bound k above them.
+    A first column that needs no compression is returned itself, to be
+    read only.
+
+    Columns are multiplied in without renumbering.  Before a product whose
+    bound would pass int64 the key is compressed to its m <= n distinct
+    values, so the next bound is at most n times a column's count, and a
+    bound above ``n`` is compressed once at the end: no code overflows, and
+    k <= n.  Mixed radix orders rows by their values, first column most
+    significant, and each compression is monotone, so the codes give the
+    same partition of the rows, in the same order, as compressing after
+    every column would; only their values may differ.
     """
     key, k = np.zeros(n, dtype=np.int64), 1
     for codes, size in columns:
-        key, k = key * size + codes, k * size
-        if k > n:
-            key, k = compress(key)
+        if k * size > _INT64_MAX:
+            key, k = compress(key, k)
+        # While k is 1 the key is all zeros, and the product is the column.
+        key = key * size + codes if k > 1 else codes.astype(np.int64, copy=False)
+        k *= size
+    if k > n:
+        key, k = compress(key, k)
     return key, k
 
 

@@ -11,7 +11,7 @@ from msgflow import discrete
 from msgflow import BudgetExceededError, MessageSpec, NoiseSpec, SystemSpec, ValidationError
 from msgflow.exprs import msg
 from msgflow.graph import NodeRef, UnrolledGraph, edge
-from msgflow.system import first_rows
+from msgflow.system import compress, first_rows, mixed_radix
 
 from randsys import random_noisy_system, random_system
 from reference import assert_same_table, reference_joint
@@ -369,13 +369,16 @@ def _biased(spec):
 
 
 def _check_kernel(j, rng, n_queries):
-    """Random queries, conditioning on up to three edges, against _brute_force."""
+    """Random queries, conditioning on up to three edges, against _brute_force;
+    A is the message, B itself, or the message with the edges left over."""
     pool = list(j.edge_vars)
     for _ in range(n_queries):
         b = rng.sample(pool, k=min(len(pool), rng.randint(1, 2)))
         rest = [v for v in pool if v not in b]
         c = rng.sample(rest, k=min(len(rest), rng.randint(0, 3)))
-        for a in (list(j.message_vars), b):
+        left = [v for v in rest if v not in c]
+        more = rng.sample(left, k=min(len(left), rng.randint(1, 2)))
+        for a in (list(j.message_vars), b, list(j.message_vars) + more):
             dep, bits = _brute_force(j, a, b, c)
             assert j.dependent(a, b, c) == dep, (a, b, c)
             assert j.cmi(a, b, c) == pytest.approx(bits, abs=1e-12), (a, b, c)
@@ -403,6 +406,73 @@ def test_kernel_matches_fraction_brute_force_on_random_tables(seed):
     weights = [Fraction(rng.randint(0, 4), rng.choice((1, 3, 7))) for _ in rows]
     weights[0] += 1
     _check_kernel(mf.DiscreteJoint(variables, rows, weights), rng, 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_kernel_matches_fraction_brute_force_on_multi_column_sets(seed):
+    # A, B and C of two or three columns each, with alphabets of up to five
+    # values, so every axis of the grid is a mixed-radix key.
+    import random
+
+    rng = random.Random(seed)
+    variables = ["M", "N"] + [edge(x, 0, y) for x in "ABC" for y in "AB"]
+    sizes = [rng.randint(1, 5) for _ in variables]
+    n = rng.randint(1, 30)
+    rows = [tuple(rng.randrange(k) for k in sizes) for _ in range(n)]
+    weights = [rng.randint(0, 3) for _ in rows]
+    weights[0] += 1
+    j = mf.DiscreteJoint(variables, rows, weights)
+    for _ in range(4):
+        edges = rng.sample(variables[2:], 5)
+        a, b, c = variables[:2], edges[:2], edges[2:]
+        dep, bits = _brute_force(j, a, b, c)
+        assert j.dependent(a, b, c) == dep, (a, b, c)
+        assert j.cmi(a, b, c) == pytest.approx(bits, abs=1e-12), (a, b, c)
+    _check_kernel(j, rng, 6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 200), st.booleans(), st.integers(0, 10**6))
+def test_compress_is_np_unique(n, k, give_k, seed):
+    # The presence table (k <= 2n) and the sort (k > 2n, or k unknown) both
+    # give np.unique's inverse and count.
+    key = np.random.default_rng(seed).integers(0, k, size=n)
+    inverse, count = compress(key, k if give_k else None)
+    uniq, want = np.unique(key, return_inverse=True)
+    assert inverse.tolist() == want.tolist()
+    assert count == len(uniq)
+
+
+def _ranks(rows):
+    """Each row's rank among the distinct rows, in lexicographic order."""
+    order = {r: i for i, r in enumerate(sorted(set(rows)))}
+    return [order[r] for r in rows]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.lists(st.integers(1, 5), min_size=1, max_size=8),
+       st.integers(0, 10**6))
+def test_mixed_radix_orders_rows_by_their_values(n, sizes, seed):
+    # Mixed radix keeps the partition and order that compressing after
+    # every column gives: lexicographic, first column most significant.
+    rng = np.random.default_rng(seed)
+    cols = [rng.integers(0, size, size=n) for size in sizes]
+    key, k = mixed_radix(zip(cols, sizes), n)
+    assert k <= n and key.max() < k
+    assert compress(key, k)[0].tolist() == _ranks(list(zip(*(c.tolist() for c in cols))))
+
+
+def test_mixed_radix_compresses_before_int64_overflows():
+    # 70 binary columns: 2^70 codes pass int64, so the key is compressed
+    # on the way, and the order is still that of the rows' bits.
+    rng = np.random.default_rng(3)
+    n = 50
+    cols = [rng.integers(0, 2, size=n) for _ in range(70)]
+    cols[0][:] = 1  # the top bit alone would overflow any int64 key
+    key, k = mixed_radix(((c, 2) for c in cols), n)
+    assert key.dtype == np.int64 and k <= n
+    assert key.tolist() == _ranks(list(zip(*(c.tolist() for c in cols))))
 
 
 def test_kernel_exact_beyond_int64():

@@ -243,3 +243,11 @@ def test_gaussian_flow_report(sk_joint, fixtures):
     bob = [edge("B", 1, "A"), edge("B", 3, "A"), edge("B", 5, "A")]
     qs = [rep.entries[e].quantified for e in bob]
     assert qs[0] < qs[1] < qs[2]
+
+
+def test_candidates_are_the_non_constant_edges_found_once_per_slice(joints, sk_joint):
+    for j in (*joints.values(), sk_joint):
+        for t in j.times():
+            cands = j.candidates_at(t)
+            assert cands == tuple(e for e in j.edges_at(t) if not j.is_constant(e))
+            assert j.candidates_at(t) is cands

@@ -10,7 +10,7 @@ import pytest
 
 import msgflow
 from msgflow import EdgeRef, NodeRef, ValidationError, unroll
-from msgflow.graph import edge
+from msgflow.graph import edge, edge_key
 
 
 def test_complete_unroll_counts():
@@ -146,3 +146,12 @@ def test_edge_ref_hash_survives_copies_and_pickles():
                           check=True, timeout=60).stdout
     loaded = pickle.loads(data)
     assert loaded == e and hash(loaded) == hash(e) and loaded in {e}
+
+
+def test_edge_key_sorts_like_the_dataclass_order():
+    import random
+
+    rng = random.Random(4)
+    names = ["A", "B", "Ab", "a", "_x", "AB"]
+    edges = [edge(rng.choice(names), rng.randint(0, 12), rng.choice(names)) for _ in range(300)]
+    assert sorted(edges, key=edge_key) == sorted(edges)

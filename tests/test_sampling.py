@@ -557,6 +557,22 @@ def test_forced_strata_add_nothing_to_g_or_df():
         mf.DiscreteJoint(["A", "B", "C"], free), "A", "B", ["C"])[0], rel=1e-12)
 
 
+def test_empty_strata_add_nothing_to_g_or_df():
+    # A weight-0 row holding a new conditioning value makes an empty stratum,
+    # which must not count (0 − 1)(0 − 1) = 1 degree of freedom.
+    rows = [(m, e, c) for c in (0, 1) for m in (0, 1) for e in (0, 1)]
+    weights = [20, 22, 19, 21, 30, 28, 33, 29]
+    g_stats, tests = [], []
+    for extra in ([], [(0, 0, 2)]):
+        joint = mf.DiscreteJoint(["M", "E", "C"], rows + extra, weights + [0] * len(extra))
+        args = (joint, ["M"], ["E"], ["C"])
+        g_stats.append(mf.sampling._g_statistic(mf.sampling._strata(*args)))
+        tests.append(mf.sampling._ci_test(*args, n_perm=99, seed=0))
+    assert g_stats[0][1] == 2
+    assert g_stats[1] == g_stats[0]
+    assert tests[1] == tests[0] and tests[0][1] == 0  # G-tests, same p
+
+
 def _two_by_two(n, a, b, extra=()):
     """One stratum of weight n with A margin (a, n − a) and B margin
     (b, n − b), whose smallest expected count is a·b/n; plus ``extra`` rows
