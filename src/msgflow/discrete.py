@@ -16,9 +16,12 @@ Both engines compute their columns with the column forward pass
 columns (``DiscreteJoint.from_codes``).  The pass, like the rows
 constructor, already numbers each column's values by first appearance and
 lists only values some row holds, so the table stores its codes as given.
-The enumerator feeds the pass the realization grid in chunks of ``CHUNK``
-realizations, so its memory does not grow with the realization count, and
-sums integer weights without a Fraction per realization.
+The enumerator walks the noise sources one at a time
+(``ColumnPass.outcomes``): it expands its weighted rows by a source just
+before the source's first reader runs, and merges the rows that become equal
+once its last reader has run, so its cost follows the distinct outcomes
+rather than the realization count; it sums integer weights without a
+Fraction per realization.
 
 Every query asks one question of one (c, a, b) weight grid, built by
 ``weight_grid`` with C compressed to its observed strata.  A grid axis is
@@ -62,7 +65,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
 from .graph import EdgeRef, edge_key
-from .system import _INT64_MAX, ColumnPass, SystemSpec, compress, first_rows, mixed_radix
+from .system import _INT64_MAX, ColumnPass, SystemSpec, compress, mixed_radix
 from .values import value_str
 
 # Aliases use ``|``: typing.Union caches its results, which would keep the
@@ -70,10 +73,6 @@ from .values import value_str
 VarId = str | EdgeRef
 
 DEFAULT_BUDGET = 2 ** 24
-
-# Realizations per column pass in ``enumerate_joint``: the pass's memory
-# stays flat in the realization count.
-CHUNK = 4096
 
 WEIGHT_HEADER = "#weight"
 
@@ -216,6 +215,8 @@ class DiscreteJoint(JointVariables):
             ints = [int(w) for w in weights]
             if len(ints) != n:
                 raise ValidationError("rows and weights differ in length")
+            if any(i != w for i, w in zip(ints, weights)):
+                raise ValidationError("non-integral weight")
             if any(w < 0 for w in ints):
                 raise ValidationError("negative weight")
         self.total = sum(ints)
@@ -415,15 +416,45 @@ def _parse_cell(text: str):
 def enumerate_joint(spec: SystemSpec, budget: int = DEFAULT_BUDGET) -> DiscreteJoint:
     """Build the exact joint of (message components, every edge transmission).
 
-    The grid of (message, noise) realizations is walked in ``CHUNK``-sized
-    slices, in ``itertools.product`` order (message outermost, noise nodes
-    sorted), through one :class:`~msgflow.system.ColumnPass`.  A
-    realization weighs the product of its sources' integer pmf numerators,
-    each law over its own least common denominator D_s; equal outcomes are
-    merged in order of first appearance, and the sums are divided by their
-    gcd, which scales them to the outcome probabilities over their least
-    common denominator, as the rows constructor would.  The joint records
-    each edge's random sources (``SystemSpec.sources``) for the flow search.
+    The joint is the pushforward of P(M) × Π_s P(s), over the noise nodes s,
+    by the map from a realization to its outcome.  It is built one source at
+    a time by :meth:`~msgflow.system.ColumnPass.outcomes`, which runs the
+    node functions in forward order on weighted rows over the columns
+    computed so far and the live sources: a source is drawn just before its
+    first reader runs and summed out once its last reader has run.
+
+    Merging is exact.  After each function the rows carry the law of
+    (computed columns, live sources) under P(M) × Π P(s) over the sources
+    drawn so far.  Every later column is a function of the computed
+    columns, the live sources and the sources not yet drawn, since a summed
+    out source has no reader left; the sources not yet drawn are independent
+    of everything drawn.  So the outcome law depends on the rows only
+    through that law: merging the rows that agree on (computed columns, live
+    sources), summing their weights, leaves it unchanged, and drawing a
+    source multiplies in its own law.  This is variable elimination (Zhang &
+    Poole, 1994) run forward.  A source no function reads is never drawn.
+
+    Weights: each law is taken over its own least common denominator D_s,
+    so a row weighs the sum, over the realizations it stands for, of the
+    product of the drawn sources' integer pmf numerators.  The sums are
+    divided by their gcd at the end, which scales them to the outcome
+    probabilities over their least common denominator, as the rows
+    constructor would; an undrawn source would have multiplied every weight
+    by the same D_s, which the gcd removes.  Weights are int64 while the
+    square of the product of every D_s fits, Python ints beyond.
+
+    Order: each row carries the smallest ``itertools.product``-order index
+    (message most significant, then the noise nodes sorted) of the
+    realizations it stands for.  Drawing value j of a source adds j times
+    the source's stride to every member, and a merge keeps the least.  The
+    table lists the outcomes by that index, numbers each column's values by
+    first appearance and decodes equal values of different types (1,
+    Fraction(1), 1.0) by the first row's, so it equals the table of the
+    realizations taken one by one in product order.  Indices are int64
+    while the realization count fits, Python ints beyond.
+
+    ``budget`` bounds the realization count.  The joint records each edge's
+    random sources (``SystemSpec.sources``) for the flow search.
     """
     if spec.is_gaussian:
         raise ValidationError("gaussian systems use linear_propagate, not enumeration")
@@ -437,37 +468,21 @@ def enumerate_joint(spec: SystemSpec, budget: int = DEFAULT_BUDGET) -> DiscreteJ
     laws = [msg_pmf] + [spec.noise[v].pmf for v in noise_nodes]
     denoms = [math.lcm(*(p.denominator for _, p in law)) for law in laws]
     # Realization weights sum to the product of the D_s: int64 while its
-    # square fits, as in the table.
+    # square fits, as in the table; indices are int64 while they fit.
     dtype = np.int64 if math.prod(denoms) ** 2 <= _INT64_MAX else object
-    nums = [np.array([int(p * d) for _, p in law], dtype=dtype) for law, d in zip(laws, denoms)]
-    shape = tuple(len(law) for law in laws)
+    itype = np.int64 if n_real <= _INT64_MAX else object
+    factors, stride = {}, 1
+    for source, law, d in reversed(list(zip((None, *noise_nodes), laws, denoms))):
+        factors[source] = (
+            np.array([int(p * d) for _, p in law], dtype=dtype),
+            np.array([j * stride for j in range(len(law))], dtype=itype),
+        )
+        stride *= len(law)
 
     fwd = ColumnPass(spec)
-    index: dict[bytes, int] = {}  # a distinct row's codes -> its position
-    blocks: list[np.ndarray] = []  # the distinct rows, one block per chunk
-    weights: list[int] = []
-    for start in range(0, n_real, CHUNK):
-        idx = np.unravel_index(np.arange(start, min(start + CHUNK, n_real)), shape)
-        w = nums[0][idx[0]]
-        for num, i in zip(nums[1:], idx[1:]):
-            w = w * num[i]
-        codes = fwd(idx[0], dict(zip(noise_nodes, idx[1:])))
-        key, k = mixed_radix(zip(codes, (codes.max(axis=1) + 1).tolist()), len(w))
-        sums = np.zeros(k, dtype=dtype)
-        np.add.at(sums, key, w)
-        new = []
-        for r in first_rows(key, k).tolist():
-            i = index.setdefault(codes[:, r].tobytes(), len(weights))
-            if i == len(weights):
-                new.append(r)
-                weights.append(int(sums[key[r]]))
-            else:
-                weights[i] += int(sums[key[r]])
-        blocks.append(codes[:, new])
-        del codes  # before the next chunk's codes are allocated
+    codes, values, weights = fwd.outcomes(factors)
+    weights = weights.tolist()
     g = math.gcd(*weights)
-    joint = DiscreteJoint.from_codes(
-        fwd.variables, np.concatenate(blocks, axis=1), fwd.values(), [w // g for w in weights]
-    )
+    joint = DiscreteJoint.from_codes(fwd.variables, codes, values, [w // g for w in weights])
     joint.sources = spec.sources()
     return joint

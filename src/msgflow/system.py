@@ -471,8 +471,10 @@ class ColumnPass:
     one) and, per noise node, an index array into its pmf or float draws.
     It returns every message and edge column, in ``variables`` order, as an
     int64 code array of shape (columns, n) into the decode lists
-    ``values()``.  Codes number values in order of first appearance and
-    stay fixed across calls, so the chunks of one grid share them.
+    ``values()``, the codes numbering values in order of first appearance.
+    The enumerator walks the noise sources one at a time instead
+    (``outcomes``), on the schedule the constructor builds from what each
+    function reads.
 
     Each compiled node function, and each derived message component, runs
     once per distinct combination of the columns it reads (``leaf_refs``),
@@ -497,6 +499,20 @@ class ColumnPass:
         self._fns = [
             (v, self._slot[key], compile_expr(x), self._reads(x, v)) for v, key, x in fns
         ]
+        # Per function, the noise nodes it reads first and the slots of those
+        # whose last reader it is.
+        first: dict = {}
+        last: dict = {}
+        for i, (_, _, _, reads) in enumerate(self._fns):
+            for j, field, key in reads:
+                if field == "noise_values":
+                    first.setdefault(key, i)
+                    last[j] = i
+        self._schedule = [([], []) for _ in self._fns]
+        for key, i in first.items():
+            self._schedule[i][0].append(key)
+        for j, i in last.items():
+            self._schedule[i][1].append(j)
 
     def _reads(self, expr: Expr, v: Optional[NodeRef]) -> tuple:
         """The columns ``expr`` reads at node ``v``, in order of first use, as
@@ -538,6 +554,123 @@ class ColumnPass:
             row[:] = np.asarray(col.table_code, dtype=np.int64)[row]
         return out
 
+    def outcomes(self, factors: Mapping) -> tuple[np.ndarray, list[tuple], np.ndarray]:
+        """The distinct outcomes of every (message, noise) realization.
+
+        ``factors`` maps the message (key None) and each noise node to two
+        arrays over its pmf values: weight factors and index offsets.  A
+        realization weighs the product of its values' factors, and its index
+        is the sum of their offsets.  Returns the code columns, in
+        ``variables`` order, their decode lists and each outcome's summed
+        weight, as ``__call__`` would give them on every realization in
+        index order, merged: outcomes in order of their least index.
+
+        The rows span the columns computed so far and the live noise
+        sources, and start as the message's pmf.  Before a function runs
+        they are expanded by each source it reads first: repeated once per
+        value, the value's factor multiplied into the weight and its offset
+        added to the index.  After it runs, the sources it reads last are
+        dropped and the rows now equal merge, summing their weights and
+        keeping the least index.  Rows are keyed by strict codes, which tell
+        1 from 1.0 for the functions still to run; rows that differ only
+        there merge at the end.  A source no function reads is never drawn.
+        """
+        spec = self.spec
+        weights, index = factors[None]
+        n = len(weights)
+        # Codes by slot of the computed columns and the live sources; every
+        # constant column holds the one array ``zero``.
+        held: list = [None] * len(self._cols)
+        zero = np.zeros(n, dtype=np.int64)
+        if spec.message.kind != "derived":
+            for j in range(len(spec.message.components)):
+                held[j] = _codes(self._cols[j], [x[j] for x, _ in spec.message.pmf])
+        # A key over the columns computed up to the last merge, the
+        # non-constant slots computed since, and the live sources.
+        done, k_done, fresh, live = np.arange(n), n, [], []
+        for (v, i, fn, reads), (expand, retire) in zip(self._fns, self._schedule):
+            for u in expand:
+                fw, fx = factors[u]
+                k, j = len(fw), self._slot[u]
+                z = np.zeros(n * k, dtype=np.int64)
+                held = [c if c is None else z if c is zero else c.repeat(k) for c in held]
+                held[j] = np.tile(_codes(self._cols[j], [x for x, _ in spec.noise[u].pmf]), n)
+                zero, done = z, done.repeat(k)
+                weights = weights.repeat(k) * np.tile(fw, n)
+                index = index.repeat(k) + np.tile(fx, n)
+                n *= k
+                live.append(j)
+            held[i] = self._apply(v, self._cols[i], fn, reads, held, n)
+            if len(self._cols[i].objs) == 1:
+                held[i] = zero
+            else:
+                fresh.append(i)
+            if not retire:
+                continue
+            for j in retire:
+                held[j] = None
+                live.remove(j)
+            done, k_done = mixed_radix(
+                [(done, k_done), *((held[j], len(self._cols[j].objs)) for j in fresh)], n
+            )
+            fresh = []
+            key, k = mixed_radix(
+                [(done, k_done), *((held[j], len(self._cols[j].objs)) for j in live)], n
+            )
+            key, m = compress(key, k)
+            if m < n:
+                rep = np.empty(m, dtype=np.int64)
+                rep[key] = np.arange(n)
+                merged = np.zeros(m, dtype=weights.dtype)
+                np.add.at(merged, key, weights)
+                least = index[rep]
+                np.minimum.at(least, key, index)
+                z = np.zeros(m, dtype=np.int64)
+                held = [c if c is None else z if c is zero else c[rep] for c in held]
+                zero, done, weights, index, n = z, done[rep], merged, least, m
+        return self._table(held, weights, np.argsort(index))
+
+    def _table(self, held: list, weights: np.ndarray, order: np.ndarray) -> tuple:
+        """The walk's rows in ``order`` as table codes, decode lists and weights.
+
+        Each column's strict codes map to its table codes.  A column whose
+        codes then do not number its values by first appearance, or that
+        merged equal values of different types, is renumbered, and each of
+        its values is decoded by the value its first row holds.  Rows that
+        became equal merge into the first, summing their weights.
+        """
+        cols = self._cols[: len(self.variables)]
+        out = np.zeros((len(cols), len(order)), dtype=np.int64)
+        values = []
+        for j, col in enumerate(cols):
+            values.append(tuple(col.table))
+            if len(col.objs) == 1:  # a constant column: every code is 0
+                continue
+            strict = held[j][order]
+            held[j] = None
+            k = len(col.table)
+            # Without merged values the table codes are the strict codes.
+            if len(col.objs) == k and _first_seen(strict, k):
+                out[j] = strict
+                continue
+            codes = np.asarray(col.table_code, dtype=np.int64)[strict]
+            first = first_rows(codes, k)
+            lut = np.empty(k, dtype=np.int64)
+            lut[codes[first]] = np.arange(k)
+            out[j] = lut[codes]
+            values[j] = tuple(col.objs[s] for s in strict[first].tolist())
+        weights = weights[order]
+        if any(len(col.objs) > len(col.table) for col in cols):
+            key, k = mixed_radix(zip(out, map(len, values)), len(order))
+            first = first_rows(key, k)
+            if len(first) < len(order):
+                lut = np.empty(k, dtype=np.int64)
+                lut[key[first]] = np.arange(len(first))
+                merged = np.zeros(len(first), dtype=weights.dtype)
+                np.add.at(merged, lut[key], weights)
+                out, weights = out[:, first], merged
+        return out, values, weights
+
     def _apply(self, v, col: _Column, fn, reads, codes: list, n: int) -> np.ndarray:
         """Codes of one function's column, from the columns it reads."""
         key, k = mixed_radix([(codes[i], len(self._cols[i].objs)) for i, _, _ in reads], n)
@@ -558,6 +691,21 @@ def _source(col: _Column, draws: np.ndarray, support: Optional[list]) -> np.ndar
         uniq, key = np.unique(draws, return_inverse=True)
         return _each(key, len(uniq), lambda r: col.code(float(draws[r])))
     return _each(draws, len(support), lambda r: col.code(support[draws[r]]))
+
+
+def _codes(col: _Column, support: list) -> np.ndarray:
+    """Codes of a source column's values, in support order."""
+    return np.array([col.code(x) for x in support], dtype=np.int64)
+
+
+def _first_seen(codes: np.ndarray, k: int) -> bool:
+    """Whether ``codes``, which hold each of 0..k-1, number their values in
+    order of first appearance: each code is at most one above every code
+    before it, starting from 0."""
+    if codes[0] != 0 or k <= 2:
+        return codes[0] == 0
+    top = np.maximum.accumulate(codes)
+    return not np.any(codes[1:] > top[:-1] + 1)
 
 
 def _each(key: np.ndarray, k: int, code_at: Callable[[int], int]) -> np.ndarray:

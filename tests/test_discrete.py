@@ -1,15 +1,13 @@
 import math
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import msgflow as mf
-from msgflow import discrete
 from msgflow import BudgetExceededError, MessageSpec, NoiseSpec, SystemSpec, ValidationError
-from msgflow.exprs import msg
+from msgflow.exprs import edge_in, msg
 from msgflow.graph import NodeRef, UnrolledGraph, edge
 from msgflow.system import compress, first_rows, mixed_radix
 
@@ -182,14 +180,12 @@ def test_enumeration_surfaces_type_errors():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6), st.booleans(), st.sampled_from([3, 7, None]))
-def test_enumeration_matches_per_realization_reference(seed, biased, chunk):
-    # Small chunks put chunk boundaries inside every system.
+@given(st.integers(0, 10**6), st.booleans())
+def test_enumeration_matches_per_realization_reference(seed, biased):
     spec = random_system(seed)
     if biased:
         spec = _biased(spec)
-    with mock.patch.object(discrete, "CHUNK", chunk or discrete.CHUNK):
-        assert_same_table(mf.enumerate_joint(spec), reference_joint(spec))
+    assert_same_table(mf.enumerate_joint(spec), reference_joint(spec))
 
 
 def test_named_own_noise_reads_like_bare_noise():
@@ -214,36 +210,139 @@ def test_enumeration_matches_reference_on_fixtures(fixtures, name):
     assert_same_table(mf.enumerate_joint(spec), reference_joint(spec))
 
 
-def test_enumeration_across_chunks():
-    # 2 * 2 * 3 * 5 * 7 * 11 = 4620 realizations: the second chunk is
-    # partial, and holds rows first seen in the first chunk (realizations
-    # 4081-4157 share M, B0's and C0's values) and rows first seen in itself
-    # (C0 = 4 from 4158 on).  Every law has an odd denominator.
-    names = ("A", "B", "C", "D", "E")
-    g = UnrolledGraph(names, 2)
-    laws = {"B": 3, "C": 5, "D": 7, "E": 11}
+def _walk_case(name):
+    """Systems whose walk order differs from product order (A1 sorts before
+    B0, but B0 is drawn first), each with odd-denominator laws."""
+    g = UnrolledGraph(("A", "B", "C"), 2)
+    a1, b0, c0 = NodeRef("A", 1), NodeRef("B", 0), NodeRef("C", 0)
+    b0_law = NoiseSpec.discrete([(0, Fraction(1, 6)), (1, Fraction(1, 3)), (2, Fraction(1, 2))])
+    a1_law = NoiseSpec.discrete([(0, Fraction(1, 5)), (1, Fraction(4, 5))])
+    if name == "reordered":
+        # B0's two even values merge once B0->A1 (its only reader) has run;
+        # the merged row keeps the index of B0 = 0.
+        noise = {b0: b0_law, a1: a1_law}
+        total = ("add", edge_in(edge("A", 0, "A")), edge_in(edge("B", 0, "A")))
+        fns = {
+            NodeRef("A", 0): {edge("A", 0, "A"): msg()},
+            NodeRef("B", 0): {edge("B", 0, "A"): ("mod", 2, ("noise", None))},
+            NodeRef("A", 1): {edge("A", 1, "A"): ("add", total, ("noise", None))},
+        }
+        return SystemSpec(g, MessageSpec.bernoulli("M", Fraction(2, 7)), noise, fns, ("A",))
+    if name == "derived-live":
+        # M = A1 and B0 reads A1's noise before slice 0, and A1->A2 reads it
+        # again after B0 is summed out: rows that differ only in A1's noise
+        # must not merge.
+        noise = {b0: NoiseSpec.bernoulli(Fraction(3, 4)), a1: a1_law}
+        fns = {
+            NodeRef("B", 0): {edge("B", 0, "A"): ("noise", None), edge("B", 0, "B"): ("noise", None)},
+            NodeRef("A", 1): {edge("A", 1, "A"): ("xor", edge_in(edge("B", 0, "A")), ("noise", None))},
+            NodeRef("B", 1): {edge("B", 1, "B"): ("edge", edge("B", 0, "B"))},
+        }
+        message = MessageSpec.derived(("M",), [("and", ("noise", a1), ("noise", b0))])
+        return SystemSpec(g, message, noise, fns)
+    # "mixed-types": C0->A1 carries 0 or 0.0 and A1->A2 their sum with B0's
+    # bit and A1's 0 or 1.0.  Its first value equal to 1 is the int 1 in
+    # product order (A1 = 0, B0 = 1, C0 = 1), but the float 1.0 in walk
+    # order (B0 = 0, C0 = 1, A1 = 1.0); rows that differ only in 0 and 0.0
+    # are one outcome of the table.
     noise = {
-        NodeRef(x, 0): NoiseSpec.discrete([(i, Fraction(2 * i + 1, k * k)) for i in range(k)])
-        for x, k in laws.items()
+        b0: NoiseSpec.bernoulli(Fraction(1, 3)),
+        c0: NoiseSpec.discrete([(1, Fraction(2, 5)), (1.5, Fraction(3, 5))]),
+        a1: NoiseSpec.discrete([(0, Fraction(1, 7)), (1.0, Fraction(6, 7))]),
     }
-    noise[NodeRef("A", 1)] = NoiseSpec.bernoulli(Fraction(2, 3))
-    functions = {NodeRef(x, 0): {edge(x, 0, "A"): ("mod", 2, ("noise", None))} for x in laws}
-    for x in "BC":
-        functions[NodeRef(x, 0)][edge(x, 0, x)] = ("noise", None)
-    functions[NodeRef("A", 0)] = {edge("A", 0, "A"): msg()}
-    total = ("edge", edge("A", 0, "A"))
-    for x in laws:
-        total = ("add", total, ("edge", edge(x, 0, "A")))
-    functions[NodeRef("A", 1)] = {edge("A", 1, "A"): ("mod", 3, ("add", total, ("noise", None)))}
-    functions[NodeRef("B", 1)] = {edge("B", 1, "B"): ("mod", 2, ("edge", edge("B", 0, "B")))}
-    functions[NodeRef("C", 1)] = {edge("C", 1, "A"): ("edge", edge("C", 0, "C"))}
+    total = ("add", edge_in(edge("B", 0, "A")), edge_in(edge("C", 0, "A")))
+    fns = {
+        NodeRef("A", 0): {edge("A", 0, "A"): msg()},
+        NodeRef("B", 0): {edge("B", 0, "A"): ("noise", None)},
+        NodeRef("C", 0): {edge("C", 0, "A"): ("mul", ("noise", None), ("const", 0))},
+        NodeRef("A", 1): {edge("A", 1, "A"): ("add", total, ("noise", None))},
+    }
+    return SystemSpec(g, MessageSpec.bernoulli("M"), noise, fns, ("A",))
+
+
+@pytest.mark.parametrize("name", ["reordered", "derived-live", "mixed-types"])
+def test_enumeration_across_sources(name):
+    spec = _walk_case(name)
+    j = mf.enumerate_joint(spec)
+    assert_same_table(j, reference_joint(spec))
+    if name == "mixed-types":
+        assert [(type(x), x) for x in j.support(edge("A", 1, "A"))] == [
+            (int, 0), (int, 1), (float, 2.0)
+        ]
+        assert (j.n_rows, spec.realization_count()) == (8, 16)
+
+
+def _pad_mask(k, d, w):
+    """A binary pad-mask system: A sends M + k pads mod 2 to B, which
+    subtracts them; each pad and each of d decoys draws noise on 0..w-1."""
+    pads = ["P" + "ABCDEFGH"[i] for i in range(k)]
+    decoys = ["D" + "ABCDEFGH"[i] for i in range(d)]
+    reduced = ["mod", 2, ["noise"]]
+    law = {"kind": "discrete", "pmf": [{"value": v, "p": [1, w]} for v in range(w)]}
+    adjacency = [["A", "A"], ["A", "B"], ["B", "B"]]
+    functions = {"A0": {"A1": ["msg"]}}
+    masked, decoded = ["edge", "A0", "A1"], ["edge", "A1", "B2"]
+    for p in pads:
+        adjacency += [[p, "A"], [p, p], [p, "B"]]
+        functions[f"{p}0"] = {"A1": reduced, f"{p}1": reduced}
+        functions[f"{p}1"] = {"B2": ["edge", f"{p}0", f"{p}1"]}
+        masked = ["add", masked, ["edge", f"{p}0", "A1"]]
+        decoded = ["sub", decoded, ["edge", f"{p}1", "B2"]]
+    for x in decoys:
+        adjacency += [[x, x], [x, "B"]]
+        functions[f"{x}0"] = {f"{x}1": reduced}
+        functions[f"{x}1"] = {"B2": ["edge", f"{x}0", f"{x}1"]}
+    functions["A1"] = {"B2": ["mod", 2, masked]}
+    functions["B2"] = {"B3": ["mod", 2, decoded]}
+    return SystemSpec.from_json_dict({
+        "nodes": ["A", "B", *pads, *decoys],
+        "horizon": 3,
+        "adjacency": adjacency,
+        "message": {"kind": "discrete", "components": ["M"],
+                    "pmf": [{"value": [m], "p": [1, 2]} for m in range(2)]},
+        "noise": {f"{x}0": law for x in pads + decoys},
+        "functions": functions,
+        "declared_inputs": ["A"],
+    })
+
+
+def test_enumeration_of_many_realizations_with_few_outcomes():
+    # 2 * 16^5 = 2^21 realizations: M and the five reduced noises are
+    # independent fair bits, and B decodes M.
+    spec = _pad_mask(2, 3, 16)
+    assert spec.realization_count() == 2 ** 21
+    j = mf.enumerate_joint(spec)
+    assert j.n_rows == 64 and j.weights.tolist() == [1] * 64
+    assert j.column(edge("B", 2, "B")) == j.column("M")
+    bits = [j.column(edge(x, 0, x)) for x in ("PA", "PB", "DA", "DB", "DC")]
+    assert len(set(zip(j.column("M"), *bits))) == 64
+
+
+def test_enumeration_above_int64_keeps_product_order():
+    # 3 * 2^64 realizations: the message's stride, 2^64, and the largest
+    # index pass int64.  Every noise only feeds a constant edge, so the
+    # rows are the message's values in pmf order.
+    names = ["N" + chr(65 + i // 26) + chr(65 + i % 26) for i in range(64)]
+    g = UnrolledGraph(["A", *names], 1, [(x, x) for x in ["A", *names]])
     spec = SystemSpec(
-        g, MessageSpec.bernoulli("M", Fraction(1, 3)), noise=noise,
-        functions=functions, declared_inputs=("A",),
+        g,
+        MessageSpec.discrete(
+            ("M",), [((2,), Fraction(1, 2)), ((0,), Fraction(1, 3)), ((1,), Fraction(1, 6))]
+        ),
+        noise={NodeRef(x, 0): NoiseSpec.bernoulli() for x in names},
+        functions={
+            NodeRef("A", 0): {edge("A", 0, "A"): msg()},
+            **{NodeRef(x, 0): {edge(x, 0, x): ("mul", ("noise", None), ("const", 0))} for x in names},
+        },
+        declared_inputs=("A",),
     )
-    n = spec.realization_count()
-    assert n > discrete.CHUNK and n % discrete.CHUNK
-    assert_same_table(mf.enumerate_joint(spec), reference_joint(spec))
+    assert spec.realization_count() == 3 * 2 ** 64
+    with pytest.raises(BudgetExceededError):
+        mf.enumerate_joint(spec)
+    j = mf.enumerate_joint(spec, budget=2 ** 70)
+    assert j.column("M") == j.column(edge("A", 0, "A")) == [2, 0, 1]
+    assert j.probs == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+    assert all(j.is_constant(edge(x, 0, x)) for x in names)
 
 
 _TABLE_CASES = (
@@ -270,6 +369,16 @@ def test_producers_number_values_by_first_appearance(fixtures, case):
         for codes, values in zip(table.codes, table.values):
             k = len(values)
             assert codes[first_rows(codes, k)].tolist() == list(range(k))
+
+
+def test_from_codes_rejects_fractional_and_negative_weights():
+    # int() would truncate 1.5 and 2.5 to 1 and 2, and -0.5 to 0.
+    codes, values = np.array([[0, 1], [0, 1]]), [(0, 1), (0, 1)]
+    for bad in ([1.5, 2.5], [Fraction(1, 2), 1], [1, -1], [1, -0.5]):
+        with pytest.raises(ValidationError):
+            mf.DiscreteJoint.from_codes(["A", "B"], codes, values, bad)
+    j = mf.DiscreteJoint.from_codes(["A", "B"], codes, values, [1.0, np.int64(3)])
+    assert j.probs == (Fraction(1, 4), Fraction(3, 4))
 
 
 def test_weighted_csv_round_trip(tmp_path):
