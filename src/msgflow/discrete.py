@@ -7,21 +7,20 @@ weight:
 
 * an exact joint (``enumerate_joint``) holds every distinct outcome of the
   system once, weighted by its probability over the least common denominator;
-* sampled trials (``sampling.sample_trials``) hold one row per distinct draw
-  of the sources, weighted by its count of trials, so a discrete system's
-  trials have at most as many rows as it has realizations.
+* sampled trials (``sampling.sample_trials``) hold one row per distinct
+  outcome, weighted by its count of trials, so a discrete system's trials
+  have at most as many rows as its exact joint.
 
-Both engines compute their columns with the column forward pass
-(:class:`~msgflow.system.ColumnPass`) and build the table from the code
-columns (``DiscreteJoint.from_codes``).  The pass, like the rows
-constructor, already numbers each column's values by first appearance and
-lists only values some row holds, so the table stores its codes as given.
-The enumerator walks the noise sources one at a time
-(``ColumnPass.outcomes``): it expands its weighted rows by a source just
-before the source's first reader runs, and merges the rows that become equal
-once its last reader has run, so its cost follows the distinct outcomes
-rather than the realization count; it sums integer weights without a
-Fraction per realization.
+Both engines walk the noise sources one at a time with the column forward
+pass (:meth:`~msgflow.system.ColumnPass.outcomes`) and build the table from
+the code columns (``DiscreteJoint.from_codes``).  The walk splits its
+weighted rows by a source just before the source's first reader runs, by
+pmf numerators for the exact joint and by multinomial counts for trials, and
+merges the rows that become equal once its last reader has run, so its cost
+follows the distinct outcomes, not the realization or trial count.  The
+pass, like the rows constructor, numbers each column's values by first
+appearance and lists only values some row holds, so the table stores its
+codes as given.
 
 Every query asks one question of one (c, a, b) weight grid, built by
 ``weight_grid`` with C compressed to its observed strata.  A grid axis is
@@ -344,7 +343,7 @@ class DiscreteJoint(JointVariables):
 
         Unless every row weighs 1, as gaussian trials do, each line ends
         with the row's integer weight, in a last column headed ``#weight``;
-        discrete trials write one weighted line per distinct draw.
+        discrete trials write one weighted line per distinct outcome.
         """
         weights = self.weights.tolist()
         weighted = any(w != 1 for w in weights)
@@ -463,24 +462,25 @@ def enumerate_joint(spec: SystemSpec, budget: int = DEFAULT_BUDGET) -> DiscreteJ
         raise BudgetExceededError(
             f"{n_real} realizations exceed the enumeration budget of {budget}"
         )
-    noise_nodes = spec.noise_nodes()
     msg_pmf = spec.message.pmf if spec.message.kind == "discrete" else (((), Fraction(1)),)
-    laws = [msg_pmf] + [spec.noise[v].pmf for v in noise_nodes]
-    denoms = [math.lcm(*(p.denominator for _, p in law)) for law in laws]
+    laws = {None: msg_pmf, **{v: spec.noise[v].pmf for v in spec.noise_nodes()}}
+    denoms = [math.lcm(*(p.denominator for _, p in law)) for law in laws.values()]
     # Realization weights sum to the product of the D_s: int64 while its
-    # square fits, as in the table; indices are int64 while they fit.
+    # square fits, as in the table.
     dtype = np.int64 if math.prod(denoms) ** 2 <= _INT64_MAX else object
-    itype = np.int64 if n_real <= _INT64_MAX else object
-    factors, stride = {}, 1
-    for source, law, d in reversed(list(zip((None, *noise_nodes), laws, denoms))):
-        factors[source] = (
-            np.array([int(p * d) for _, p in law], dtype=dtype),
-            np.array([j * stride for j in range(len(law))], dtype=itype),
-        )
-        stride *= len(law)
+    factors = {
+        u: np.array([int(p * d) for _, p in law], dtype=dtype)
+        for (u, law), d in zip(laws.items(), denoms)
+    }
+
+    def split(u, w: np.ndarray) -> tuple:
+        k = len(factors[u])
+        rows = np.arange(len(w))
+        return rows.repeat(k), (w[:, None] * factors[u]).ravel(), np.tile(np.arange(k), len(w))
 
     fwd = ColumnPass(spec)
-    codes, values, weights = fwd.outcomes(factors)
+    supports = {u: [x for x, _ in law] for u, law in laws.items()}
+    codes, values, weights = fwd.outcomes(supports, split(None, np.ones(1, dtype))[1:], split)
     weights = weights.tolist()
     g = math.gcd(*weights)
     joint = DiscreteJoint.from_codes(fwd.variables, codes, values, [w // g for w in weights])

@@ -1,15 +1,15 @@
 """Trial-based observation and statistical flow detection.
 
 A trial is one independent realization of every random variable in a system,
-observed noiselessly on all edges.  ``sample_trials`` draws each source once
-for all trials, merges the trials that drew the same value of every source,
-and runs the column forward pass (:class:`~msgflow.system.ColumnPass`) the
-exact enumerator also uses on one row per distinct draw.  It returns the
-same table the exact engine uses (:class:`~msgflow.discrete.DiscreteJoint`),
-each row weighted by its count of trials.  The tests below read only the
-per-stratum counts, which are sufficient statistics, so the merge changes
-no test: every weight grid, p-value and verdict is the one a table of one
-row per trial gives.
+observed noiselessly on all edges.  ``sample_trials`` runs the exact
+enumerator's walk (:meth:`~msgflow.system.ColumnPass.outcomes`) on counts of
+trials: each source, from its own stream spawned from the seed, splits a row
+of c trials by a multinomial draw of c over its values.  It returns the same
+table the exact engine uses (:class:`~msgflow.discrete.DiscreteJoint`), one
+row per distinct outcome weighted by its count of trials, at a cost that does
+not depend on the trial count for a discrete system.  The tests below read
+only the per-stratum counts, which are sufficient statistics, so every weight
+grid, p-value and verdict is the one a table of one row per trial gives.
 
 Detection replays the exact detector's subset search as a sequence of
 conditional-independence tests: the family is the subsets the exact search
@@ -69,15 +69,7 @@ from .errors import (
 )
 from .flow import FlowEntry, _component, _subsets
 from .graph import EdgeRef
-from .system import (
-    ColumnPass,
-    MessageSpec,
-    NoiseSpec,
-    SystemSpec,
-    compress,
-    first_rows,
-    mixed_radix,
-)
+from .system import ColumnPass, SystemSpec
 
 # numpy's hypergeometric sampler refuses good or bad counts of 10**9 or more.
 DRAW_LIMIT = 10**9
@@ -89,74 +81,78 @@ _MAX_TERMS = 100_000  # the fraction converges in O(sqrt(df)) terms
 
 
 def sample_trials(spec: SystemSpec, n: int, seed: int) -> DiscreteJoint:
-    """Draw ``n`` independent trials by sampling (message, noises) and propagating.
+    """Draw ``n`` independent trials, as the counts of their distinct outcomes.
 
-    One vectorized draw per source, in a fixed order: the message first (a
-    derived message draws nothing), then the noises by node.  Trials with
-    equal draws of every source are merged into one row, weighted by how
-    many trials drew them, in order of their first trial; one
-    :class:`~msgflow.system.ColumnPass` then runs over those rows only.  The
-    trials record each edge's random sources (``SystemSpec.sources``, None
-    for a derived message), so the cascade searches each edge's source
-    component.
+    The trials run through the enumerator's walk
+    (:meth:`~msgflow.system.ColumnPass.outcomes`) with counts for weights:
+    the message rows start as multinomial(n, P(M)), one row of count n for
+    a derived message, and a discrete source splits a row of count c by
+    multinomial(c, P(s)).  Each source, the message first and then the
+    noise nodes sorted, draws from its own stream spawned from ``seed``.
+    So a discrete system's sampling holds no array of n entries, and its
+    cost does not depend on n.  A gaussian source splits a row of count c
+    into c rows of weight 1, one fresh draw each: it draws n values, hands
+    its k-th draw to the walk's k-th trial (an order the draws do not
+    affect), and the draw's number is its index in the product order.  The table has one row per distinct
+    outcome, ordered by least product-order index like the exact joint;
+    gaussian trials, whose draws are all distinct, keep one row per trial in
+    the order of the message's draws.  The trials record each edge's random
+    sources (``SystemSpec.sources``, None for a derived message), so the
+    cascade searches each edge's source component.
 
-    The merge is exact: for every query the merged table builds the weight
-    grid a table of one row per trial builds, so every test, G or
-    permutation, sees the same grid and draws the same stream:
+    The counts have the law of the outcome counts of n i.i.d. trials:
 
-    * A trial's edge values are a function of its source draws, so the
-      trials merged into a row all hold that row's values.
-    * The first trial holding a value of any column is the first trial of
-      its draws (an earlier trial with those draws holds the value too), so
-      keeping first trials in trial order keeps each column's values, their
-      first-appearance codes and decode lists.  Each test's grid therefore
-      has the same axes, and each of its cells sums the same trials.
-    * The total is still ``n``, so the weight dtype is unchanged.
+    * Counts of independent draws split multinomially.  The c trials of a
+      row draw a source independent of everything drawn before as c i.i.d.
+      draws of P(s), so their counts per value are multinomial(c, P(s)),
+      independently across rows; the n trials' message counts are
+      multinomial(n, P(M)).
+    * multinomial(c1, p) + multinomial(c2, p) ~ multinomial(c1 + c2, p) for
+      independent summands.  Two rows merge only once they agree on every
+      column a later function reads, so splitting their summed count by a
+      later, independent source gives the children the law that splitting
+      each row apart and adding the counts of equal children would give.
 
-    A discrete source's draws are pmf indices and serve as their own codes;
-    gaussian draws are compressed to their distinct values, which are all
-    distinct almost surely, so gaussian trials keep one row of weight 1
-    per trial, in trial order.
+    By induction over the walk, the final counts are those of n i.i.d.
+    trials.  The draws are not those of a trial-by-trial sampler with the
+    same seed; the law is.
     """
     if n < 1:
         raise ValidationError("need at least one trial")
     if seed < 0:
         raise ValidationError(f"seed {seed} is negative")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    noise_nodes = spec.noise_nodes()
     if spec.is_continuous:
         warnings.warn(
             "sampling a continuous system; the discrete CI tests will not accept it",
             ContinuousSamplingWarning,
             stacklevel=2,
         )
-    if spec.message.kind == "derived":
-        msg, drawn = np.zeros(n, dtype=np.int64), []
-    else:
-        msg = _draw(spec.message, rng, n)
-        drawn = [(spec.message, msg)]
-    noise = {v: _draw(spec.noise[v], rng, n) for v in noise_nodes}
-    drawn += [(spec.noise[v], noise[v]) for v in noise_nodes]
-    # One key per trial for all its draws; a pmf index is its own code.
-    key, k = mixed_radix(
-        [compress(d) if law.kind == "gaussian" else (d, len(law.pmf)) for law, d in drawn], n
-    )
-    first = first_rows(key, k)
+    laws = {None: spec.message, **{v: spec.noise[v] for v in spec.noise_nodes()}}
+    streams = np.random.SeedSequence(seed).spawn(len(laws))
+    rngs = dict(zip(laws, map(np.random.default_rng, streams)))
+    supports, probs = {}, {}
+    for u, law in laws.items():
+        if law.kind == "gaussian":
+            draws = rngs[u].normal(0.0, math.sqrt(float(law.variance)), size=n).tolist()
+            supports[u] = [(x,) for x in draws] if u is None else draws
+        else:
+            pmf = law.pmf or (((), 1),)  # a derived message: one row of all n
+            supports[u] = [x for x, _ in pmf]
+            probs[u] = np.array([float(p) for _, p in pmf])
+            probs[u] /= probs[u].sum()
+
+    def split(u, w: np.ndarray) -> tuple:
+        if u not in probs:
+            return np.arange(len(w)).repeat(w), np.ones(n, dtype=np.int64), np.arange(n)
+        counts = rngs[u].multinomial(w, probs[u]).ravel()
+        drawn = np.flatnonzero(counts)  # children of positive count
+        return drawn // len(probs[u]), counts[drawn], drawn % len(probs[u])
+
     fwd = ColumnPass(spec)
-    codes = fwd(msg[first], {v: d[first] for v, d in noise.items()})
-    counts = np.bincount(key, minlength=k)[key[first]]
-    trials = DiscreteJoint.from_codes(fwd.variables, codes, fwd.values(), counts.tolist())
+    codes, values, weights = fwd.outcomes(supports, split(None, np.array([n]))[1:], split)
+    trials = DiscreteJoint.from_codes(fwd.variables, codes, values, weights.tolist())
     trials.sources = spec.sources()
     return trials
-
-
-def _draw(law: MessageSpec | NoiseSpec, rng, n: int) -> np.ndarray:
-    """Float draws of a gaussian law, or indices into a discrete law's pmf."""
-    if law.kind == "gaussian":
-        return rng.normal(0.0, math.sqrt(float(law.variance)), size=n)
-    probs = np.array([float(p) for _, p in law.pmf])
-    probs /= probs.sum()
-    return rng.choice(len(probs), size=n, p=probs)
 
 
 # ----- conditional-independence tests -------------------------------------

@@ -17,7 +17,7 @@ Message laws come in three kinds:
 Two forward passes push realizations through the node functions:
 ``SystemSpec.propagate`` computes one realization from value dicts and is
 the reference the tests compare against; :class:`ColumnPass` computes whole
-columns of realizations for the exact enumerator and the trial sampler,
+columns of weighted rows for the exact enumerator and the trial sampler,
 running each node function once per distinct combination of its inputs.
 The linear-Gaussian engine runs ``propagate``'s functions, in its order, on
 affine forms (:func:`msgflow.gaussian.linear_propagate`).
@@ -26,6 +26,7 @@ affine forms (:func:`msgflow.gaussian.linear_propagate`).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional
@@ -261,8 +262,8 @@ class SystemSpec:
 
     def realization_count(self) -> int:
         """Number of (message, noise) realizations the exact engine enumerates."""
-        if self.message.kind == "gaussian":
-            raise ValidationError("gaussian systems are not enumerable")
+        if self.is_continuous:
+            raise ValidationError("a system with a gaussian source is not enumerable")
         n = len(self.message.pmf) if self.message.kind == "discrete" else 1
         for ns in self.noise.values():
             n *= len(ns.pmf)
@@ -464,17 +465,11 @@ class _Column:
 
 
 class ColumnPass:
-    """The forward pass over whole columns of realizations, for both engines.
+    """The forward pass over whole columns of weighted rows, for both engines.
 
-    A call takes the sources of n realizations: an index array into the
-    message pmf (float draws for a gaussian message, zeros for a derived
-    one) and, per noise node, an index array into its pmf or float draws.
-    It returns every message and edge column, in ``variables`` order, as an
-    int64 code array of shape (columns, n) into the decode lists
-    ``values()``, the codes numbering values in order of first appearance.
-    The enumerator walks the noise sources one at a time instead
-    (``outcomes``), on the schedule the constructor builds from what each
-    function reads.
+    ``outcomes`` walks the noise sources one at a time, on the schedule the
+    constructor builds from what each function reads: the exact enumerator
+    splits rows by pmf numerators, the trial sampler by multinomial counts.
 
     Each compiled node function, and each derived message component, runs
     once per distinct combination of the columns it reads (``leaf_refs``),
@@ -532,73 +527,59 @@ class ColumnPass:
                     reads[node] = "noise_values"
         return tuple((self._slot[key], field, key) for key, field in reads.items())
 
-    def values(self) -> list[tuple]:
-        """The decode list of each column, in ``variables`` order."""
-        return [tuple(col.table) for col in self._cols[: len(self.variables)]]
+    def outcomes(
+        self, supports: Mapping, start: tuple, split: Callable
+    ) -> tuple[np.ndarray, list[tuple], np.ndarray]:
+        """The distinct outcomes of weighted rows of (message, noise) values.
 
-    def __call__(self, msg: np.ndarray, noise: Mapping[NodeRef, np.ndarray]) -> np.ndarray:
-        spec, n = self.spec, len(msg)
-        out = np.empty((len(self.variables), n), dtype=np.int64)
-        # Each column's codes by slot, the variables' ones written in place into out.
-        codes: list = [*out, *([None] * len(spec.noise))]
-        for v, draws in noise.items():
-            pmf, i = spec.noise[v].pmf, self._slot[v]
-            codes[i] = _source(self._cols[i], draws, pmf and [x for x, _ in pmf])
-        if spec.message.kind != "derived":
-            pmf = spec.message.pmf
-            for j in range(len(spec.message.components)):
-                codes[j][:] = _source(self._cols[j], msg, pmf and [x[j] for x, _ in pmf])
-        for v, i, fn, reads in self._fns:
-            codes[i][:] = self._apply(v, self._cols[i], fn, reads, codes, n)
-        for row, col in zip(out, self._cols):
-            row[:] = np.asarray(col.table_code, dtype=np.int64)[row]
-        return out
-
-    def outcomes(self, factors: Mapping) -> tuple[np.ndarray, list[tuple], np.ndarray]:
-        """The distinct outcomes of every (message, noise) realization.
-
-        ``factors`` maps the message (key None) and each noise node to two
-        arrays over its pmf values: weight factors and index offsets.  A
-        realization weighs the product of its values' factors, and its index
-        is the sum of their offsets.  Returns the code columns, in
-        ``variables`` order, their decode lists and each outcome's summed
-        weight, as ``__call__`` would give them on every realization in
-        index order, merged: outcomes in order of their least index.
+        ``supports`` maps the message (key None) to its value tuples, one
+        empty tuple for a derived message, and each noise node to its
+        values.  ``start`` holds the message rows: their weights and indices
+        into ``supports[None]``.  ``split(u, w)`` gives the children of rows
+        of weights ``w`` under noise node u: each child's parent row, weight
+        and index into ``supports[u]``.  Rows and children have positive
+        weights.  A realization's index is its values' indices in mixed
+        radix over the supports (message most significant, then the noise
+        nodes sorted), ``itertools.product`` order.  Returns the code
+        columns, in ``variables`` order, their decode lists and each
+        outcome's summed weight, outcomes in order of their least index.
 
         The rows span the columns computed so far and the live noise
-        sources, and start as the message's pmf.  Before a function runs
-        they are expanded by each source it reads first: repeated once per
-        value, the value's factor multiplied into the weight and its offset
-        added to the index.  After it runs, the sources it reads last are
-        dropped and the rows now equal merge, summing their weights and
-        keeping the least index.  Rows are keyed by strict codes, which tell
-        1 from 1.0 for the functions still to run; rows that differ only
-        there merge at the end.  A source no function reads is never drawn.
+        sources.  Before a function runs they are split by each source it
+        reads first.  After it runs,
+        the sources it reads last are dropped and the rows now equal merge,
+        summing their weights and keeping the least index.  Rows are keyed
+        by strict codes, which tell 1 from 1.0 for the functions still to
+        run; rows that differ only there merge at the end.  A source no
+        function reads is never split.
         """
         spec = self.spec
-        weights, index = factors[None]
-        n = len(weights)
+        order = [None, *spec.noise_nodes()]
+        itype = np.int64 if math.prod(len(supports[u]) for u in order) <= _INT64_MAX else object
+        offsets, stride = {}, 1
+        for u in reversed(order):
+            offsets[u] = np.array([j * stride for j in range(len(supports[u]))], dtype=itype)
+            stride *= len(supports[u])
+        weights, pick = start
+        index, n = offsets[None][pick], len(pick)
         # Codes by slot of the computed columns and the live sources; every
         # constant column holds the one array ``zero``.
         held: list = [None] * len(self._cols)
         zero = np.zeros(n, dtype=np.int64)
         if spec.message.kind != "derived":
             for j in range(len(spec.message.components)):
-                held[j] = _codes(self._cols[j], [x[j] for x, _ in spec.message.pmf])
+                held[j] = _codes(self._cols[j], [x[j] for x in supports[None]], pick)
         # A key over the columns computed up to the last merge, the
         # non-constant slots computed since, and the live sources.
         done, k_done, fresh, live = np.arange(n), n, [], []
         for (v, i, fn, reads), (expand, retire) in zip(self._fns, self._schedule):
             for u in expand:
-                fw, fx = factors[u]
-                k, j = len(fw), self._slot[u]
-                z = np.zeros(n * k, dtype=np.int64)
-                held = [c if c is None else z if c is zero else c.repeat(k) for c in held]
-                held[j] = np.tile(_codes(self._cols[j], [x for x, _ in spec.noise[u].pmf]), n)
-                zero, done = z, done.repeat(k)
-                weights = weights.repeat(k) * np.tile(fw, n)
-                index = index.repeat(k) + np.tile(fx, n)
-                n *= k
+                parent, weights, pick = split(u, weights)
+                n, j = len(pick), self._slot[u]
+                z = np.zeros(n, dtype=np.int64)
+                held = [c if c is None else z if c is zero else c[parent] for c in held]
+                held[j] = _codes(self._cols[j], supports[u], pick)
+                zero, done, index = z, done[parent], index[parent] + offsets[u][pick]
                 live.append(j)
             held[i] = self._apply(v, self._cols[i], fn, reads, held, n)
             if len(self._cols[i].objs) == 1:
@@ -685,17 +666,14 @@ class ColumnPass:
         return _each(key, k, code_at)
 
 
-def _source(col: _Column, draws: np.ndarray, support: Optional[list]) -> np.ndarray:
-    """Codes of a source column: indices into ``support``, or float draws."""
-    if support is None:
-        uniq, key = np.unique(draws, return_inverse=True)
-        return _each(key, len(uniq), lambda r: col.code(float(draws[r])))
-    return _each(draws, len(support), lambda r: col.code(support[draws[r]]))
-
-
-def _codes(col: _Column, support: list) -> np.ndarray:
-    """Codes of a source column's values, in support order."""
-    return np.array([col.code(x) for x in support], dtype=np.int64)
+def _codes(col: _Column, support: list, pick: np.ndarray) -> np.ndarray:
+    """Codes of the source values ``support[pick]``, coding only values some
+    row holds, in support order."""
+    lut = np.zeros(len(support), dtype=np.int64)
+    lut[pick] = 1
+    for x in np.flatnonzero(lut).tolist():
+        lut[x] = col.code(support[x])
+    return lut[pick]
 
 
 def _first_seen(codes: np.ndarray, k: int) -> bool:

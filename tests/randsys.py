@@ -4,7 +4,8 @@ Systems stay small on purpose: at most four base nodes and four time steps,
 binary alphabets, at most two intrinsic noise sources, so exact enumeration
 and exhaustive subset searches stay cheap across hundreds of draws.
 ``random_affine_system`` draws linear-Gaussian systems of the same size for
-the covariance engine.
+the covariance engine.  ``pad_mask`` builds the binary pad-mask systems of
+many realizations and few outcomes.
 """
 
 from __future__ import annotations
@@ -193,3 +194,37 @@ def random_affine_system(seed: int) -> SystemSpec:
         functions=functions,
         declared_inputs=inputs,
     )
+
+
+def pad_mask(k: int, d: int, w: int) -> SystemSpec:
+    """A binary pad-mask system: A sends M + k pads mod 2 to B, which
+    subtracts them; each pad and each of d decoys draws noise on 0..w-1."""
+    pads = ["P" + "ABCDEFGH"[i] for i in range(k)]
+    decoys = ["D" + "ABCDEFGH"[i] for i in range(d)]
+    reduced = ["mod", 2, ["noise"]]
+    law = {"kind": "discrete", "pmf": [{"value": v, "p": [1, w]} for v in range(w)]}
+    adjacency = [["A", "A"], ["A", "B"], ["B", "B"]]
+    functions = {"A0": {"A1": ["msg"]}}
+    masked, decoded = ["edge", "A0", "A1"], ["edge", "A1", "B2"]
+    for p in pads:
+        adjacency += [[p, "A"], [p, p], [p, "B"]]
+        functions[f"{p}0"] = {"A1": reduced, f"{p}1": reduced}
+        functions[f"{p}1"] = {"B2": ["edge", f"{p}0", f"{p}1"]}
+        masked = ["add", masked, ["edge", f"{p}0", "A1"]]
+        decoded = ["sub", decoded, ["edge", f"{p}1", "B2"]]
+    for x in decoys:
+        adjacency += [[x, x], [x, "B"]]
+        functions[f"{x}0"] = {f"{x}1": reduced}
+        functions[f"{x}1"] = {"B2": ["edge", f"{x}0", f"{x}1"]}
+    functions["A1"] = {"B2": ["mod", 2, masked]}
+    functions["B2"] = {"B3": ["mod", 2, decoded]}
+    return SystemSpec.from_json_dict({
+        "nodes": ["A", "B", *pads, *decoys],
+        "horizon": 3,
+        "adjacency": adjacency,
+        "message": {"kind": "discrete", "components": ["M"],
+                    "pmf": [{"value": [m], "p": [1, 2]} for m in range(2)]},
+        "noise": {f"{x}0": law for x in pads + decoys},
+        "functions": functions,
+        "declared_inputs": ["A"],
+    })

@@ -1,9 +1,10 @@
 """References the tests compare against.
 
-``reference_joint`` and ``reference_trials`` rebuild what ``enumerate_joint``
-and ``sample_trials`` return, one realization at a time through
-``SystemSpec.propagate``, accumulating exact probabilities as Fractions and
-trial counts as integers.
+``reference_joint`` rebuilds what ``enumerate_joint`` returns, one
+realization at a time through ``SystemSpec.propagate``, accumulating exact
+probabilities as Fractions.  ``check_trials`` checks ``sample_trials``
+against it: every sampled row is an outcome of the system, and the weights
+count the trials.  ``per_trial`` expands merged trials to one row per trial.
 ``assert_same_table`` compares two tables column by column, telling equal
 values of different types apart.  ``unpruned`` gives a joint whose flow
 search tries every subset of the slice, the brute force that the search
@@ -61,29 +62,22 @@ def reference_joint(spec) -> mf.DiscreteJoint:
     return mf.DiscreteJoint(_variables(spec), list(acc), list(acc.values()))
 
 
-def reference_trials(spec, n: int, seed: int, merge: bool = True) -> mf.DiscreteJoint:
-    """``sample_trials`` one trial at a time, from the same draws: message
-    first (none for a derived message), then the noises by node.  Trials
-    with equal draws of every source are then merged into one row, weighted
-    by their count, in order of their first trial; ``merge=False`` keeps
-    one row of weight 1 per trial."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+def check_trials(trials: mf.DiscreteJoint, spec, n: int) -> None:
+    """Sampled trials of ``spec``: distinct rows, each a row of
+    ``reference_joint`` with its values' types, of positive weights summing
+    to n."""
+    typed = lambda rows: [tuple(map(repr, row)) for row in rows]
+    support = set(typed(reference_joint(spec).rows))
+    rows = typed(trials.rows)
+    assert len(set(rows)) == len(rows) and set(rows) <= support
+    assert trials.variables == _variables(spec)
+    assert min(trials.weights.tolist()) > 0 and sum(trials.weights.tolist()) == trials.total == n
 
-    def draw(pmf):
-        probs = np.array([float(p) for _, p in pmf])
-        return rng.choice(len(pmf), size=n, p=probs / probs.sum()).tolist()
 
-    discrete = spec.message.kind == "discrete"
-    msgs = draw(spec.message.pmf) if discrete else [None] * n
-    noise = {v: draw(spec.noise[v].pmf) for v in spec.noise_nodes()}
-    merged: dict = {}
-    for i in range(n):
-        msg = spec.message.pmf[msgs[i]][0] if discrete else ()
-        row = reference_row(spec, msg, {v: spec.noise[v].pmf[d[i]][0] for v, d in noise.items()})
-        key = (msgs[i], *(d[i] for d in noise.values())) if merge else i
-        merged.setdefault(key, [row, 0])[1] += 1
-    rows, counts = zip(*merged.values())
-    return mf.DiscreteJoint(_variables(spec), rows, counts)
+def per_trial(trials: mf.DiscreteJoint) -> mf.DiscreteJoint:
+    """``trials`` unmerged: each row of weight w becomes w rows of weight 1."""
+    rows = [row for row, w in zip(trials.rows, trials.weights.tolist()) for _ in range(w)]
+    return mf.DiscreteJoint(trials.variables, rows)
 
 
 def assert_same_table(got: mf.DiscreteJoint, want: mf.DiscreteJoint) -> None:

@@ -264,6 +264,24 @@ def test_malformed_input_exits_without_traceback(argv, code, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_derived_message_over_gaussian_noise_exits_cleanly(tmp_path):
+    # M = noise(A0) with A0 ~ N(0, 1) has no exact joint, so analyze exits
+    # 3; simulate samples it.  Neither ends in a traceback.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "nodes": ["A"],
+        "horizon": 1,
+        "message": {"kind": "derived", "components": ["M"], "exprs": [["noise", "A0"]]},
+        "noise": {"A0": {"kind": "gaussian", "variance": [1, 1]}},
+        "functions": {},
+    }))
+    proc = _cli("analyze", "--spec", str(spec))
+    assert proc.returncode == 3 and "Traceback" not in proc.stderr, proc.stderr
+    proc = _cli("simulate", "--spec", str(spec), "--n-trials", "5", "--seed", "1",
+                "--out", str(tmp_path / "t.csv"))
+    assert proc.returncode in (0, 2, 3) and "Traceback" not in proc.stderr, proc.stderr
+
+
 def test_repeated_message_takes_the_last(capsys):
     assert run("paths", "--fixture", "butterfly", "--message", "M1", "--message", "M2",
                "--target", "A4") == 0
@@ -382,7 +400,7 @@ def test_simulate_round_trip(tmp_path):
     out = tmp_path / "trials.csv"
     assert run("simulate", "--fixture", "ce2", "--n-trials", "20", "--seed", "3",
                "--out", str(out)) == 0
-    # One weighted line per distinct draw; the file reads back to the table.
+    # One weighted line per distinct outcome; the file reads back to the table.
     trials = mf.DiscreteJoint.from_csv(out)
     assert_same_table(trials, mf.sample_trials(mf.build("ce2").spec, 20, seed=3))
     assert trials.total == 20

@@ -11,7 +11,7 @@ from msgflow.exprs import edge_in, msg
 from msgflow.graph import NodeRef, UnrolledGraph, edge
 from msgflow.system import compress, first_rows, mixed_radix
 
-from randsys import random_noisy_system, random_system
+from randsys import pad_mask, random_noisy_system, random_system
 from reference import assert_same_table, reference_joint
 
 
@@ -272,44 +272,10 @@ def test_enumeration_across_sources(name):
         assert (j.n_rows, spec.realization_count()) == (8, 16)
 
 
-def _pad_mask(k, d, w):
-    """A binary pad-mask system: A sends M + k pads mod 2 to B, which
-    subtracts them; each pad and each of d decoys draws noise on 0..w-1."""
-    pads = ["P" + "ABCDEFGH"[i] for i in range(k)]
-    decoys = ["D" + "ABCDEFGH"[i] for i in range(d)]
-    reduced = ["mod", 2, ["noise"]]
-    law = {"kind": "discrete", "pmf": [{"value": v, "p": [1, w]} for v in range(w)]}
-    adjacency = [["A", "A"], ["A", "B"], ["B", "B"]]
-    functions = {"A0": {"A1": ["msg"]}}
-    masked, decoded = ["edge", "A0", "A1"], ["edge", "A1", "B2"]
-    for p in pads:
-        adjacency += [[p, "A"], [p, p], [p, "B"]]
-        functions[f"{p}0"] = {"A1": reduced, f"{p}1": reduced}
-        functions[f"{p}1"] = {"B2": ["edge", f"{p}0", f"{p}1"]}
-        masked = ["add", masked, ["edge", f"{p}0", "A1"]]
-        decoded = ["sub", decoded, ["edge", f"{p}1", "B2"]]
-    for x in decoys:
-        adjacency += [[x, x], [x, "B"]]
-        functions[f"{x}0"] = {f"{x}1": reduced}
-        functions[f"{x}1"] = {"B2": ["edge", f"{x}0", f"{x}1"]}
-    functions["A1"] = {"B2": ["mod", 2, masked]}
-    functions["B2"] = {"B3": ["mod", 2, decoded]}
-    return SystemSpec.from_json_dict({
-        "nodes": ["A", "B", *pads, *decoys],
-        "horizon": 3,
-        "adjacency": adjacency,
-        "message": {"kind": "discrete", "components": ["M"],
-                    "pmf": [{"value": [m], "p": [1, 2]} for m in range(2)]},
-        "noise": {f"{x}0": law for x in pads + decoys},
-        "functions": functions,
-        "declared_inputs": ["A"],
-    })
-
-
 def test_enumeration_of_many_realizations_with_few_outcomes():
     # 2 * 16^5 = 2^21 realizations: M and the five reduced noises are
     # independent fair bits, and B decodes M.
-    spec = _pad_mask(2, 3, 16)
+    spec = pad_mask(2, 3, 16)
     assert spec.realization_count() == 2 ** 21
     j = mf.enumerate_joint(spec)
     assert j.n_rows == 64 and j.weights.tolist() == [1] * 64
