@@ -22,21 +22,26 @@ pass, like the rows constructor, numbers each column's values by first
 appearance and lists only values some row holds, so the table stores its
 codes as given.
 
-Every query asks one question of one (c, a, b) weight grid, built by
-``weight_grid`` with C compressed to its observed strata.  A grid axis is
-one stored column, whose codes serve as they are, or a mixed-radix key of
-several columns, renumbered over its observed values by a presence table
-(``system.compress``), so building a grid sorts nothing:
+Every query asks one question of one (c, a, b) weight grid with C
+compressed to its observed strata, and one grid builder
+(``DiscreteJoint._grid``) serves ``weight_grid``, ``dependent``, ``cmi`` and
+the flow search alike.  A grid axis is one stored column, whose codes serve
+as they are, or a mixed-radix key of several columns, renumbered over its
+observed values by a presence table (``system.compress``), so building a
+grid sorts nothing:
 
 * ``dependent`` — an exact yes/no decision of I(A;B|C) > 0.  A and B are
   independent given C exactly when every cell of the full grid factorizes,
-  w_abc·w_c == w_ac·w_bc; empty cells take part too, so no separate
-  zero-cell pass is needed.  Flow verdicts are always taken from
-  ``dependent``, never from a float threshold.
+  w_abc·w_c == w_ac·w_bc (``grid_dependent``); empty cells take part too,
+  so no separate zero-cell pass is needed.  Flow verdicts are always taken
+  from this test, never from a float threshold.
 * ``cmi`` — I(A;B|C) in bits as a float, for display; on trials it is the
   plug-in estimate.
+* ``ci_query`` — the queries of one flow search: A is coded once and each
+  target set B once, and a subset's one grid gives both the verdict and,
+  for a witness, the bits (``grid_cmi``).
 * the conditional-independence tests of :mod:`msgflow.sampling` read their
-  per-stratum contingency tables from the same grid, and the G-test its
+  per-stratum contingency tables from ``weight_grid``, and the G-test its
   statistic from ``grid_cmi``, the grid-level body of ``cmi``.
 
 Weights are int64 when the squared total weight fits in int64, so no product
@@ -89,10 +94,13 @@ class JointVariables:
     it to prune.  Exact joints and sampled trials built from a system set
     it; None, as for a derived message or a table read from CSV (``to_csv``
     writes no sources), means every edge reads one shared source.
+    ``components_at(t)`` groups the slice's candidates by it, once per
+    slice; assigning ``sources`` starts a new table, so a copy given other
+    sources never reads or writes its original's.
     """
 
     def __init__(self, variables: Sequence[VarId]) -> None:
-        self.sources: Optional[dict[EdgeRef, frozenset]] = None
+        self.sources = None
         self.variables: tuple[VarId, ...] = tuple(variables)
         self._index = {v: i for i, v in enumerate(self.variables)}
         if len(self._index) != len(self.variables):
@@ -108,6 +116,15 @@ class JointVariables:
             edges_at.setdefault(e.time, []).append(e)
         self._edges_at = {t: tuple(es) for t, es in edges_at.items()}
         self._candidates: dict[int, tuple[EdgeRef, ...]] = {}
+
+    @property
+    def sources(self) -> Optional[dict[EdgeRef, frozenset]]:
+        return self._sources
+
+    @sources.setter
+    def sources(self, sources: Optional[dict[EdgeRef, frozenset]]) -> None:
+        self._sources = sources
+        self._components: dict[int, dict[EdgeRef, tuple[EdgeRef, ...]]] = {}
 
     def default_message(self, message: Optional[str] = None) -> str:
         if message is not None:
@@ -135,6 +152,32 @@ class JointVariables:
             self._candidates[t] = cands
         return cands
 
+    def components_at(self, t: int) -> dict[EdgeRef, tuple[EdgeRef, ...]]:
+        """Each candidate at time t mapped to its source component: the
+        candidates joined to it through chains of shared sources, in
+        canonical order.  Found once per slice."""
+        comps = self._components.get(t)
+        if comps is None:
+            cands = self.candidates_at(t)
+            # Without sources every edge reads one shared source.
+            sources = dict.fromkeys(cands, {None}) if self.sources is None else self.sources
+            merged: list[tuple[set, set]] = []  # (members, sources read), disjoint reads
+            for e in cands:
+                group, read, apart = {e}, set(sources[e]), []
+                for g, r in merged:
+                    if read.isdisjoint(r):
+                        apart.append((g, r))
+                    else:
+                        group |= g
+                        read |= r
+                merged = apart + [(group, read)]
+            comps = {}
+            for group, _ in merged:
+                comp = tuple(x for x in cands if x in group)
+                comps.update(dict.fromkeys(comp, comp))
+            self._components[t] = comps
+        return comps
+
     def has_var(self, v: VarId) -> bool:
         return v in self._index
 
@@ -161,6 +204,8 @@ class DiscreteJoint(JointVariables):
     table from code columns with ``from_codes``; this constructor takes
     decoded rows.
     """
+
+    engine = "exact"  # the engine ``flow.analyze`` reports
 
     def __init__(
         self,
@@ -280,6 +325,15 @@ class DiscreteJoint(JointVariables):
         code, k = mixed_radix([(self.codes[j], len(self.values[j])) for j in cols], self.n_rows)
         return compress(code, k) if cols else (code, k)
 
+    def _grid(self, a, b, c) -> np.ndarray:
+        """The (c, a, b) weight grid of three coded axes, each a (codes, count)
+        pair from ``_code``: the one grid builder behind ``weight_grid``,
+        ``dependent``, ``cmi`` and the search's queries (``ci_query``)."""
+        (a, ka), (b, kb), (c, kc) = a, b, c
+        grid = np.zeros(kc * ka * kb, dtype=self.weights.dtype)
+        np.add.at(grid, (c * ka + a) * kb + b, self.weights)
+        return grid.reshape(kc, ka, kb)
+
     def weight_grid(
         self,
         a_vars: Sequence[VarId],
@@ -296,12 +350,7 @@ class DiscreteJoint(JointVariables):
         and each value combination's total weight.
         """
         _check_sets(a_vars, b_vars, c_vars)
-        a, ka = self._code(a_vars)
-        b, kb = self._code(b_vars)
-        c, kc = self._code(c_vars)
-        grid = np.zeros(kc * ka * kb, dtype=self.weights.dtype)
-        np.add.at(grid, (c * ka + a) * kb + b, self.weights)
-        return grid.reshape(kc, ka, kb)
+        return self._grid(self._code(a_vars), self._code(b_vars), self._code(c_vars))
 
     def dependent(
         self,
@@ -309,16 +358,12 @@ class DiscreteJoint(JointVariables):
         b_vars: Sequence[VarId],
         c_vars: Sequence[VarId] = (),
     ) -> bool:
-        """Exact test of I(A;B|C) > 0: some cell fails w_abc·w_c == w_ac·w_bc.
+        """Exact test of I(A;B|C) > 0 (``grid_dependent``).
 
         For A == B (the same set) this decides H(A|C) > 0: a stratum with two
         values of A has an empty off-diagonal cell against positive margins.
         """
-        g = self.weight_grid(a_vars, b_vars, c_vars)
-        w_ac = g.sum(axis=2)
-        w_bc = g.sum(axis=1)
-        w_c = w_ac.sum(axis=1)
-        return bool(np.any(g * w_c[:, None, None] != w_ac[:, :, None] * w_bc[:, None, :]))
+        return grid_dependent(self.weight_grid(a_vars, b_vars, c_vars))
 
     def cmi(
         self,
@@ -331,6 +376,27 @@ class DiscreteJoint(JointVariables):
         On trials this is the plug-in estimate from the empirical counts.
         """
         return grid_cmi(self.weight_grid(a_vars, b_vars, c_vars), self.total)
+
+    def ci_query(self, a_vars: Sequence[VarId]):
+        """The queries of one search about A: ``ask(B, C)`` is None when
+        I(A;B|C) = 0 and otherwise a callable giving I(A;B|C) in bits.
+
+        A is coded and checked once, each distinct tuple B once, and each
+        query builds only C's key and one grid, whose factorization test
+        gives the verdict and whose ``grid_cmi`` gives the bits.  The caller
+        keeps C disjoint from A and B, which ``weight_grid`` would check.
+        """
+        a = self._code(a_vars)
+        coded: dict = {}
+
+        def ask(b_vars: tuple, c_vars: Sequence[VarId]):
+            b = coded.get(b_vars)
+            if b is None:
+                b = coded[b_vars] = self._code(b_vars)
+            g = self._grid(a, b, self._code(c_vars))
+            return (lambda: grid_cmi(g, self.total)) if grid_dependent(g) else None
+
+        return ask
 
     def entropy(self, vars: Sequence[VarId]) -> float:
         """H(vars) in bits."""
@@ -369,6 +435,16 @@ class DiscreteJoint(JointVariables):
         rows = [tuple(_parse_cell(x) for x in line[: len(line) - weighted]) for line in lines]
         weights = [_parse_weight(line[-1]) for line in lines] if weighted else None
         return DiscreteJoint(variables, rows, weights)
+
+
+def grid_dependent(g: np.ndarray) -> bool:
+    """I(A;B|C) > 0 on a (c, a, b) weight grid, exactly: A and B are
+    independent given C when every cell, empty ones too, factorizes as
+    w_abc·w_c == w_ac·w_bc."""
+    w_ac = g.sum(axis=2)
+    w_bc = g.sum(axis=1)
+    w_c = w_ac.sum(axis=1)
+    return bool((g * w_c[:, None, None] != w_ac[:, :, None] * w_bc[:, None, :]).any())
 
 
 def grid_cmi(g: np.ndarray, total: int) -> float:

@@ -39,6 +39,15 @@ for every subset of R, since W ⊆ R gives S ⊆ R ∩ comp(T).  A joint without
 as reading one shared source, and the same code then searches the whole
 slice.  The candidate cap applies to the component searched.
 
+Each slice's components are found once per joint (``components_at``, built
+afresh whenever ``sources`` is assigned) and serve every search of the slice
+and the sampled cascade.  A search asks all of its questions through one
+query (``ci_query``): the exact joint codes the message once and each target
+set once, then builds one weight grid per subset, whose factorization test
+is the verdict.  A quantified search takes each witness's bits from that
+same grid, so it builds one grid per subset tried.  The gaussian joint
+answers the same query from its cached conditional variances.
+
 Three weaker tests (marginal dependence; conditioning on single edges;
 conditioning on all other edges) are kept available as ``candidate_flow`` —
 they are the natural first attempts, and each one misses synergy-coded
@@ -120,13 +129,12 @@ def _check_cap(max_candidates: int) -> None:
         raise ValidationError(f"max_candidates must be at least 0, got {max_candidates}")
 
 
-def _cap(
-    cands: tuple[EdgeRef, ...], max_candidates: int, where: str
-) -> tuple[EdgeRef, ...]:
+def _cap(cands: tuple[EdgeRef, ...], max_candidates: int, where) -> tuple[EdgeRef, ...]:
+    """``cands`` within the cap; ``where()`` names them in the error."""
     _check_cap(max_candidates)
     if len(cands) > max_candidates:
         raise SearchSpaceError(
-            f"{len(cands)} conditioning candidates {where} exceed the cap of "
+            f"{len(cands)} conditioning candidates {where()} exceed the cap of "
             f"{max_candidates}; raise max_candidates explicitly to proceed"
         )
     return cands
@@ -142,22 +150,13 @@ def _subsets(cands: Sequence[EdgeRef], max_size: Optional[int] = None):
 def _component(
     joint: Joint, targets: Sequence[EdgeRef], exclude: frozenset[EdgeRef] = frozenset()
 ) -> tuple[EdgeRef, ...]:
-    """comp(T) without ``exclude``, in canonical order: the candidates of the
-    targets' slice joined to a target through chains of shared sources.  The
-    component grows over the whole slice; ``exclude`` is removed after."""
-    cands = joint.candidates_at(targets[0].time)
-    if joint.sources is None:
-        return tuple(x for x in cands if x not in exclude)
-    reach, comp = set().union(*(joint.sources[e] for e in targets)), set(targets)
-    grown = True
-    while grown:
-        grown = False
-        for x in cands:
-            if x not in comp and not reach.isdisjoint(joint.sources[x]):
-                comp.add(x)
-                reach |= joint.sources[x]
-                grown = True
-    return tuple(x for x in cands if x in comp and x not in exclude)
+    """comp(T) without ``exclude``, in canonical order: the union of the
+    non-constant targets' source components (``components_at``), each
+    grown over the whole slice; ``exclude`` is removed after."""
+    t = targets[0].time
+    comps = joint.components_at(t)
+    members = set().union(*(comps.get(e, ()) for e in targets))
+    return tuple(x for x in joint.candidates_at(t) if x in members and x not in exclude)
 
 
 def _search(
@@ -167,21 +166,25 @@ def _search(
     max_candidates: int,
     exclude: frozenset[EdgeRef] = frozenset(),
 ):
-    """Yield every witness of the same-time targets T: each subset S of
-    comp(T) \\ ``exclude`` with I(m; T \\ S | S) > 0, in (cardinality,
-    canonical order).  Constant targets carry nothing and are dropped."""
+    """Yield (S, bits) for every witness S of the same-time targets T: each
+    subset S of comp(T) \\ ``exclude`` with I(m; T \\ S | S) > 0, in
+    (cardinality, canonical order), and ``bits()`` gives that information.
+    Constant targets carry nothing and are dropped.  One ``ci_query``
+    serves the search; S is disjoint from m and T \\ S by construction."""
     for e in targets:
         if not joint.has_var(e):
             raise ValidationError(f"edge {e} absent from joint")
     _check_cap(max_candidates)  # also when every target is constant
-    targets = [e for e in targets if not joint.is_constant(e)]
+    targets = tuple(e for e in targets if not joint.is_constant(e))
     if not targets:
         return
-    where = "sharing a source with " + ", ".join(map(str, targets))
-    for sub in _subsets(_cap(_component(joint, targets, exclude), max_candidates, where)):
-        rest = [e for e in targets if e not in sub]
-        if rest and joint.dependent([m], rest, list(sub)):
-            yield sub
+    where = lambda: "sharing a source with " + ", ".join(map(str, targets))
+    cands = _cap(_component(joint, targets, exclude), max_candidates, where)
+    ask = joint.ci_query([m])
+    for sub in _subsets(cands):
+        rest = tuple(e for e in targets if e not in sub)
+        if rest and (bits := ask(rest, sub)) is not None:
+            yield sub, bits
 
 
 def _witness_and_bits(
@@ -189,10 +192,10 @@ def _witness_and_bits(
 ) -> tuple[Optional[tuple[EdgeRef, ...]], float]:
     """The first witness of ``edge`` and the largest I(m; edge | S) over all of them."""
     witness, best = None, 0.0
-    for sub in _search(joint, m, [edge], max_candidates, frozenset([edge])):
+    for sub, bits in _search(joint, m, [edge], max_candidates, frozenset([edge])):
         if witness is None:
             witness = sub
-        best = max(best, joint.cmi([m], [edge], list(sub)))
+        best = max(best, bits())
         if math.isinf(best):
             break
     return witness, best
@@ -206,7 +209,8 @@ def edge_flow(
 ) -> tuple[bool, Optional[tuple[EdgeRef, ...]]]:
     """Flow verdict for one edge, with the first (minimal) witness found."""
     m = joint.default_message(message)
-    witness = next(_search(joint, m, [edge], max_candidates, frozenset([edge])), None)
+    found = _search(joint, m, [edge], max_candidates, frozenset([edge]))
+    witness = next((sub for sub, _ in found), None)
     return witness is not None, witness
 
 
@@ -247,7 +251,7 @@ def candidate_flow(
     others = _cap(
         tuple(e for e in joint.candidates_at(edge.time) if e != edge),
         max_candidates,
-        f"at t={edge.time}",
+        lambda: f"at t={edge.time}",
     )
     if which == 2:
         return any(joint.dependent([m], [edge], [o]) for o in others)
@@ -331,8 +335,7 @@ def analyze(
 ) -> FlowReport:
     """Run the detector over every edge of the joint for one message."""
     m = joint.default_message(message)
-    engine = "gaussian" if isinstance(joint, GaussianJoint) else "exact"
-    report = FlowReport(message=m, engine=engine)
+    report = FlowReport(message=m, engine=joint.engine)
     for t in joint.times():
         for e in joint.edges_at(t):
             if quantify:  # one walk of the search gives the witness and the value

@@ -63,6 +63,8 @@ def _solve_psd(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]
 class GaussianJoint(JointVariables):
     """Covariance over (message, edge transmissions), exact rationals."""
 
+    engine = "gaussian"
+
     def __init__(self, variables: Sequence[VarId], cov: Sequence[Sequence[Fraction]]) -> None:
         super().__init__(variables)
         self.cov: tuple[tuple[Fraction, ...], ...] = tuple(
@@ -136,6 +138,18 @@ class GaussianJoint(JointVariables):
         if v2 == 0:
             return math.inf
         return 0.5 * math.log2(v1 / v2)
+
+    def ci_query(self, a_vars: Sequence[VarId]):
+        """``DiscreteJoint.ci_query`` for a scalar A, by ``dependent`` and
+        ``cmi`` on the cached conditional variances."""
+        self._scalar_first(a_vars)
+
+        def ask(b_vars: tuple, c_vars: Sequence[VarId]):
+            if not self.dependent(a_vars, b_vars, c_vars):
+                return None
+            return lambda: self.cmi(a_vars, b_vars, c_vars)
+
+        return ask
 
     def _scalar_first(self, a_vars: Sequence[VarId]) -> VarId:
         a_vars = tuple(a_vars)

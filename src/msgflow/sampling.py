@@ -50,7 +50,8 @@ the family size and the replicates each permutation test drew, 0 when no
 test of the cascade permuted.
 
 All randomness is driven by spawned child streams of one master seed, so
-identical inputs give bit-identical trials and p-values.
+identical inputs give bit-identical trials and p-values; a cascade builds a
+test's stream only when the test permutes.
 """
 
 from __future__ import annotations
@@ -78,6 +79,11 @@ DEFAULT_MAX_SUBSET = 2  # a cascade's Bonferroni level shrinks with its length
 COCHRAN_MIN_EXPECTED = 5
 _EPS = 2.0**-52  # relative tolerance of the chi-square tail's series and fraction
 _MAX_TERMS = 100_000  # the fraction converges in O(sqrt(df)) terms
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValidationError(f"seed {seed} is negative")
 
 
 def sample_trials(spec: SystemSpec, n: int, seed: int) -> DiscreteJoint:
@@ -119,8 +125,7 @@ def sample_trials(spec: SystemSpec, n: int, seed: int) -> DiscreteJoint:
     """
     if n < 1:
         raise ValidationError("need at least one trial")
-    if seed < 0:
-        raise ValidationError(f"seed {seed} is negative")
+    _check_seed(seed)
     if spec.is_continuous:
         warnings.warn(
             "sampling a continuous system; the discrete CI tests will not accept it",
@@ -253,17 +258,21 @@ def chi2_sf(x: float, df: int) -> float:
 
 
 def _ci_test(
-    trials: DiscreteJoint, a_vars, b_vars, c_vars, n_perm: int, seed: int
+    trials: DiscreteJoint, a_vars, b_vars, c_vars, n_perm: int, seed: int, i: int
 ) -> tuple[float, int]:
-    """One test of a cascade: its p-value and the permutation replicates it
-    drew.  The G-test where the grid is dense (``_dense``), the permutation
-    test on the same grid otherwise; a test that needs neither draws 0."""
+    """Test i of a cascade seeded by ``seed``: its p-value and the
+    permutation replicates it drew.  The G-test where the grid is dense
+    (``_dense``), the permutation test on the same grid otherwise; a test
+    that needs neither draws 0.  Only a permutation test builds its stream,
+    SeedSequence(seed, spawn_key=(i,)), which is SeedSequence(seed).spawn(n)[i]
+    for every n > i."""
     s = _strata(trials, a_vars, b_vars, c_vars)
     if s is None:
         return 1.0, 0
     if _dense(s):
         return chi2_sf(*_g_statistic(s)), 0
-    return _permutation_p(s, n_perm, seed), n_perm
+    stream = np.random.SeedSequence(seed, spawn_key=(i,))
+    return _permutation_p(s, n_perm, int(stream.generate_state(1, np.uint32)[0])), n_perm
 
 
 def _xlog2x(counts: np.ndarray) -> np.ndarray:
@@ -304,6 +313,7 @@ def permutation_ci_test(
     """
     if n_perm < 1:
         raise ValidationError("need at least one permutation")
+    _check_seed(seed)
     s = _strata(trials, a_vars, b_vars, c_vars)
     return 1.0 if s is None else _permutation_p(s, n_perm, seed)
 
@@ -371,10 +381,10 @@ def detect_flow_sampled(
     ``quantified`` None.  The family is the subsets of the edge's source
     component of at most ``max_subset_size`` edges (``flow._component``, the
     whole slice for trials without ``sources``), in the exact search's
-    order; test i draws from the i-th stream spawned from ``seed``.  Each
-    test runs at the Bonferroni level ``alpha / N`` where ``N`` counts the
-    family; the cascade stops at the first rejection and later tests are
-    left unrun.  The component holds every minimal witness of the slice, so
+    order; test i, if it permutes, draws from the i-th stream spawned from
+    ``seed`` (at least 0).  Each test runs at the Bonferroni level
+    ``alpha / N`` where ``N`` counts the family; the cascade stops at the
+    first rejection and later tests are left unrun.  The component holds every minimal witness of the slice, so
     the smaller family tests the same null at family-wise error at most
     alpha, with each test at a level no lower than the whole slice would
     give.  ``max_subset_size`` must be at least 0 and is clamped to the
@@ -400,23 +410,19 @@ def detect_flow_sampled(
         raise ValidationError("need at least one permutation")
     if max_subset_size < 0:
         raise ValidationError(f"max_subset_size must be at least 0, got {max_subset_size}")
+    _check_seed(seed)
     if trials.is_constant(edge):
         return FlowEntry(edge, False, None, None, (), alpha, 0, 0)
     family = list(_subsets(_component(trials, [edge], frozenset([edge])), max_subset_size))
     n_tests = len(family)
     level = alpha / n_tests
     n_perm = max(n_perm, math.ceil(n_tests / alpha))
-    streams = np.random.SeedSequence(seed).spawn(n_tests)
     p_values = []
     replicates = 0
-    for sub, stream in zip(family, streams):
-        p, drawn = _ci_test(trials, [m], [edge], list(sub), n_perm, _stream_seed(stream))
+    for i, sub in enumerate(family):
+        p, drawn = _ci_test(trials, [m], [edge], list(sub), n_perm, seed, i)
         replicates = max(replicates, drawn)
         p_values.append((sub, p))
         if p <= level:
             return FlowEntry(edge, True, sub, None, tuple(p_values), level, n_tests, replicates)
     return FlowEntry(edge, False, None, None, tuple(p_values), level, n_tests, replicates)
-
-
-def _stream_seed(ss: np.random.SeedSequence) -> int:
-    return int(ss.generate_state(1, np.uint32)[0])

@@ -1,3 +1,4 @@
+import copy
 import math
 import warnings
 
@@ -15,7 +16,7 @@ from msgflow import (
 from msgflow.exprs import msg
 from msgflow.graph import NodeRef, edge
 from msgflow.report import reports_to_json
-from reference import set_answers, unpruned
+from reference import reference_component, set_answers, unpruned
 
 
 def test_edge_flow_witnesses_ce1(joints):
@@ -199,6 +200,64 @@ def test_negative_cap_is_invalid(joints):
     ):
         with pytest.raises(ValidationError, match="at least 0"):
             search()
+
+
+def test_component_table_follows_sources(fixtures):
+    # Each of the 8 candidates of fft-phase's slice 1 shares no source with
+    # another, so its search fits a cap of 0; counting every edge as reading
+    # one shared source, or none as a joint without sources does, it needs 7.
+    j = mf.enumerate_joint(fixtures["fft-phase"].spec)
+    cands = j.candidates_at(1)
+    assert len(cands) == 8
+
+    def fits_cap_0(joint):
+        fits = []
+        for e in cands:
+            try:
+                mf.edge_flow(joint, e, max_candidates=0)
+            except SearchSpaceError:
+                fits.append(False)
+            else:
+                fits.append(True)
+        return fits
+
+    assert fits_cap_0(j) == [True] * 8  # fills the original's table
+    shared, blind = copy.copy(j), copy.copy(j)
+    shared.sources = dict.fromkeys(j.edge_vars, frozenset({"one"}))
+    blind.sources = None
+    for other in (shared, blind):
+        assert fits_cap_0(other) == [False] * 8
+        for e in cands:
+            assert mf.flow._component(other, [e], frozenset([e])) == tuple(
+                x for x in cands if x != e
+            )
+    assert fits_cap_0(j) == [True] * 8  # the copies left the original's table alone
+    shared.sources = j.sources
+    assert fits_cap_0(shared) == [True] * 8
+
+
+def test_quantify_builds_one_grid_per_subset(fixtures, monkeypatch):
+    # Every subset a quantified search tries builds one weight grid, which
+    # gives both the verdict and the bits; the search never calls cmi.
+    j = mf.enumerate_joint(fixtures["butterfly"].spec)
+    built = []
+    grid = mf.DiscreteJoint._grid
+
+    def counted(self, *axes):
+        built.append(axes)
+        return grid(self, *axes)
+
+    def no_cmi(*args):
+        raise AssertionError("the search called cmi")
+
+    monkeypatch.setattr(mf.DiscreteJoint, "_grid", counted)
+    monkeypatch.setattr(mf.DiscreteJoint, "cmi", no_cmi)
+    reports = mf.analyze_messages(j, quantify=True)
+    live = [e for e in j.edge_vars if not j.is_constant(e)]
+    tried = len(j.message_vars) * sum(2 ** len(reference_component(j, e)) for e in live)
+    pairs = math.comb(len(j.message_vars), 2)  # the dependent-messages check
+    assert len(built) == tried + pairs == 161
+    assert all(r.entries[e].quantified > 0 for r in reports.values() for e in r.flowing())
 
 
 @pytest.mark.parametrize("name", ["ce1", "ce3", "butterfly"])

@@ -341,6 +341,21 @@ def test_detect_validates_subset_size(fixtures):
         mf.detect_flow_sampled(trials, edge("B", 0, "B"), max_subset_size=-1)
 
 
+def test_negative_seeds_are_invalid(fixtures):
+    spec = fixtures["ce1"].spec
+    trials = mf.sample_trials(spec, 100, seed=9)
+    live, constant = edge("A", 1, "B"), edge("B", 0, "B")
+    for call in (
+        lambda: mf.sample_trials(spec, 100, seed=-1),
+        lambda: mf.detect_flow_sampled(trials, live, seed=-1),
+        lambda: mf.detect_flow_sampled(trials, constant, seed=-1),  # before it returns
+        lambda: mf.permutation_ci_test(trials, ["M"], [live], seed=-1),
+        lambda: mf.permutation_ci_test(trials, ["M"], [constant], seed=-1),  # p = 1, no draw
+    ):
+        with pytest.raises(ValidationError, match="seed -1 is negative"):
+            call()
+
+
 @pytest.mark.parametrize("name", ["ce2", "butterfly"])
 def test_subset_size_is_clamped_to_the_component(fixtures, name):
     # Any size beyond the edge's source component plans the same family.
@@ -609,7 +624,7 @@ def test_empty_strata_add_nothing_to_g_or_df():
         joint = mf.DiscreteJoint(["M", "E", "C"], rows + extra, weights + [0] * len(extra))
         args = (joint, ["M"], ["E"], ["C"])
         g_stats.append(mf.sampling._g_statistic(mf.sampling._strata(*args)))
-        tests.append(mf.sampling._ci_test(*args, n_perm=99, seed=0))
+        tests.append(mf.sampling._ci_test(*args, n_perm=99, seed=0, i=0))
     assert g_stats[0][1] == 2
     assert g_stats[1] == g_stats[0]
     assert tests[1] == tests[0] and tests[0][1] == 0  # G-tests, same p
@@ -634,13 +649,16 @@ def test_cochran_rule_routes_the_test(b, route):
     for extra in ((), [(1, 1, 7)]):
         joint = _two_by_two(2_000, 20, b, extra)
         args = (joint, ["A"], ["B"], ["C"] if extra else [])
-        p, drawn = mf.sampling._ci_test(*args, n_perm=99, seed=5)
+        p, drawn = mf.sampling._ci_test(*args, n_perm=99, seed=5, i=0)
         if route == "G":
             assert drawn == 0
             assert p == mf.sampling.chi2_sf(*mf.sampling._g_statistic(mf.sampling._strata(*args)))
         else:
             assert drawn == 99
-            assert p == mf.permutation_ci_test(*args, n_perm=99, seed=5)
+            # Test 0 of a cascade seeded by 5 permutes with SeedSequence(5)'s first spawn.
+            stream = np.random.SeedSequence(5).spawn(1)[0]
+            stream_seed = int(stream.generate_state(1, np.uint32)[0])
+            assert p == mf.permutation_ci_test(*args, n_perm=99, seed=stream_seed)
 
 
 def test_cochran_rule_skips_values_a_stratum_lacks():
@@ -649,7 +667,7 @@ def test_cochran_rule_skips_values_a_stratum_lacks():
     cells = [(a, b, 0) for a in range(3) for b in range(2)]
     cells += [(a, b, 1) for a in range(2) for b in range(3)]
     joint = mf.DiscreteJoint(["A", "B", "C"], cells, [20] * len(cells))
-    assert mf.sampling._ci_test(joint, ["A"], ["B"], ["C"], 99, 0) == (1.0, 0)
+    assert mf.sampling._ci_test(joint, ["A"], ["B"], ["C"], 99, 0, 0) == (1.0, 0)
 
 
 def test_replicates_count_a_permutation_test_before_a_g_test():
@@ -670,7 +688,7 @@ def test_ci_test_degenerate_strata_warn_and_draw_nothing():
     rows = [(0, 0, 0), (1, 1, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4)]
     joint = mf.DiscreteJoint(["A", "B", "C"], rows)
     with pytest.warns(DegenerateTestWarning):
-        assert mf.sampling._ci_test(joint, ["A"], ["B"], ["C"], 19, 0) == (1.0, 0)
+        assert mf.sampling._ci_test(joint, ["A"], ["B"], ["C"], 19, 0, 0) == (1.0, 0)
 
 
 def test_dense_strata_beyond_the_draw_limit_take_the_g_test():
@@ -678,9 +696,9 @@ def test_dense_strata_beyond_the_draw_limit_take_the_g_test():
     cells = [(0, 0), (0, 1), (1, 0), (1, 1)]
     flat = mf.DiscreteJoint(["A", "B"], cells, [10**9] * 4)
     assert flat.weights.dtype == object
-    assert mf.sampling._ci_test(flat, ["A"], ["B"], [], 9, 0) == (1.0, 0)
+    assert mf.sampling._ci_test(flat, ["A"], ["B"], [], 9, 0, 0) == (1.0, 0)
     tilted = mf.DiscreteJoint(["A", "B"], cells, [2 * 10**9, 10**9, 10**9, 2 * 10**9])
-    assert mf.sampling._ci_test(tilted, ["A"], ["B"], [], 9, 0) == (0.0, 0)
+    assert mf.sampling._ci_test(tilted, ["A"], ["B"], [], 9, 0, 0) == (0.0, 0)
 
 
 @pytest.mark.parametrize("n_trials, alarms_max, misses_max", [(300, 0, 20), (10_000, 1, 4)])
