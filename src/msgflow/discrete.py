@@ -38,16 +38,19 @@ grid sorts nothing:
 * ``cmi`` — I(A;B|C) in bits as a float, for display; on trials it is the
   plug-in estimate.
 * ``ci_query`` — the queries of one flow search: A is coded once and each
-  target set B once, and a subset's one grid gives both the verdict and,
-  for a witness, the bits (``grid_cmi``).
+  target set B once, and a subset's one grid, its margins summed once
+  (``grid_margins``), gives the verdict and, for a witness, the bits
+  (``grid_cmi``) and whether they reach min(H(A), H(B)) exactly
+  (``grid_saturated``), where a quantified search stops.
 * the conditional-independence tests of :mod:`msgflow.sampling` read their
   per-stratum contingency tables from ``weight_grid``, and the G-test its
-  statistic from ``grid_cmi``, the grid-level body of ``cmi``.
+  statistic from ``grid_cmi``, the grid-level body of ``cmi``, on the
+  margins the test summed.
 
 Weights are int64 when the squared total weight fits in int64, so no product
-of two margins can overflow; otherwise they are Python ints in object arrays,
-run through the same code.  The choice is made from the data, and no float
-enters a verdict.
+of two margins, the total among them, can overflow; otherwise they are Python
+ints in object arrays, run through the same code.  The choice is made from
+the data, and no float enters a verdict.
 
 ``to_csv`` writes the integer row weights in a last ``#weight`` column unless
 every row weighs 1, so exact joints and merged trials round-trip through
@@ -382,8 +385,9 @@ class DiscreteJoint(JointVariables):
         I(A;B|C) = 0 and otherwise a callable giving I(A;B|C) in bits.
 
         A is coded and checked once, each distinct tuple B once, and each
-        query builds only C's key and one grid, whose factorization test
-        gives the verdict and whose ``grid_cmi`` gives the bits.  The caller
+        query builds only C's key and one grid, whose margins, summed once,
+        give the verdict, the bits (``grid_cmi``) and whether they saturate
+        (``grid_saturated``), which the callable returns with them.  The caller
         keeps C disjoint from A and B, which ``weight_grid`` would check.
         """
         a = self._code(a_vars)
@@ -394,7 +398,10 @@ class DiscreteJoint(JointVariables):
             if b is None:
                 b = coded[b_vars] = self._code(b_vars)
             g = self._grid(a, b, self._code(c_vars))
-            return (lambda: grid_cmi(g, self.total)) if grid_dependent(g) else None
+            m = grid_margins(g)
+            if not grid_dependent(g, m):
+                return None
+            return lambda: (grid_cmi(g, self.total, m), grid_saturated(g, self.total, m))
 
         return ask
 
@@ -437,28 +444,41 @@ class DiscreteJoint(JointVariables):
         return DiscreteJoint(variables, rows, weights)
 
 
-def grid_dependent(g: np.ndarray) -> bool:
+def grid_margins(g: np.ndarray) -> tuple:
+    """(w_ac, w_bc, w_c) of a (c, a, b) weight grid."""
+    w_ac = g.sum(axis=2)
+    return w_ac, g.sum(axis=1), w_ac.sum(axis=1)
+
+
+def grid_dependent(g: np.ndarray, margins: Optional[tuple] = None) -> bool:
     """I(A;B|C) > 0 on a (c, a, b) weight grid, exactly: A and B are
     independent given C when every cell, empty ones too, factorizes as
     w_abc·w_c == w_ac·w_bc."""
-    w_ac = g.sum(axis=2)
-    w_bc = g.sum(axis=1)
-    w_c = w_ac.sum(axis=1)
+    w_ac, w_bc, w_c = margins or grid_margins(g)
     return bool((g * w_c[:, None, None] != w_ac[:, :, None] * w_bc[:, None, :]).any())
 
 
-def grid_cmi(g: np.ndarray, total: int) -> float:
+def grid_cmi(g: np.ndarray, total: int, margins: Optional[tuple] = None) -> float:
     """I(A;B|C) in bits of a (c, a, b) weight grid of total weight ``total``:
     Σ (w_abc/total)·log2(w_abc·w_c / (w_ac·w_bc)) over the occupied cells."""
-    w_ac = g.sum(axis=2)
-    w_bc = g.sum(axis=1)
-    w_c = w_ac.sum(axis=1)
+    w_ac, w_bc, w_c = margins or grid_margins(g)
     live = g > 0
     num = (g * w_c[:, None, None])[live]
     den = (w_ac[:, :, None] * w_bc[:, None, :])[live]
     share = (g[live] / total).astype(np.float64)
     bits = float(np.sum(share * np.log2((num / den).astype(np.float64))))
     return max(bits, 0.0)
+
+
+def grid_saturated(g: np.ndarray, total: int, margins: tuple) -> bool:
+    """I(A;B|C) = min(H(A), H(B)) on a (c, a, b) weight grid, exactly.  As
+    I(A;B|C) = H(A) − (H(A) − H(A|C)) − H(A|B,C) <= min(H(A), H(B)), it is
+    H(A), the minimum, exactly when A ⊥ C, w_ac·total == w_a·w_c, and no
+    (c, b) holds two occupied a, H(A|B,C) = 0; likewise for B."""
+    w_ac, w_bc, w_c = margins
+    apart = lambda w_xc: (w_xc * total == w_xc.sum(axis=0) * w_c[:, None]).all()
+    fixed = lambda axis: (np.count_nonzero(g, axis=axis) <= 1).all()
+    return bool(apart(w_ac) and fixed(1) or apart(w_bc) and fixed(2))
 
 
 def _parse_weight(text: str) -> int:

@@ -44,9 +44,17 @@ afresh whenever ``sources`` is assigned) and serve every search of the slice
 and the sampled cascade.  A search asks all of its questions through one
 query (``ci_query``): the exact joint codes the message once and each target
 set once, then builds one weight grid per subset, whose factorization test
-is the verdict.  A quantified search takes each witness's bits from that
-same grid, so it builds one grid per subset tried.  The gaussian joint
-answers the same query from its cached conditional variances.
+is the verdict.  The gaussian joint answers the same query from its cached
+conditional variances.
+
+A quantified search takes each witness's bits from its grid and stops at
+the first witness whose bits saturate: I(M; e | S) <= min(H(M), H(e)) for
+every S (Cover & Thomas, §2.6), so once a witness reaches that bound,
+exactly by ``grid_saturated``'s integer test, no later subset gives more;
+an infinite gaussian value saturates likewise.  The witness, the first one,
+and the verdicts, which never read the bits, are unchanged; the value may
+differ by ulps from an unstopped search's, which may take the same exact
+maximum at a later subset.
 
 Three weaker tests (marginal dependence; conditioning on single edges;
 conditioning on all other edges) are kept available as ``candidate_flow`` —
@@ -62,7 +70,6 @@ the cap raise instead of silently degrading.
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -168,9 +175,10 @@ def _search(
 ):
     """Yield (S, bits) for every witness S of the same-time targets T: each
     subset S of comp(T) \\ ``exclude`` with I(m; T \\ S | S) > 0, in
-    (cardinality, canonical order), and ``bits()`` gives that information.
-    Constant targets carry nothing and are dropped.  One ``ci_query``
-    serves the search; S is disjoint from m and T \\ S by construction."""
+    (cardinality, canonical order), and ``bits()`` gives that information
+    and whether it saturates.  Constant targets carry nothing and are
+    dropped.  One ``ci_query`` serves the search; S is disjoint from m and
+    T \\ S by construction."""
     for e in targets:
         if not joint.has_var(e):
             raise ValidationError(f"edge {e} absent from joint")
@@ -190,13 +198,15 @@ def _search(
 def _witness_and_bits(
     joint: Joint, m: str, edge: EdgeRef, max_candidates: int
 ) -> tuple[Optional[tuple[EdgeRef, ...]], float]:
-    """The first witness of ``edge`` and the largest I(m; edge | S) over all of them."""
+    """The first witness of ``edge`` and the largest I(m; edge | S) over
+    all of them, stopping at the first that saturates."""
     witness, best = None, 0.0
     for sub, bits in _search(joint, m, [edge], max_candidates, frozenset([edge])):
         if witness is None:
             witness = sub
-        best = max(best, bits())
-        if math.isinf(best):
+        q, saturated = bits()
+        best = max(best, q)
+        if saturated:
             break
     return witness, best
 

@@ -68,7 +68,7 @@ class GaussianJoint(JointVariables):
     def __init__(self, variables: Sequence[VarId], cov: Sequence[Sequence[Fraction]]) -> None:
         super().__init__(variables)
         self.cov: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(Fraction(x) for x in row) for row in cov
+            tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in cov
         )
         n = len(self.variables)
         if len(self.cov) != n or any(len(row) != n for row in self.cov):
@@ -141,13 +141,14 @@ class GaussianJoint(JointVariables):
 
     def ci_query(self, a_vars: Sequence[VarId]):
         """``DiscreteJoint.ci_query`` for a scalar A, by ``dependent`` and
-        ``cmi`` on the cached conditional variances."""
+        ``cmi`` on the cached conditional variances; an infinite value
+        saturates."""
         self._scalar_first(a_vars)
 
         def ask(b_vars: tuple, c_vars: Sequence[VarId]):
             if not self.dependent(a_vars, b_vars, c_vars):
                 return None
-            return lambda: self.cmi(a_vars, b_vars, c_vars)
+            return lambda: ((q := self.cmi(a_vars, b_vars, c_vars)), math.isinf(q))
 
         return ask
 
@@ -198,9 +199,10 @@ def linear_propagate(spec: SystemSpec) -> GaussianJoint:
     rows = [{msg_name: Fraction(1)}] + [getattr(env.edges[e], "coeffs", {}) for e in edge_order]
     n = len(variables)
     cov = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
+    live = [i for i in range(n) if rows[i]]  # a constant edge's row and column are 0
+    for x, i in enumerate(live):
         ri = rows[i]
-        for j in range(i, n):
+        for j in live[x:]:
             rj = rows[j]
             small, big = (ri, rj) if len(ri) <= len(rj) else (rj, ri)
             s = Fraction(0)

@@ -62,7 +62,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .discrete import DiscreteJoint, VarId, grid_cmi
+from .discrete import DiscreteJoint, VarId, grid_cmi, grid_margins
 from .errors import (
     ContinuousSamplingWarning,
     DegenerateTestWarning,
@@ -180,9 +180,7 @@ def _strata(trials: DiscreteJoint, a_vars, b_vars, c_vars) -> Optional[_Strata]:
     tables = trials.weight_grid(a_vars, b_vars, c_vars)
     if tables.shape[1] <= 1 or tables.shape[2] <= 1:
         return None
-    rows = tables.sum(axis=2)
-    cols = tables.sum(axis=1)
-    n_c = rows.sum(axis=1)
+    rows, cols, n_c = grid_margins(tables)
     if np.all(n_c <= 1):
         warnings.warn(
             "every conditioning stratum has one trial; the test is degenerate",
@@ -215,7 +213,7 @@ def _g_statistic(s: _Strata) -> tuple[float, int]:
     stratum, which a zero-weight row's conditioning value makes, has no
     cell either; counted, it would add (0 − 1)(0 − 1) = 1."""
     n = int(s.n_c.sum())
-    g = 2.0 * n * math.log(2.0) * grid_cmi(s.tables, n)
+    g = 2.0 * n * math.log(2.0) * grid_cmi(s.tables, n, (s.rows, s.cols, s.n_c))
     r = np.count_nonzero(s.rows[s.free], axis=1) - 1
     k = np.count_nonzero(s.cols[s.free], axis=1) - 1
     return g, int(np.dot(r, k))

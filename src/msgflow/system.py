@@ -490,6 +490,11 @@ class ColumnPass:
         self._cols = [_Column() for _ in self._slot]
         fns = [(None, name, x) for name, x in zip(m.components, m.exprs or ())]
         fns += [(e.src, e, spec.expr_for(e)) for e in edges]
+        # A column without a function is the constant 0, coded once here.
+        self._zeros = {self._slot[key] for _, key, x in fns if x is exprs.CONST_ZERO}
+        for j in self._zeros:
+            self._cols[j].code(0)
+        fns = [f for f in fns if f[2] is not exprs.CONST_ZERO]
         # (node, slot, compiled function, columns read)
         self._fns = [
             (v, self._slot[key], compile_expr(x), self._reads(x, v)) for v, key, x in fns
@@ -564,8 +569,8 @@ class ColumnPass:
         index, n = offsets[None][pick], len(pick)
         # Codes by slot of the computed columns and the live sources; every
         # constant column holds the one array ``zero``.
-        held: list = [None] * len(self._cols)
         zero = np.zeros(n, dtype=np.int64)
+        held: list = [zero if j in self._zeros else None for j in range(len(self._cols))]
         if spec.message.kind != "derived":
             for j in range(len(spec.message.components)):
                 held[j] = _codes(self._cols[j], [x[j] for x in supports[None]], pick)

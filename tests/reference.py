@@ -15,6 +15,8 @@ sampled cascade written as its own loop over the subsets of
 time over pairs of edges that share a source, or the whole slice when the
 trials carry no sources.  Each of its tests (``reference_test``) picks the
 G-test or the permutation test by its own loop over strata.
+``stopped_search_length`` counts the subsets a quantified search tries
+before it stops, from Fraction probabilities summed over the rows.
 """
 
 from __future__ import annotations
@@ -128,6 +130,50 @@ def reference_component(trials, edge) -> tuple:
                 seen.add(y)
                 todo.append(y)
     return tuple(e for e in cands if e in seen)
+
+
+def stopped_search_length(joint, m, edge) -> int:
+    """How many subsets of ``reference_component`` a quantified search of
+    ``edge`` tries, in (cardinality, canonical order): up to and including
+    the first witness S with I(m; edge | S) = min(H(m), H(edge)), that is,
+    with m independent of S and fixed by (edge, S), or the same with m and
+    edge swapped; every subset if there is none."""
+    col = {v: i for i, v in enumerate(joint.variables)}
+    rows = list(zip(joint.rows, joint.probs))
+
+    def law(*groups) -> Counter:
+        out = Counter()
+        for row, p in rows:
+            out[tuple(tuple(row[col[v]] for v in g) for g in groups)] += p
+        return out
+
+    cands = reference_component(joint, edge)
+    tried = 0
+    for k in range(len(cands) + 1):
+        for sub in itertools.combinations(cands, k):
+            tried += 1
+            xys, s_law = law([m], [edge], sub), law(sub)
+            xs, ys = law([m], sub), law([edge], sub)
+            dependent = any(
+                xys[x, y, c] * s_law[c,] != xs[x, c] * ys[y, c2]
+                for x, c in xs
+                for y, c2 in ys
+                if c == c2
+            )
+
+            def saturates(x_law, x_s, pick) -> bool:
+                independent = all(
+                    x_s[x[0], c[0]] == px * pc for x, px in x_law.items() for c, pc in s_law.items()
+                )
+                fixed = Counter(pick(x, y, c) for (x, y, c), p in xys.items() if p)
+                return independent and max(fixed.values()) == 1
+
+            if dependent and (
+                saturates(law([m]), xs, lambda x, y, c: (y, c))
+                or saturates(law([edge]), ys, lambda x, y, c: (x, c))
+            ):
+                return tried
+    return tried
 
 
 def reference_test(trials, m, edge, sub, n_perm, seed) -> tuple:

@@ -1,10 +1,12 @@
 import copy
+import itertools
 import math
 import warnings
 
 import pytest
 
 import msgflow as mf
+from msgflow import flow
 from msgflow import (
     DependentMessagesWarning,
     MessageSpec,
@@ -16,7 +18,8 @@ from msgflow import (
 from msgflow.exprs import msg
 from msgflow.graph import NodeRef, edge
 from msgflow.report import reports_to_json
-from reference import reference_component, set_answers, unpruned
+from randsys import random_noisy_system, random_system
+from reference import set_answers, stopped_search_length, unpruned
 
 
 def test_edge_flow_witnesses_ce1(joints):
@@ -238,7 +241,8 @@ def test_component_table_follows_sources(fixtures):
 
 def test_quantify_builds_one_grid_per_subset(fixtures, monkeypatch):
     # Every subset a quantified search tries builds one weight grid, which
-    # gives both the verdict and the bits; the search never calls cmi.
+    # gives the verdict, the bits and the saturation test; the search stops
+    # at the first witness that saturates and never calls cmi.
     j = mf.enumerate_joint(fixtures["butterfly"].spec)
     built = []
     grid = mf.DiscreteJoint._grid
@@ -254,10 +258,46 @@ def test_quantify_builds_one_grid_per_subset(fixtures, monkeypatch):
     monkeypatch.setattr(mf.DiscreteJoint, "cmi", no_cmi)
     reports = mf.analyze_messages(j, quantify=True)
     live = [e for e in j.edge_vars if not j.is_constant(e)]
-    tried = len(j.message_vars) * sum(2 ** len(reference_component(j, e)) for e in live)
+    tried = sum(stopped_search_length(j, m, e) for m in j.message_vars for e in live)
     pairs = math.comb(len(j.message_vars), 2)  # the dependent-messages check
-    assert len(built) == tried + pairs == 161
+    assert len(built) == tried + pairs == 74
     assert all(r.entries[e].quantified > 0 for r in reports.values() for e in r.flowing())
+
+
+def _unstopped(joint, m, e) -> float:
+    """The largest I(m; e | S) over every witness, without the stop."""
+    found = flow._search(joint, m, [e], flow.DEFAULT_MAX_CANDIDATES, frozenset([e]))
+    return max((bits()[0] for _, bits in found), default=0.0)
+
+
+def test_quantify_stops_only_at_a_saturating_witness():
+    # M = (m1, m0) and a noise bit n are uniform; the edges at t = 0 are
+    # e = (m1 xor n, m0), s = m1 and r = n, and e's search tries (), (s), (r)
+    # in turn.  I(M; e) = 1, and neither M nor e is fixed by the other.
+    # Given s, e fixes M, but M is not independent of s: I(M; e | s) = 1.
+    # Given r, e fixes M and M is independent of r: I(M; e | r) = 2 = H(M),
+    # where the search stops.  With M and e swapped, e is fixed by (M, s)
+    # but not independent of s.  A stop that dropped either half of either
+    # test would report 1.
+    e, s, r = edge("A", 0, "E"), edge("A", 0, "S"), edge("A", 0, "T")
+    bits = list(itertools.product((0, 1), repeat=3))
+    for names in (("M", e), (e, "M")):
+        rows = [(2 * m1 + m0, 2 * (m1 ^ n) + m0, m1, n) for m1, m0, n in bits]
+        joint = mf.DiscreteJoint((*names, s, r), rows)
+        assert mf.edge_flow(joint, e, "M") == (True, ())
+        assert _unstopped(joint, "M", e) == mf.quantified_flow(joint, e, "M") == 2.0
+
+
+def test_stopped_quantify_matches_unstopped_on_random_systems():
+    systems = [random_system(seed) for seed in range(300)]
+    systems += [random_noisy_system(seed) for seed in range(200)]
+    for i, spec in enumerate(systems):
+        joint = mf.enumerate_joint(spec)
+        for m in joint.message_vars:
+            for e, entry in mf.analyze(joint, m, quantify=True).entries.items():
+                assert (entry.has_flow, entry.witness) == mf.edge_flow(joint, e, m), (i, e)
+                want = _unstopped(joint, m, e)
+                assert entry.quantified == pytest.approx(want, rel=1e-12, abs=0), (i, m, e)
 
 
 @pytest.mark.parametrize("name", ["ce1", "ce3", "butterfly"])
