@@ -23,9 +23,10 @@ appearance and lists only values some row holds, so the table stores its
 codes as given.
 
 Every query asks one question of one (c, a, b) weight grid with C
-compressed to its observed strata, and one grid builder
-(``DiscreteJoint._grid``) serves ``weight_grid``, ``dependent``, ``cmi`` and
-the flow search alike.  A grid axis is one stored column, whose codes serve
+compressed to its observed strata, and one grid query
+(``DiscreteJoint.grid_query``), which codes A and each B once, serves
+``weight_grid``, ``dependent``, ``cmi``, the flow search and the sampled
+cascade alike.  A grid axis is one stored column, whose codes serve
 as they are, or a mixed-radix key of several columns, renumbered over its
 observed values by a presence table (``system.compress``), so building a
 grid sorts nothing:
@@ -37,15 +38,15 @@ grid sorts nothing:
   from this test, never from a float threshold.
 * ``cmi`` — I(A;B|C) in bits as a float, for display; on trials it is the
   plug-in estimate.
-* ``ci_query`` — the queries of one flow search: A is coded once and each
-  target set B once, and a subset's one grid, its margins summed once
-  (``grid_margins``), gives the verdict and, for a witness, the bits
-  (``grid_cmi``) and whether they reach min(H(A), H(B)) exactly
-  (``grid_saturated``), where a quantified search stops.
+* ``ci_query`` — the queries of one flow search, on one ``grid_query``: a
+  subset's one grid, its margins summed once (``grid_margins``), gives the
+  verdict and, for a witness, the bits (``grid_cmi``) and whether they
+  reach min(H(A), H(B)) exactly (``grid_saturated``), where a quantified
+  search stops.
 * the conditional-independence tests of :mod:`msgflow.sampling` read their
-  per-stratum contingency tables from ``weight_grid``, and the G-test its
-  statistic from ``grid_cmi``, the grid-level body of ``cmi``, on the
-  margins the test summed.
+  per-stratum contingency tables from one ``grid_query`` per cascade, and
+  the G-test its statistic from ``grid_cmi``, the grid-level body of
+  ``cmi``, on the margins the test summed.
 
 Weights are int64 when the squared total weight fits in int64, so no product
 of two margins, the total among them, can overflow; otherwise they are Python
@@ -275,6 +276,7 @@ class DiscreteJoint(JointVariables):
         self.codes = codes
         self.values: tuple[tuple, ...] = tuple(map(tuple, values))
         self._finite = [not any(isinstance(x, float) for x in vs) for vs in self.values]
+        self._constant = {v: len(vs) <= 1 for v, vs in zip(self.variables, self.values)}
 
     # ----- rows and columns --------------------------------------------
 
@@ -301,7 +303,10 @@ class DiscreteJoint(JointVariables):
         return self.values[self._col(v)]
 
     def is_constant(self, v: VarId) -> bool:
-        return len(self.values[self._col(v)]) <= 1
+        try:
+            return self._constant[v]
+        except KeyError:
+            raise ValidationError(f"unknown variable {v}") from None
 
     # ----- information queries -----------------------------------------
 
@@ -328,15 +333,6 @@ class DiscreteJoint(JointVariables):
         code, k = mixed_radix([(self.codes[j], len(self.values[j])) for j in cols], self.n_rows)
         return compress(code, k) if cols else (code, k)
 
-    def _grid(self, a, b, c) -> np.ndarray:
-        """The (c, a, b) weight grid of three coded axes, each a (codes, count)
-        pair from ``_code``: the one grid builder behind ``weight_grid``,
-        ``dependent``, ``cmi`` and the search's queries (``ci_query``)."""
-        (a, ka), (b, kb), (c, kc) = a, b, c
-        grid = np.zeros(kc * ka * kb, dtype=self.weights.dtype)
-        np.add.at(grid, (c * ka + a) * kb + b, self.weights)
-        return grid.reshape(kc, ka, kb)
-
     def weight_grid(
         self,
         a_vars: Sequence[VarId],
@@ -353,7 +349,7 @@ class DiscreteJoint(JointVariables):
         and each value combination's total weight.
         """
         _check_sets(a_vars, b_vars, c_vars)
-        return self._grid(self._code(a_vars), self._code(b_vars), self._code(c_vars))
+        return self.grid_query(a_vars)(tuple(b_vars), c_vars)
 
     def dependent(
         self,
@@ -380,24 +376,43 @@ class DiscreteJoint(JointVariables):
         """
         return grid_cmi(self.weight_grid(a_vars, b_vars, c_vars), self.total)
 
+    def grid_query(self, a_vars: Sequence[VarId]):
+        """``grid(B, C)`` is ``weight_grid(A, B, C)`` without its set checks:
+        the one grid builder.  A is coded once and each tuple B folded once
+        into the index a·kb + b, so a call codes only C (not at all when C is
+        empty) and makes one ``np.add.at`` at (c·ka + a)·kb + b.  The caller
+        keeps C disjoint from A and B."""
+        a, ka = self._code(a_vars)
+        folded: dict = {}
+
+        def grid(b_vars: tuple, c_vars: Sequence[VarId]) -> np.ndarray:
+            ab = folded.get(b_vars)
+            if ab is None:
+                b, kb = self._code(b_vars)
+                ab = folded[b_vars] = (a * kb + b, kb)
+            index, kb = ab
+            kc = 1
+            if c_vars:
+                c, kc = self._code(c_vars)
+                index = c * (ka * kb) + index
+            g = np.zeros(kc * ka * kb, dtype=self.weights.dtype)
+            np.add.at(g, index, self.weights)
+            return g.reshape(kc, ka, kb)
+
+        return grid
+
     def ci_query(self, a_vars: Sequence[VarId]):
         """The queries of one search about A: ``ask(B, C)`` is None when
         I(A;B|C) = 0 and otherwise a callable giving I(A;B|C) in bits.
 
-        A is coded and checked once, each distinct tuple B once, and each
-        query builds only C's key and one grid, whose margins, summed once,
-        give the verdict, the bits (``grid_cmi``) and whether they saturate
-        (``grid_saturated``), which the callable returns with them.  The caller
-        keeps C disjoint from A and B, which ``weight_grid`` would check.
+        Each query builds one grid (``grid_query``), whose margins, summed
+        once, give the verdict, the bits (``grid_cmi``) and whether they
+        saturate (``grid_saturated``), which the callable returns with them.
         """
-        a = self._code(a_vars)
-        coded: dict = {}
+        grid = self.grid_query(a_vars)
 
         def ask(b_vars: tuple, c_vars: Sequence[VarId]):
-            b = coded.get(b_vars)
-            if b is None:
-                b = coded[b_vars] = self._code(b_vars)
-            g = self._grid(a, b, self._code(c_vars))
+            g = grid(b_vars, c_vars)
             m = grid_margins(g)
             if not grid_dependent(g, m):
                 return None

@@ -197,6 +197,8 @@ def linear_propagate(spec: SystemSpec) -> GaussianJoint:
     edge_order = tuple(e for t in range(graph.horizon) for e in graph.edges_at(t))
     variables: tuple = (msg_name,) + edge_order
     rows = [{msg_name: Fraction(1)}] + [getattr(env.edges[e], "coeffs", {}) for e in edge_order]
+    # Each row weighted by the base variances once: c_ik·σ²_k·c_jk is one product.
+    scaled = [{k: c * base_var[k] for k, c in r.items()} for r in rows]
     n = len(variables)
     cov = [[Fraction(0)] * n for _ in range(n)]
     live = [i for i in range(n) if rows[i]]  # a constant edge's row and column are 0
@@ -204,12 +206,12 @@ def linear_propagate(spec: SystemSpec) -> GaussianJoint:
         ri = rows[i]
         for j in live[x:]:
             rj = rows[j]
-            small, big = (ri, rj) if len(ri) <= len(rj) else (rj, ri)
+            small, big = (scaled[i], rj) if len(ri) <= len(rj) else (scaled[j], ri)
             s = Fraction(0)
-            for k, ci in small.items():
-                cj = big.get(k)
-                if cj is not None:
-                    s += ci * cj * base_var[k]
+            for k, wk in small.items():
+                ck = big.get(k)
+                if ck is not None:
+                    s += wk * ck
             cov[i][j] = cov[j][i] = s
     joint = GaussianJoint(variables, cov)
     joint.sources = spec.sources()

@@ -26,8 +26,10 @@ so its power can only rise.  A constant edge carries nothing and runs no
 test.  The whole per-edge cascade is Bonferroni-corrected, which stays valid
 under the arbitrary dependence between the cascade's tests.
 
-Each test reads one weight grid over (conditioning stratum, M, e) and takes
-one of two routes (``_ci_test``):
+A cascade builds its grids over (conditioning stratum, M, e) through one
+query (``DiscreteJoint.grid_query``), which codes M and e once, so a test
+codes only its conditioning set.  Its margins, summed once (``_strata``),
+give the route, G and its degrees of freedom (``_ci_test``):
 
 * the G-test, when every cell of every free stratum (more than one occupied
   value of M and of e) expects at least ``COCHRAN_MIN_EXPECTED`` trials
@@ -164,43 +166,44 @@ def sample_trials(spec: SystemSpec, n: int, seed: int) -> DiscreteJoint:
 
 
 class _Strata(NamedTuple):
-    """A test's (c, a, b) weight grid and its margins."""
+    """A test's (c, a, b) weight grid, its margins and its strata's terms."""
 
     tables: np.ndarray  # w_abc, shape (kc, ka, kb)
     rows: np.ndarray  # w_ac
     cols: np.ndarray  # w_bc
     n_c: np.ndarray  # w_c
     free: np.ndarray  # more than one occupied A value and more than one B value
+    df: np.ndarray  # (R_c − 1)(K_c − 1) in a free stratum, 0 elsewhere
 
 
-def _strata(trials: DiscreteJoint, a_vars, b_vars, c_vars) -> Optional[_Strata]:
-    """The grid of a test of A against B given C, or None when p is 1 without
-    a test: a constant column is independent of everything, and a stratum of
-    one trial has nothing to permute (warned when every stratum is one)."""
-    tables = trials.weight_grid(a_vars, b_vars, c_vars)
+def _strata(tables: np.ndarray) -> Optional[_Strata]:
+    """A test's strata from its grid, or None when p is 1 without a test: a
+    constant column is independent of everything, and a stratum of one
+    trial has nothing to permute (warned when every stratum is one)."""
     if tables.shape[1] <= 1 or tables.shape[2] <= 1:
         return None
     rows, cols, n_c = grid_margins(tables)
-    if np.all(n_c <= 1):
+    if (n_c <= 1).all():
         warnings.warn(
             "every conditioning stratum has one trial; the test is degenerate",
             DegenerateTestWarning,
             stacklevel=3,
         )
         return None
-    free = (np.count_nonzero(rows, axis=1) > 1) & (np.count_nonzero(cols, axis=1) > 1)
-    return _Strata(tables, rows, cols, n_c, free)
+    r, k = (rows > 0).sum(axis=1), (cols > 0).sum(axis=1)
+    free = (r > 1) & (k > 1)
+    return _Strata(tables, rows, cols, n_c, free, (r - 1) * (k - 1) * free)
 
 
 def _dense(s: _Strata) -> bool:
     """Cochran's rule: every cell of a free stratum whose row and column are
     occupied expects at least ``COCHRAN_MIN_EXPECTED`` trials under the null,
-    w_ac·w_bc >= COCHRAN_MIN_EXPECTED·w_c, checked in integers.  The
+    w_ac·w_bc >= COCHRAN_MIN_EXPECTED·w_c, checked in integers over every
+    stratum, a floor of 0 exempting the strata that are not free.  The
     products fit, since an int64 grid holds the squared total weight."""
-    rows, cols = s.rows[s.free], s.cols[s.free]
-    expected = rows[:, :, None] * cols[:, None, :]
-    floor = COCHRAN_MIN_EXPECTED * s.n_c[s.free][:, None, None]
-    return bool(np.all((expected >= floor) | (expected == 0)))
+    expected = s.rows[:, :, None] * s.cols[:, None, :]
+    floor = COCHRAN_MIN_EXPECTED * s.n_c * s.free
+    return not ((expected > 0) & (expected < floor[:, None, None])).any()
 
 
 def _g_statistic(s: _Strata) -> tuple[float, int]:
@@ -214,9 +217,7 @@ def _g_statistic(s: _Strata) -> tuple[float, int]:
     cell either; counted, it would add (0 − 1)(0 − 1) = 1."""
     n = int(s.n_c.sum())
     g = 2.0 * n * math.log(2.0) * grid_cmi(s.tables, n, (s.rows, s.cols, s.n_c))
-    r = np.count_nonzero(s.rows[s.free], axis=1) - 1
-    k = np.count_nonzero(s.cols[s.free], axis=1) - 1
-    return g, int(np.dot(r, k))
+    return g, int(s.df.sum())
 
 
 def chi2_sf(x: float, df: int) -> float:
@@ -255,16 +256,14 @@ def chi2_sf(x: float, df: int) -> float:
     return scale * h
 
 
-def _ci_test(
-    trials: DiscreteJoint, a_vars, b_vars, c_vars, n_perm: int, seed: int, i: int
-) -> tuple[float, int]:
-    """Test i of a cascade seeded by ``seed``: its p-value and the
-    permutation replicates it drew.  The G-test where the grid is dense
-    (``_dense``), the permutation test on the same grid otherwise; a test
-    that needs neither draws 0.  Only a permutation test builds its stream,
-    SeedSequence(seed, spawn_key=(i,)), which is SeedSequence(seed).spawn(n)[i]
-    for every n > i."""
-    s = _strata(trials, a_vars, b_vars, c_vars)
+def _ci_test(tables: np.ndarray, n_perm: int, seed: int, i: int) -> tuple[float, int]:
+    """Test i of a cascade seeded by ``seed``, on its (c, a, b) weight grid:
+    its p-value and the permutation replicates it drew.  The G-test where
+    the grid is dense (``_dense``), the permutation test on the same grid
+    otherwise; a test that needs neither draws 0.  Only a permutation test
+    builds its stream, SeedSequence(seed, spawn_key=(i,)), which is
+    SeedSequence(seed).spawn(n)[i] for every n > i."""
+    s = _strata(tables)
     if s is None:
         return 1.0, 0
     if _dense(s):
@@ -312,7 +311,7 @@ def permutation_ci_test(
     if n_perm < 1:
         raise ValidationError("need at least one permutation")
     _check_seed(seed)
-    s = _strata(trials, a_vars, b_vars, c_vars)
+    s = _strata(trials.weight_grid(a_vars, b_vars, c_vars))
     return 1.0 if s is None else _permutation_p(s, n_perm, seed)
 
 
@@ -386,9 +385,11 @@ def detect_flow_sampled(
     the smaller family tests the same null at family-wise error at most
     alpha, with each test at a level no lower than the whole slice would
     give.  ``max_subset_size`` must be at least 0 and is clamped to the
-    component's size; ``n_tests_planned`` counts the family so clamped.  A
-    constant edge returns "no flow" with no test: empty ``p_values``,
-    ``n_tests_planned`` and ``replicates`` 0, and ``level`` ``alpha``.
+    component's size; ``n_tests_planned`` counts the family so clamped.  One
+    ``grid_query([m])`` builds every grid: C never holds m or the edge, as
+    the family excludes the edge from its component.  A constant edge
+    returns "no flow" with no test: empty ``p_values``, ``n_tests_planned``
+    and ``replicates`` 0, and ``level`` ``alpha``.
 
     Each test is a G-test when its grid is dense by Cochran's rule, and a
     permutation test otherwise (``_ci_test``).  A permutation p-value is
@@ -415,10 +416,11 @@ def detect_flow_sampled(
     n_tests = len(family)
     level = alpha / n_tests
     n_perm = max(n_perm, math.ceil(n_tests / alpha))
+    grid = trials.grid_query([m])
     p_values = []
     replicates = 0
     for i, sub in enumerate(family):
-        p, drawn = _ci_test(trials, [m], [edge], list(sub), n_perm, seed, i)
+        p, drawn = _ci_test(grid((edge,), sub), n_perm, seed, i)
         replicates = max(replicates, drawn)
         p_values.append((sub, p))
         if p <= level:

@@ -74,6 +74,17 @@ def test_cmi_set_validation(joints):
         j.cmi(["M"], ["nope"])
 
 
+def test_unknown_variables_raise_validation_errors(joints):
+    j = joints["ce1"]
+    for v in ("nope", edge("Z", 0, "Z")):
+        with pytest.raises(ValidationError, match="unknown variable"):
+            j.is_constant(v)
+        with pytest.raises(ValidationError, match="unknown variable"):
+            j.weight_grid(["M"], [v])
+        with pytest.raises(ValidationError, match="unknown variable"):
+            j.weight_grid([v], ["M"], [edge("A", 0, "A")])
+
+
 def test_budget_guard():
     g = UnrolledGraph(("A",), 1)
     spec = SystemSpec(

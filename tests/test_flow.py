@@ -245,16 +245,21 @@ def test_quantify_builds_one_grid_per_subset(fixtures, monkeypatch):
     # at the first witness that saturates and never calls cmi.
     j = mf.enumerate_joint(fixtures["butterfly"].spec)
     built = []
-    grid = mf.DiscreteJoint._grid
+    query = mf.DiscreteJoint.grid_query
 
-    def counted(self, *axes):
-        built.append(axes)
-        return grid(self, *axes)
+    def counted(self, a_vars):
+        grid = query(self, a_vars)
+
+        def build(*axes):
+            built.append(axes)
+            return grid(*axes)
+
+        return build
 
     def no_cmi(*args):
         raise AssertionError("the search called cmi")
 
-    monkeypatch.setattr(mf.DiscreteJoint, "_grid", counted)
+    monkeypatch.setattr(mf.DiscreteJoint, "grid_query", counted)
     monkeypatch.setattr(mf.DiscreteJoint, "cmi", no_cmi)
     reports = mf.analyze_messages(j, quantify=True)
     live = [e for e in j.edge_vars if not j.is_constant(e)]

@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import msgflow as mf
 from msgflow import (
@@ -16,7 +16,14 @@ from msgflow import (
 )
 from msgflow.graph import NodeRef, edge
 from randsys import pad_mask, random_noisy_system, random_system
-from reference import assert_same_table, check_trials, per_trial, reference_cascade, unpruned
+from reference import (
+    assert_same_table,
+    check_trials,
+    per_trial,
+    reference_cascade,
+    reference_test,
+    unpruned,
+)
 
 
 @pytest.fixture(scope="module")
@@ -587,7 +594,7 @@ def test_g_statistic_is_the_plug_in_cmi(fixtures, name):
             if trials.is_constant(e):
                 continue
             for sub in mf.flow._subsets(mf.flow._component(trials, [e], frozenset([e])), 2):
-                s = mf.sampling._strata(trials, [m], [e], list(sub))
+                s = mf.sampling._strata(trials.weight_grid([m], [e], list(sub)))
                 g, df = mf.sampling._g_statistic(s)
                 want = 2 * trials.total * math.log(2) * trials.cmi([m], [e], list(sub))
                 assert g == pytest.approx(want, rel=1e-9, abs=1e-9), (m, e, sub)
@@ -606,7 +613,8 @@ def test_forced_strata_add_nothing_to_g_or_df():
     stats = []
     for rows in (free, free + forced):
         joint = mf.DiscreteJoint(["A", "B", "C"], rows)
-        stats.append(mf.sampling._g_statistic(mf.sampling._strata(joint, ["A"], ["B"], ["C"])))
+        grid = joint.weight_grid(["A"], ["B"], ["C"])
+        stats.append(mf.sampling._g_statistic(mf.sampling._strata(grid)))
     (g_free, df_free), (g_all, df_all) = stats
     assert df_free == df_all == 1 + 4
     assert g_all == pytest.approx(g_free, rel=1e-12)
@@ -622,9 +630,9 @@ def test_empty_strata_add_nothing_to_g_or_df():
     g_stats, tests = [], []
     for extra in ([], [(0, 0, 2)]):
         joint = mf.DiscreteJoint(["M", "E", "C"], rows + extra, weights + [0] * len(extra))
-        args = (joint, ["M"], ["E"], ["C"])
-        g_stats.append(mf.sampling._g_statistic(mf.sampling._strata(*args)))
-        tests.append(mf.sampling._ci_test(*args, n_perm=99, seed=0, i=0))
+        grid = joint.weight_grid(["M"], ["E"], ["C"])
+        g_stats.append(mf.sampling._g_statistic(mf.sampling._strata(grid)))
+        tests.append(mf.sampling._ci_test(grid, n_perm=99, seed=0, i=0))
     assert g_stats[0][1] == 2
     assert g_stats[1] == g_stats[0]
     assert tests[1] == tests[0] and tests[0][1] == 0  # G-tests, same p
@@ -649,10 +657,11 @@ def test_cochran_rule_routes_the_test(b, route):
     for extra in ((), [(1, 1, 7)]):
         joint = _two_by_two(2_000, 20, b, extra)
         args = (joint, ["A"], ["B"], ["C"] if extra else [])
-        p, drawn = mf.sampling._ci_test(*args, n_perm=99, seed=5, i=0)
+        grid = joint.weight_grid(*args[1:])
+        p, drawn = mf.sampling._ci_test(grid, n_perm=99, seed=5, i=0)
         if route == "G":
             assert drawn == 0
-            assert p == mf.sampling.chi2_sf(*mf.sampling._g_statistic(mf.sampling._strata(*args)))
+            assert p == mf.sampling.chi2_sf(*mf.sampling._g_statistic(mf.sampling._strata(grid)))
         else:
             assert drawn == 99
             # Test 0 of a cascade seeded by 5 permutes with SeedSequence(5)'s first spawn.
@@ -667,7 +676,7 @@ def test_cochran_rule_skips_values_a_stratum_lacks():
     cells = [(a, b, 0) for a in range(3) for b in range(2)]
     cells += [(a, b, 1) for a in range(2) for b in range(3)]
     joint = mf.DiscreteJoint(["A", "B", "C"], cells, [20] * len(cells))
-    assert mf.sampling._ci_test(joint, ["A"], ["B"], ["C"], 99, 0, 0) == (1.0, 0)
+    assert mf.sampling._ci_test(joint.weight_grid(["A"], ["B"], ["C"]), 99, 0, 0) == (1.0, 0)
 
 
 def test_replicates_count_a_permutation_test_before_a_g_test():
@@ -688,7 +697,7 @@ def test_ci_test_degenerate_strata_warn_and_draw_nothing():
     rows = [(0, 0, 0), (1, 1, 1), (0, 1, 2), (1, 0, 3), (1, 1, 4)]
     joint = mf.DiscreteJoint(["A", "B", "C"], rows)
     with pytest.warns(DegenerateTestWarning):
-        assert mf.sampling._ci_test(joint, ["A"], ["B"], ["C"], 19, 0, 0) == (1.0, 0)
+        assert mf.sampling._ci_test(joint.weight_grid(["A"], ["B"], ["C"]), 19, 0, 0) == (1.0, 0)
 
 
 def test_dense_strata_beyond_the_draw_limit_take_the_g_test():
@@ -696,9 +705,56 @@ def test_dense_strata_beyond_the_draw_limit_take_the_g_test():
     cells = [(0, 0), (0, 1), (1, 0), (1, 1)]
     flat = mf.DiscreteJoint(["A", "B"], cells, [10**9] * 4)
     assert flat.weights.dtype == object
-    assert mf.sampling._ci_test(flat, ["A"], ["B"], [], 9, 0, 0) == (1.0, 0)
+    assert mf.sampling._ci_test(flat.weight_grid(["A"], ["B"]), 9, 0, 0) == (1.0, 0)
     tilted = mf.DiscreteJoint(["A", "B"], cells, [2 * 10**9, 10**9, 10**9, 2 * 10**9])
-    assert mf.sampling._ci_test(tilted, ["A"], ["B"], [], 9, 0, 0) == (0.0, 0)
+    assert mf.sampling._ci_test(tilted.weight_grid(["A"], ["B"]), 9, 0, 0) == (0.0, 0)
+
+
+@st.composite
+def _weighted_tables(draw):
+    """Up to 30 weighted rows over M, E and 0–3 conditioning columns, each
+    binary or ternary.  A zero weight leaves its values in the alphabets
+    with no trial, and its conditioning value an empty stratum; few rows
+    over many strata leave strata forced to one value of M or of E."""
+    arities = draw(st.lists(st.sampled_from([2, 3]), min_size=2, max_size=5))
+    rows = draw(st.lists(
+        st.tuples(*(st.integers(0, k - 1) for k in arities)), min_size=1, max_size=30
+    ))
+    weights = draw(st.lists(st.integers(0, 40), min_size=len(rows), max_size=len(rows)))
+    return rows, [max(weights[0], 1)] + weights[1:]
+
+
+# Four strata below the draw limit over two binary conditioning columns:
+# 3.6·10^9 trials in all, so the weights are Python ints.  Stratum (0, 0)
+# has a margin of two trials and permutes.
+_OBJECT_TABLE = (
+    [(0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0)]
+    + [(m, e, 1, c) for c in (0, 1) for m in (0, 1) for e in (0, 1)]
+    + [(m, e, 0, 1) for m in (0, 1) for e in (0, 1)],
+    [5 * 10**8, 4 * 10**8, 1, 1] + [3 * 10**8, 10**8, 10**8, 4 * 10**8] * 3,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weighted_tables(), st.integers(0, 4), st.integers(0, 2**32 - 1))
+@example(_OBJECT_TABLE, 2, 7)
+def test_ci_test_on_the_cascade_grid_matches_the_reference(table, i, seed):
+    # _ci_test on a grid from the cascade's query gives the reference test's
+    # (p, replicates drawn): same route, same G and df, same permutations.
+    rows, weights = table
+    cond = tuple(f"C{j}" for j in range(len(rows[0]) - 2))
+    joint = mf.DiscreteJoint(["M", "E", *cond], rows, weights)
+    stream = np.random.SeedSequence(seed).spawn(i + 1)[i]
+    stream_seed = int(stream.generate_state(1, np.uint32)[0])
+    with warnings.catch_warnings():
+        # Values held only by zero-weight rows reach _strata, which may warn
+        # of single-trial strata where the reference returns first; both give p = 1.
+        warnings.simplefilter("ignore", DegenerateTestWarning)
+        got = mf.sampling._ci_test(joint.grid_query(["M"])(("E",), cond), 19, seed, i)
+        want = reference_test(joint, "M", "E", cond, 19, stream_seed)
+    assert got == want
+    if table == _OBJECT_TABLE:
+        assert joint.weights.dtype == object and got[1] == 19
 
 
 @pytest.mark.parametrize("n_trials, alarms_max, misses_max", [(300, 0, 20), (10_000, 1, 4)])
