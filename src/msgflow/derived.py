@@ -109,6 +109,18 @@ class ObservationMask:
         return tuple(e for e in graph.edges_at(t) if self.observes_edge(e))
 
 
+def _observed_slices(graph: UnrolledGraph, mask: ObservationMask, t: int) -> tuple[list, list]:
+    """The observed edges at t and t+1, after the mask, time and empty-slice checks."""
+    mask.validate(graph)
+    if not (0 <= t < graph.horizon - 1):
+        raise ValidationError(f"alarm time {t} outside 0..{graph.horizon - 2}")
+    now = mask.observed_edges(graph, t)
+    nxt = mask.observed_edges(graph, t + 1)
+    if not now or not nxt:
+        raise ValidationError(f"mask hides every edge at time {t} or {t + 1}")
+    return list(now), list(nxt)
+
+
 def hidden_node_alarm(
     joint: Joint,
     graph: UnrolledGraph,
@@ -122,14 +134,8 @@ def hidden_node_alarm(
     information the observed slice does not account for.
     """
     m = joint.default_message(message)
-    mask.validate(graph)
-    if not (0 <= t < graph.horizon - 1):
-        raise ValidationError(f"alarm time {t} outside 0..{graph.horizon - 2}")
-    now = mask.observed_edges(graph, t)
-    nxt = mask.observed_edges(graph, t + 1)
-    if not now or not nxt:
-        raise ValidationError(f"mask hides every edge at time {t} or {t + 1}")
-    return joint.dependent([m], list(nxt), list(now))
+    now, nxt = _observed_slices(graph, mask, t)
+    return joint.dependent([m], nxt, now)
 
 
 def hidden_alarm_value(
@@ -141,9 +147,8 @@ def hidden_alarm_value(
 ) -> float:
     """The violating conditional information in bits (0 when the chain holds)."""
     m = joint.default_message(message)
-    now = mask.observed_edges(graph, t)
-    nxt = mask.observed_edges(graph, t + 1)
-    return joint.cmi([m], list(nxt), list(now))
+    now, nxt = _observed_slices(graph, mask, t)
+    return joint.cmi([m], nxt, now)
 
 
 def local_markov_violations(

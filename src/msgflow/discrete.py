@@ -25,28 +25,25 @@ codes as given.
 Every query asks one question of one (c, a, b) weight grid with C
 compressed to its observed strata, and one grid query
 (``DiscreteJoint.grid_query``), which codes A and each B once, serves
-``weight_grid``, ``dependent``, ``cmi``, the flow search and the sampled
-cascade alike.  A grid axis is one stored column, whose codes serve
-as they are, or a mixed-radix key of several columns, renumbered over its
-observed values by a presence table (``system.compress``), so building a
-grid sorts nothing:
+``weight_grid``, ``ci_query`` and the sampled cascade alike.  A grid axis
+is one stored column, whose codes serve as they are, or a mixed-radix key
+of several columns, renumbered over its observed values by a presence table
+(``system.compress``), so building a grid sorts nothing:
 
-* ``dependent`` — an exact yes/no decision of I(A;B|C) > 0.  A and B are
+* ``ci_query`` — the one question every joint answers; ``dependent`` and
+  ``cmi``, written once on ``JointVariables``, are the verdict and the bits
+  of one ask.  A query's grid, its margins summed once (``grid_margins``),
+  gives the verdict, an exact yes/no decision of I(A;B|C) > 0: A and B are
   independent given C exactly when every cell of the full grid factorizes,
   w_abc·w_c == w_ac·w_bc (``grid_dependent``); empty cells take part too,
   so no separate zero-cell pass is needed.  Flow verdicts are always taken
-  from this test, never from a float threshold.
-* ``cmi`` — I(A;B|C) in bits as a float, for display; on trials it is the
-  plug-in estimate.
-* ``ci_query`` — the queries of one flow search, on one ``grid_query``: a
-  subset's one grid, its margins summed once (``grid_margins``), gives the
-  verdict and, for a witness, the bits (``grid_cmi``) and whether they
-  reach min(H(A), H(B)) exactly (``grid_saturated``), where a quantified
-  search stops.
+  from this test, never from a float threshold.  A dependent query also
+  gives the bits (``grid_cmi``; the plug-in estimate on trials) and whether
+  they reach min(H(A), H(B)) exactly (``grid_saturated``), where a
+  quantified search stops.
 * the conditional-independence tests of :mod:`msgflow.sampling` read their
   per-stratum contingency tables from one ``grid_query`` per cascade, and
-  the G-test its statistic from ``grid_cmi``, the grid-level body of
-  ``cmi``, on the margins the test summed.
+  the G-test its statistic from ``grid_cmi`` on the margins the test summed.
 
 Weights are int64 when the squared total weight fits in int64, so no product
 of two margins, the total among them, can overflow; otherwise they are Python
@@ -182,6 +179,30 @@ class JointVariables:
             self._components[t] = comps
         return comps
 
+    def dependent(
+        self,
+        a_vars: Sequence[VarId],
+        b_vars: Sequence[VarId],
+        c_vars: Sequence[VarId] = (),
+    ) -> bool:
+        """Exact test of I(A;B|C) > 0, the verdict of one ``ci_query``.
+        For A == B (the same set) this decides H(A|C) > 0."""
+        _check_sets(a_vars, b_vars, c_vars)
+        return self.ci_query(a_vars)(tuple(b_vars), c_vars) is not None
+
+    def cmi(
+        self,
+        a_vars: Sequence[VarId],
+        b_vars: Sequence[VarId],
+        c_vars: Sequence[VarId] = (),
+    ) -> float:
+        """I(A;B|C) in bits, the bits of one ``ci_query``; 0 where it finds
+        independence.  A == B (same set) yields the conditional entropy
+        H(A|C).  On trials this is the plug-in estimate."""
+        _check_sets(a_vars, b_vars, c_vars)
+        bits = self.ci_query(a_vars)(tuple(b_vars), c_vars)
+        return 0.0 if bits is None else bits()[0]
+
     def has_var(self, v: VarId) -> bool:
         return v in self._index
 
@@ -275,8 +296,15 @@ class DiscreteJoint(JointVariables):
 
         self.codes = codes
         self.values: tuple[tuple, ...] = tuple(map(tuple, values))
-        self._finite = [not any(isinstance(x, float) for x in vs) for vs in self.values]
+        self._finite = [True] * width
         self._constant = {v: len(vs) <= 1 for v, vs in zip(self.variables, self.values)}
+
+    def _floats_continuous(self) -> "DiscreteJoint":
+        """Call every column that holds a float continuous, so CI queries on
+        it refuse.  For tables whose draws are not known to be finite:
+        trials with a gaussian source, and tables read from CSV."""
+        self._finite = [not any(isinstance(x, float) for x in vs) for vs in self.values]
+        return self
 
     # ----- rows and columns --------------------------------------------
 
@@ -351,31 +379,6 @@ class DiscreteJoint(JointVariables):
         _check_sets(a_vars, b_vars, c_vars)
         return self.grid_query(a_vars)(tuple(b_vars), c_vars)
 
-    def dependent(
-        self,
-        a_vars: Sequence[VarId],
-        b_vars: Sequence[VarId],
-        c_vars: Sequence[VarId] = (),
-    ) -> bool:
-        """Exact test of I(A;B|C) > 0 (``grid_dependent``).
-
-        For A == B (the same set) this decides H(A|C) > 0: a stratum with two
-        values of A has an empty off-diagonal cell against positive margins.
-        """
-        return grid_dependent(self.weight_grid(a_vars, b_vars, c_vars))
-
-    def cmi(
-        self,
-        a_vars: Sequence[VarId],
-        b_vars: Sequence[VarId],
-        c_vars: Sequence[VarId] = (),
-    ) -> float:
-        """I(A;B|C) in bits.  A == B (same set) yields the conditional entropy H(A|C).
-
-        On trials this is the plug-in estimate from the empirical counts.
-        """
-        return grid_cmi(self.weight_grid(a_vars, b_vars, c_vars), self.total)
-
     def grid_query(self, a_vars: Sequence[VarId]):
         """``grid(B, C)`` is ``weight_grid(A, B, C)`` without its set checks:
         the one grid builder.  A is coded once and each tuple B folded once
@@ -402,12 +405,12 @@ class DiscreteJoint(JointVariables):
         return grid
 
     def ci_query(self, a_vars: Sequence[VarId]):
-        """The queries of one search about A: ``ask(B, C)`` is None when
-        I(A;B|C) = 0 and otherwise a callable giving I(A;B|C) in bits.
+        """The queries about A: ``ask(B, C)`` is None when I(A;B|C) = 0 and
+        otherwise a callable giving I(A;B|C) in bits and whether they
+        saturate.  Like ``grid_query`` it checks no sets.
 
         Each query builds one grid (``grid_query``), whose margins, summed
-        once, give the verdict, the bits (``grid_cmi``) and whether they
-        saturate (``grid_saturated``), which the callable returns with them.
+        once, give the verdict, the bits (``grid_cmi``) and the saturation.
         """
         grid = self.grid_query(a_vars)
 
@@ -444,7 +447,8 @@ class DiscreteJoint(JointVariables):
     @staticmethod
     def from_csv(path) -> "DiscreteJoint":
         """Read a table written by ``to_csv``; without a ``#weight`` column
-        each line is one trial of weight 1.  Blank lines are skipped."""
+        each line is one trial of weight 1.  Blank lines are skipped.  A
+        column that holds a float is continuous (``_floats_continuous``)."""
         with open(path, newline="") as fh:
             lines = [line for line in csv.reader(fh) if line]
         if not lines:
@@ -456,7 +460,7 @@ class DiscreteJoint(JointVariables):
         )
         rows = [tuple(_parse_cell(x) for x in line[: len(line) - weighted]) for line in lines]
         weights = [_parse_weight(line[-1]) for line in lines] if weighted else None
-        return DiscreteJoint(variables, rows, weights)
+        return DiscreteJoint(variables, rows, weights)._floats_continuous()
 
 
 def grid_margins(g: np.ndarray) -> tuple:
@@ -465,18 +469,18 @@ def grid_margins(g: np.ndarray) -> tuple:
     return w_ac, g.sum(axis=1), w_ac.sum(axis=1)
 
 
-def grid_dependent(g: np.ndarray, margins: Optional[tuple] = None) -> bool:
+def grid_dependent(g: np.ndarray, margins: tuple) -> bool:
     """I(A;B|C) > 0 on a (c, a, b) weight grid, exactly: A and B are
     independent given C when every cell, empty ones too, factorizes as
     w_abc·w_c == w_ac·w_bc."""
-    w_ac, w_bc, w_c = margins or grid_margins(g)
+    w_ac, w_bc, w_c = margins
     return bool((g * w_c[:, None, None] != w_ac[:, :, None] * w_bc[:, None, :]).any())
 
 
-def grid_cmi(g: np.ndarray, total: int, margins: Optional[tuple] = None) -> float:
+def grid_cmi(g: np.ndarray, total: int, margins: tuple) -> float:
     """I(A;B|C) in bits of a (c, a, b) weight grid of total weight ``total``:
     Σ (w_abc/total)·log2(w_abc·w_c / (w_ac·w_bc)) over the occupied cells."""
-    w_ac, w_bc, w_c = margins or grid_margins(g)
+    w_ac, w_bc, w_c = margins
     live = g > 0
     num = (g * w_c[:, None, None])[live]
     den = (w_ac[:, :, None] * w_bc[:, None, :])[live]

@@ -9,7 +9,10 @@ the flow tests read (a constant shifts no variance, so no mean is kept).
 Conditional variances are computed by solving the (possibly singular, always
 consistent) normal equations with exact fraction elimination, so "variance is
 exactly zero" — the noiseless-recovery case that makes mutual information
-infinite — is decided without any tolerance.
+infinite — is decided without any tolerance.  The joint answers one question,
+``ci_query``, from two conditional variances, Var(a|C) and Var(a|B,C);
+``dependent`` and ``cmi`` ask it after the set checks every joint shares, so
+overlapping variable sets are refused as on a discrete table.
 """
 
 from __future__ import annotations
@@ -107,58 +110,25 @@ class GaussianJoint(JointVariables):
         self._cond_cache[key] = out
         return out
 
-    def dependent(
-        self,
-        a_vars: Sequence[VarId],
-        b_vars: Sequence[VarId],
-        c_vars: Sequence[VarId] = (),
-    ) -> bool:
-        """Exact test of I(a; B | C) > 0 for a scalar first argument."""
-        a = self._scalar_first(a_vars)
-        if not b_vars:
-            return False
-        v1 = self.cond_var(a, tuple(c_vars))
-        v2 = self.cond_var(a, tuple(c_vars) + tuple(b_vars))
-        return v2 < v1
-
-    def cmi(
-        self,
-        a_vars: Sequence[VarId],
-        b_vars: Sequence[VarId],
-        c_vars: Sequence[VarId] = (),
-    ) -> float:
-        """I(a; B | C) in bits for a scalar first argument; may be +inf."""
-        a = self._scalar_first(a_vars)
-        if not b_vars:
-            return 0.0
-        v1 = self.cond_var(a, tuple(c_vars))
-        v2 = self.cond_var(a, tuple(c_vars) + tuple(b_vars))
-        if v1 == v2:
-            return 0.0
-        if v2 == 0:
-            return math.inf
-        return 0.5 * math.log2(v1 / v2)
-
     def ci_query(self, a_vars: Sequence[VarId]):
-        """``DiscreteJoint.ci_query`` for a scalar A, by ``dependent`` and
-        ``cmi`` on the cached conditional variances; an infinite value
-        saturates."""
-        self._scalar_first(a_vars)
-
-        def ask(b_vars: tuple, c_vars: Sequence[VarId]):
-            if not self.dependent(a_vars, b_vars, c_vars):
-                return None
-            return lambda: ((q := self.cmi(a_vars, b_vars, c_vars)), math.isinf(q))
-
-        return ask
-
-    def _scalar_first(self, a_vars: Sequence[VarId]) -> VarId:
+        """``DiscreteJoint.ci_query`` for a scalar A, on the cached
+        conditional variances: ``ask(B, C)`` is None when Var(a|B,C) ==
+        Var(a|C), and otherwise gives ½·log2(Var(a|C) / Var(a|B,C)) bits, or
+        +inf when Var(a|B,C) is 0, where the bits saturate."""
         a_vars = tuple(a_vars)
         if len(a_vars) != 1:
             raise ValidationError(
                 "the gaussian backend computes information about a scalar variable only"
             )
-        return a_vars[0]
+
+        def ask(b_vars: tuple, c_vars: Sequence[VarId]):
+            v1 = self.cond_var(a_vars[0], tuple(c_vars))
+            v2 = self.cond_var(a_vars[0], tuple(c_vars) + tuple(b_vars))
+            if v1 == v2:
+                return None
+            return lambda: (math.inf, True) if v2 == 0 else (0.5 * math.log2(v1 / v2), False)
+
+        return ask
 
 
 def linear_propagate(spec: SystemSpec) -> GaussianJoint:

@@ -106,7 +106,8 @@ def sample_trials(spec: SystemSpec, n: int, seed: int) -> DiscreteJoint:
     gaussian trials, whose draws are all distinct, keep one row per trial in
     the order of the message's draws.  The trials record each edge's random
     sources (``SystemSpec.sources``, None for a derived message), so the
-    cascade searches each edge's source component.
+    cascade searches each edge's source component.  With a gaussian source,
+    a column that holds a float is continuous, and CI queries on it refuse.
 
     The counts have the law of the outcome counts of n i.i.d. trials:
 
@@ -159,7 +160,7 @@ def sample_trials(spec: SystemSpec, n: int, seed: int) -> DiscreteJoint:
     codes, values, weights = fwd.outcomes(supports, split(None, np.array([n]))[1:], split)
     trials = DiscreteJoint.from_codes(fwd.variables, codes, values, weights.tolist())
     trials.sources = spec.sources()
-    return trials
+    return trials._floats_continuous() if spec.is_continuous else trials
 
 
 # ----- conditional-independence tests -------------------------------------
@@ -178,11 +179,11 @@ class _Strata(NamedTuple):
 
 def _strata(tables: np.ndarray) -> Optional[_Strata]:
     """A test's strata from its grid, or None when p is 1 without a test: a
-    constant column is independent of everything, and a stratum of one
-    trial has nothing to permute (warned when every stratum is one)."""
-    if tables.shape[1] <= 1 or tables.shape[2] <= 1:
-        return None
+    column of one occupied value is independent of everything, and a stratum
+    of one trial has nothing to permute (warned when every stratum is one)."""
     rows, cols, n_c = grid_margins(tables)
+    if min(np.count_nonzero(rows.sum(axis=0)), np.count_nonzero(cols.sum(axis=0))) <= 1:
+        return None
     if (n_c <= 1).all():
         warnings.warn(
             "every conditioning stratum has one trial; the test is degenerate",

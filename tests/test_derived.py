@@ -2,7 +2,8 @@ import pytest
 
 import msgflow as mf
 from msgflow import ObservationMask, ValidationError
-from msgflow.graph import NodeRef, edge
+from msgflow.derived import hidden_alarm_value
+from msgflow.graph import NodeRef, UnrolledGraph, edge
 
 
 def test_sk_receiver_estimates_are_derived_from_sender(sk_joint):
@@ -142,3 +143,25 @@ def test_alarm_errors(joints, fixtures):
     g = fixtures["ce1"].spec.graph
     with pytest.raises(ValidationError):
         mf.hidden_node_alarm(j, g, ObservationMask(frozenset({"C"})), 2)
+
+
+@pytest.mark.parametrize("alarm", [mf.hidden_node_alarm, hidden_alarm_value])
+@pytest.mark.parametrize(
+    "hidden, t, wires",
+    [
+        ({"Z"}, 0, None),  # not a node
+        ({"A", "H"}, 0, None),  # every node
+        ({"H"}, 2, None),  # no slice after the last one
+        ({"H"}, -1, None),
+        ({"H"}, 0, [("A", "H"), ("H", "A")]),  # every edge touches H
+    ],
+)
+def test_alarm_and_its_value_refuse_the_same_queries(joints, fixtures, alarm, hidden, t, wires):
+    # The alarm's bits make the alarm's checks: no value for a mask or a
+    # time the alarm refuses.
+    j = joints["hidden-ignored"]
+    g = fixtures["hidden-ignored"].spec.graph
+    if wires is not None:
+        g = UnrolledGraph(g.node_names, g.horizon, wires)
+    with pytest.raises(ValidationError):
+        alarm(j, g, ObservationMask(frozenset(hidden)), t)

@@ -275,12 +275,29 @@ def _walk_case(name):
 def test_enumeration_across_sources(name):
     spec = _walk_case(name)
     j = mf.enumerate_joint(spec)
-    assert_same_table(j, reference_joint(spec))
+    ref = reference_joint(spec)
+    assert_same_table(j, ref)
+    # Discrete draws are finite whatever their values' types: the
+    # mixed-types joint, whose noises take 1.5 and 1.0, analyses too.
+    for quantify in (False, True):
+        assert mf.analyze(j, quantify=quantify) == mf.analyze(ref, quantify=quantify)
     if name == "mixed-types":
         assert [(type(x), x) for x in j.support(edge("A", 1, "A"))] == [
             (int, 0), (int, 1), (float, 2.0)
         ]
         assert (j.n_rows, spec.realization_count()) == (8, 16)
+
+
+def test_float_values_are_continuous_only_where_draws_may_be(tmp_path):
+    # Sampled discrete draws stay finite whatever their values' types; a
+    # table read from CSV still calls a column that holds a float continuous.
+    spec = _walk_case("mixed-types")
+    a2 = edge("A", 1, "A")
+    assert mf.sample_trials(spec, 200, seed=1).cmi(["M"], [a2]) >= 0.0
+    path = tmp_path / "mixed.csv"
+    mf.enumerate_joint(spec).to_csv(path)
+    with pytest.raises(ValidationError, match="continuous"):
+        mf.DiscreteJoint.from_csv(path).cmi(["M"], [a2])
 
 
 def test_enumeration_of_many_realizations_with_few_outcomes():

@@ -54,6 +54,26 @@ def test_scalar_restriction(sk_joint):
         sk_joint.cmi(["M", edge("A", 0, "B")], [edge("B", 1, "A")])
 
 
+@pytest.mark.parametrize("query", ["dependent", "cmi"])
+def test_overlapping_sets_are_refused(sk_joint, query):
+    # As on a discrete table: a conditioning set that meets B, or an A that
+    # meets B without equalling it, is refused rather than answered.
+    e, f = edge("A", 0, "B"), edge("B", 1, "A")
+    ask = getattr(sk_joint, query)
+    with pytest.raises(ValidationError):
+        ask(["M"], [e], [e])
+    with pytest.raises(ValidationError):
+        ask(["M"], [f], ["M"])
+    with pytest.raises(ValidationError):
+        ask([e], [e, f])
+
+
+def test_information_of_the_message_about_itself(sk_joint):
+    # A == B is allowed: Var(M | M) = 0, so the bits are infinite.
+    assert sk_joint.dependent(["M"], ["M"])
+    assert sk_joint.cmi(["M"], ["M"]) == math.inf
+
+
 def _one_edge(expr, noisy=True):
     """A0->A1 computes ``expr`` from the message and, if ``noisy``, A0's noise."""
     return SystemSpec(

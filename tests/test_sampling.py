@@ -738,6 +738,8 @@ _OBJECT_TABLE = (
 @settings(max_examples=300, deadline=None)
 @given(_weighted_tables(), st.integers(0, 4), st.integers(0, 2**32 - 1))
 @example(_OBJECT_TABLE, 2, 7)
+# E's second value is held only by a zero-weight row: E is constant.
+@example(([(0, 0, 0), (1, 0, 1), (0, 1, 0)], [1, 1, 0]), 0, 0)
 def test_ci_test_on_the_cascade_grid_matches_the_reference(table, i, seed):
     # _ci_test on a grid from the cascade's query gives the reference test's
     # (p, replicates drawn): same route, same G and df, same permutations.
@@ -746,13 +748,24 @@ def test_ci_test_on_the_cascade_grid_matches_the_reference(table, i, seed):
     joint = mf.DiscreteJoint(["M", "E", *cond], rows, weights)
     stream = np.random.SeedSequence(seed).spawn(i + 1)[i]
     stream_seed = int(stream.generate_state(1, np.uint32)[0])
-    with warnings.catch_warnings():
-        # Values held only by zero-weight rows reach _strata, which may warn
-        # of single-trial strata where the reference returns first; both give p = 1.
-        warnings.simplefilter("ignore", DegenerateTestWarning)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         got = mf.sampling._ci_test(joint.grid_query(["M"])(("E",), cond), 19, seed, i)
         want = reference_test(joint, "M", "E", cond, 19, stream_seed)
     assert got == want
+    # The test warns exactly when both columns have two occupied values and
+    # every stratum holds at most one trial; a value held only by zero-weight
+    # rows does not count.
+    held = [row for row, w in zip(rows, weights) if w]
+    strata = Counter()
+    for row, w in zip(rows, weights):
+        strata[row[2:]] += w
+    degenerate = (
+        len({row[0] for row in held}) > 1
+        and len({row[1] for row in held}) > 1
+        and max(strata.values()) <= 1
+    )
+    assert [w.category for w in caught] == [DegenerateTestWarning] * degenerate
     if table == _OBJECT_TABLE:
         assert joint.weights.dtype == object and got[1] == 19
 
