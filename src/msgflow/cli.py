@@ -255,11 +255,19 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
+def _fraction(text: str) -> Fraction:
+    """A ``Fraction`` option; a zero denominator is a parse error, not a crash."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise argparse.ArgumentTypeError(f"{text!r} has a zero denominator") from exc
+
+
 def _add_system(p: argparse.ArgumentParser, out_required: bool = False) -> None:
     """The options that name the system, and the output file."""
     p.add_argument("--spec", help="SystemSpec JSON file")
     p.add_argument("--fixture", help="built-in fixture name")
-    p.add_argument("--sigma2", type=Fraction, default="1", help="sk fixture: noise variance")
+    p.add_argument("--sigma2", type=_fraction, default="1", help="sk fixture: noise variance")
     p.add_argument("--iterations", type=int, default=3, help="sk fixture: iterations")
     p.add_argument("--gate", default="1", choices=["0", "1", "random"], help="output-msg fixture")
     p.add_argument(

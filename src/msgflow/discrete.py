@@ -69,7 +69,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .graph import EdgeRef, edge_key
+from .graph import EdgeRef
 from .system import _INT64_MAX, ColumnPass, SystemSpec, compress, mixed_radix
 from .values import value_str
 
@@ -113,7 +113,7 @@ class JointVariables:
             v for v in self.variables if isinstance(v, EdgeRef)
         )
         edges_at: dict[int, list[EdgeRef]] = {}
-        for e in sorted(self.edge_vars, key=edge_key):
+        for e in sorted(self.edge_vars):
             edges_at.setdefault(e.time, []).append(e)
         self._edges_at = {t: tuple(es) for t, es in edges_at.items()}
         self._candidates: dict[int, tuple[EdgeRef, ...]] = {}

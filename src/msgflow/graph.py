@@ -6,15 +6,21 @@ index, with edges only between consecutive times.  A self-edge in the base
 graph becomes the channel through which a node carries state from one time
 step to the next.
 
-Node and edge identity is symbolic, ``(name, time)`` pairs, so that analysis
-output stays human-readable.  Graphs are immutable after construction and safe
-to share between concurrent readers.
+Node and edge refs are symbolic, so that analysis output stays
+human-readable, and are ``tuple`` subclasses, ``(name, time)`` and
+``(src, dst)``, so that the hashing, equality and ordering that key every
+layer's work run in C; edges sort by ``(src.name, src.time, dst.name,
+dst.time)``.  A ref equals the plain tuple of its fields.  No container mixes
+the two (an edge's sources are ``NodeRef``s and a multi-component message's
+tuple of component names, which no ``(str, int)`` pair equals), and output
+calls ``str`` on a ref: ``json`` would write it as a list.  Graphs are
+immutable after construction and safe to share between concurrent readers.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .errors import ValidationError
@@ -22,12 +28,22 @@ from .errors import ValidationError
 _NODE_ID = re.compile(r"^([A-Za-z_][A-Za-z_]*)(\d+)$")
 
 
-@dataclass(frozen=True, order=True)
-class NodeRef:
-    """A node of the unrolled graph: a base-node name at a time index."""
+class NodeRef(tuple):
+    """A node of the unrolled graph, ``(name, time)``: a base-node name at a time index."""
 
-    name: str
-    time: int
+    __slots__ = ()
+
+    def __new__(cls, name: str, time: int) -> "NodeRef":
+        return tuple.__new__(cls, (name, time))
+
+    name = property(itemgetter(0), doc="The base-node name.")
+    time = property(itemgetter(1), doc="The time index.")
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"NodeRef(name={self.name!r}, time={self.time!r})"
 
     def __str__(self) -> str:
         return f"{self.name}{self.time}"
@@ -42,37 +58,26 @@ class NodeRef:
         return NodeRef(m.group(1), int(m.group(2)))
 
 
-@dataclass(frozen=True, order=True)
-class EdgeRef:
-    """A directed edge between nodes at consecutive times.
+class EdgeRef(tuple):
+    """A directed edge ``(src, dst)`` between nodes at consecutive times."""
 
-    Edges key every column lookup and source set, so the hash is computed
-    once, as the value the dataclass would return, ``hash((src, dst))``;
-    set and dict order is therefore the same as without the cache.  A
-    pickle stores only ``(src, dst)``, so a process with another string
-    hash seed recomputes it.
-    """
+    __slots__ = ()
 
-    src: NodeRef
-    dst: NodeRef
+    def __new__(cls, src: NodeRef, dst: NodeRef) -> "EdgeRef":
+        if dst.time != src.time + 1:
+            raise ValidationError(f"edge {src}->{dst} must connect consecutive times")
+        return tuple.__new__(cls, (src, dst))
 
-    def __post_init__(self) -> None:
-        if self.dst.time != self.src.time + 1:
-            raise ValidationError(
-                f"edge {self.src}->{self.dst} must connect consecutive times"
-            )
-        object.__setattr__(self, "_hash", hash((self.src, self.dst)))
+    src = property(itemgetter(0), doc="The source node, at time t.")
+    dst = property(itemgetter(1), doc="The destination node, at time t+1.")
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
 
-    def __reduce__(self):
-        return EdgeRef, (self.src, self.dst)
+    def __repr__(self) -> str:
+        return f"EdgeRef(src={self.src!r}, dst={self.dst!r})"
 
-    @property
-    def time(self) -> int:
-        """The time slice the edge belongs to (the time of its source)."""
-        return self.src.time
+    time = property(lambda self: self[0][1], doc="The time slice of the edge (its source's).")
 
     def __str__(self) -> str:
         return f"{self.src}->{self.dst}"
@@ -83,12 +88,6 @@ class EdgeRef:
         if len(parts) != 2:
             raise ValidationError(f"edge id {text!r} must look like 'A0->B1'")
         return EdgeRef(NodeRef.parse(parts[0]), NodeRef.parse(parts[1]))
-
-
-def edge_key(e: EdgeRef) -> tuple:
-    """The sort key of an edge, for ``sorted(..., key=edge_key)``: the same
-    order as the dataclass comparison, at a fraction of its cost."""
-    return (e.src.name, e.src.time, e.dst.name, e.dst.time)
 
 
 def edge(src_name: str, t: int, dst_name: str) -> EdgeRef:
@@ -122,16 +121,11 @@ class UnrolledGraph:
                 )
         if horizon < 1:
             raise ValidationError("horizon must be a positive integer")
-        name_set = set(names)
-        if adjacency is None:
-            base = frozenset((a, b) for a in names for b in names)
-            self._complete = True
-        else:
-            base = frozenset(tuple(p) for p in adjacency)
-            for a, b in base:
-                if a not in name_set or b not in name_set:
-                    raise ValidationError(f"adjacency edge ({a},{b}) uses unknown node")
-            self._complete = base == frozenset((a, b) for a in names for b in names)
+        complete = frozenset((a, b) for a in names for b in names)
+        base = complete if adjacency is None else frozenset(tuple(p) for p in adjacency)
+        for a, b in base - complete:
+            raise ValidationError(f"adjacency edge ({a},{b}) uses unknown node")
+        self._complete = base == complete
         self.node_names: tuple[str, ...] = tuple(sorted(names))
         self.horizon: int = horizon
         self.base_edges: frozenset[tuple[str, str]] = base
@@ -139,18 +133,12 @@ class UnrolledGraph:
         self._nodes = tuple(
             NodeRef(n, t) for n in self.node_names for t in range(horizon + 1)
         )
-        per_time = []
-        for t in range(horizon):
-            per_time.append(
-                tuple(
-                    EdgeRef(NodeRef(a, t), NodeRef(b, t + 1))
-                    for a, b in sorted(base)
-                )
-            )
-        self._edges_at = tuple(per_time)
-        self._edges = tuple(sorted((e for es in per_time for e in es), key=edge_key))
-        self._node_set = frozenset(self._nodes)
-        self._edge_set = frozenset(self._edges)
+        self._edges_at = tuple(
+            tuple(EdgeRef(NodeRef(a, t), NodeRef(b, t + 1)) for a, b in sorted(base))
+            for t in range(horizon)
+        )
+        self._edges = tuple(sorted(e for es in self._edges_at for e in es))
+        self._members = frozenset(self._nodes + self._edges)
         # Built by walking the sorted edges, so each list is sorted too.
         inc: dict[NodeRef, list[EdgeRef]] = {v: [] for v in self._nodes}
         out: dict[NodeRef, list[EdgeRef]] = {v: [] for v in self._nodes}
@@ -186,14 +174,11 @@ class UnrolledGraph:
         return self._edges_at[t]
 
     def __contains__(self, item) -> bool:
-        if isinstance(item, NodeRef):
-            return item in self._node_set
-        if isinstance(item, EdgeRef):
-            return item in self._edge_set
-        return False
+        """Whether ``item`` is a node or an edge of the graph (a plain tuple is neither)."""
+        return isinstance(item, (NodeRef, EdgeRef)) and item in self._members
 
     def _require_node(self, v: NodeRef) -> None:
-        if v not in self._node_set:
+        if not isinstance(v, NodeRef) or v not in self._members:
             raise ValidationError(f"node {v} not in graph")
 
     def incoming(self, v: NodeRef) -> tuple[EdgeRef, ...]:

@@ -76,6 +76,8 @@ from .system import ColumnPass, SystemSpec
 
 # numpy's hypergeometric sampler refuses good or bad counts of 10**9 or more.
 DRAW_LIMIT = 10**9
+# numpy's multinomial sampler takes its trial counts as int64.
+MAX_TRIALS = 2**63 - 1
 DEFAULT_MAX_SUBSET = 2  # a cascade's Bonferroni level shrinks with its length
 # Cochran's rule: a test takes the G-test when every free cell expects this many.
 COCHRAN_MIN_EXPECTED = 5
@@ -128,6 +130,8 @@ def sample_trials(spec: SystemSpec, n: int, seed: int) -> DiscreteJoint:
     """
     if n < 1:
         raise ValidationError("need at least one trial")
+    if n > MAX_TRIALS:
+        raise ValidationError(f"{n} trials exceed 2^63 - 1, the most numpy's int64 counts hold")
     _check_seed(seed)
     if spec.is_continuous:
         warnings.warn(

@@ -256,6 +256,9 @@ def _cli(*argv):
     (("simulate", "--fixture", "ce1", "--n-trials", "20", "--seed", "1"), 2),
     (("analyze", "--fixture", "sk", "--sigma2", "abc"), 2),
     (("analyze", "--fixture", "output-msg", "--gate", "x"), 2),
+    (("analyze", "--fixture", "sk", "--sigma2", "1/0"), 2),
+    (("simulate", "--fixture", "ce1", "--n-trials", str(10**20), "--seed", "1",
+      "--out", "{tmp}/t.csv"), 3),
 ])
 def test_malformed_input_exits_without_traceback(argv, code, tmp_path):
     (tmp_path / "latin1.json").write_bytes(b'{"nodes": ["\xe9"]}')

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import os
 import pickle
 import subprocess
@@ -10,7 +9,7 @@ import pytest
 
 import msgflow
 from msgflow import EdgeRef, NodeRef, ValidationError, unroll
-from msgflow.graph import edge, edge_key
+from msgflow.graph import edge
 
 
 def test_complete_unroll_counts():
@@ -89,8 +88,13 @@ def test_membership_and_errors():
     g = unroll(("A", "B"), 1)
     assert NodeRef("A", 1) in g
     assert NodeRef("Z", 0) not in g
+    # A ref equals the plain tuple of its fields, but only refs are members.
+    assert edge("A", 0, "B") in g and ("A", 1) not in g
+    assert (NodeRef("A", 0), NodeRef("B", 1)) not in g
     with pytest.raises(ValidationError):
         g.incoming(NodeRef("Z", 0))
+    with pytest.raises(ValidationError):
+        g.incoming(("A", 1))
     with pytest.raises(ValidationError):
         g.outgoing(NodeRef("A", 5))
 
@@ -129,13 +133,26 @@ def test_edge_ref_validation_and_parse():
         NodeRef.parse("12")
 
 
+def test_refs_hash_as_the_tuples_of_their_fields():
+    # The dataclass values, hash((name, time)) and hash((src, dst)), so set
+    # and dict orders, and with them the reports, are unchanged.
+    for n, t in (("A", 0), ("Ab", 7), ("_x", 12)):
+        assert hash(NodeRef(n, t)) == hash((n, t))
+    e = edge("A", 0, "B")
+    assert hash(e) == hash((e.src, e.dst))
+    assert repr(e) == "EdgeRef(src=NodeRef(name='A', time=0), dst=NodeRef(name='B', time=1))"
+    assert NodeRef(name="A", time=0) == e.src and EdgeRef(src=e.src, dst=e.dst) == e
+    with pytest.raises(ValidationError, match="consecutive times"):
+        EdgeRef(e.src, NodeRef("B", 0))
+
+
 def test_edge_ref_hash_survives_copies_and_pickles():
     e = edge("A", 0, "B")
-    assert hash(e) == hash((e.src, e.dst))  # the dataclass's own value
-    moved = dataclasses.replace(e, dst=NodeRef("C", 1))
+    moved = EdgeRef(e.src, NodeRef("C", 1))
     assert moved != e and hash(moved) == hash((NodeRef("A", 0), NodeRef("C", 1)))
-    for same in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e), dataclasses.replace(e)):
+    for same in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e), EdgeRef(e.src, e.dst)):
         assert same == e and hash(same) == hash(e) and same in {e}
+        assert type(same) is EdgeRef and type(same.src) is NodeRef
     # A pickle written under another string hash seed gets this process's hash.
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
     env = {**os.environ, "PYTHONHASHSEED": seed,
@@ -148,10 +165,11 @@ def test_edge_ref_hash_survives_copies_and_pickles():
     assert loaded == e and hash(loaded) == hash(e) and loaded in {e}
 
 
-def test_edge_key_sorts_like_the_dataclass_order():
+def test_edges_sort_by_their_fields():
     import random
 
     rng = random.Random(4)
     names = ["A", "B", "Ab", "a", "_x", "AB"]
     edges = [edge(rng.choice(names), rng.randint(0, 12), rng.choice(names)) for _ in range(300)]
-    assert sorted(edges, key=edge_key) == sorted(edges)
+    fields = lambda e: (e.src.name, e.src.time, e.dst.name, e.dst.time)
+    assert sorted(edges) == sorted(edges, key=fields)

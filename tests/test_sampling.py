@@ -348,6 +348,22 @@ def test_detect_validates_subset_size(fixtures):
         mf.detect_flow_sampled(trials, edge("B", 0, "B"), max_subset_size=-1)
 
 
+def test_trial_counts_beyond_int64_are_invalid(fixtures, monkeypatch):
+    # numpy takes multinomial trial counts as int64: 2^63 - 1 is the most.
+    np.random.default_rng(0).multinomial(mf.sampling.MAX_TRIALS, [0.5, 0.5])
+    with pytest.raises((TypeError, OverflowError)):
+        np.random.default_rng(0).multinomial(mf.sampling.MAX_TRIALS + 1, [0.5, 0.5])
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the trial count is checked before any draw")
+
+    monkeypatch.setattr(mf.sampling.np.random, "SeedSequence", no_draws)
+    monkeypatch.setattr(mf.sampling, "ColumnPass", no_draws)
+    for n in (mf.sampling.MAX_TRIALS + 1, 10**20):
+        with pytest.raises(ValidationError, match=r"2\^63 - 1"):
+            mf.sample_trials(fixtures["ce1"].spec, n, seed=1)
+
+
 def test_negative_seeds_are_invalid(fixtures):
     spec = fixtures["ce1"].spec
     trials = mf.sample_trials(spec, 100, seed=9)
