@@ -202,16 +202,10 @@ def cmd_hidden(args) -> int:
     mask.validate(spec.graph)
     alarms = []
     for t in range(spec.graph.horizon - 1):
-        fired = derived.hidden_node_alarm(joint, spec.graph, mask, t, message)
-        alarms.append(
-            {
-                "t": t,
-                "alarm": fired,
-                "violation_bits": derived.hidden_alarm_value(
-                    joint, spec.graph, mask, t, message
-                ),
-            }
-        )
+        now, nxt = derived.observed_slices(spec.graph, mask, t)
+        bits = joint.ask([message], nxt, now)  # the alarm and its bits, from one ask
+        value = 0.0 if bits is None else bits()[0]
+        alarms.append({"t": t, "alarm": bits is not None, "violation_bits": value})
     doc = {
         "schema": "msgflow.hidden/1",
         "message": message,
@@ -226,14 +220,14 @@ def cmd_derived(args) -> int:
     _, joint, message = _load_query(args)
     q = [EdgeRef.parse(e) for e in args.query_edges]
     p = [EdgeRef.parse(e) for e in args.given_edges]
-    verdict = derived.is_derived(joint, q, p, message)
-    value = joint.cmi([message], [e for e in q if e not in set(p)], p)
+    bits = derived.derived_ask(joint, q, p, message)  # the verdict and its bits, from one ask
+    value = 0.0 if bits is None else bits()[0]
     doc = {
         "schema": "msgflow.derived/1",
         "message": message,
         "query": sorted(str(e) for e in q),
         "given": sorted(str(e) for e in p),
-        "is_derived": verdict,
+        "is_derived": bits is None,
         "leftover_bits": "inf" if math.isinf(value) else value,
     }
     _emit_json(doc, args.out)

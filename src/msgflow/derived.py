@@ -36,6 +36,11 @@ def is_derived(
     The two edge sets may live at arbitrary, different times and may overlap;
     shared edges are conditioned away.
     """
+    return derived_ask(joint, q_edges, p_edges, message) is None
+
+
+def derived_ask(joint: Joint, q_edges, p_edges, message: Optional[str] = None):
+    """``is_derived``'s one ``ask`` of I(M; Q | P): None when Q is derived."""
     m = joint.default_message(message)
     q = tuple(q_edges)
     p = tuple(p_edges)
@@ -46,8 +51,8 @@ def is_derived(
             raise ValidationError(f"unknown edge {e}")
     targets = [e for e in q if e not in set(p)]
     if not targets:
-        return True
-    return not joint.dependent([m], targets, list(dict.fromkeys(p)))
+        return None
+    return joint.ask([m], targets, list(dict.fromkeys(p)))
 
 
 def redundancy_pairs(
@@ -109,9 +114,8 @@ class ObservationMask:
         return tuple(e for e in graph.edges_at(t) if self.observes_edge(e))
 
 
-def _observed_slices(graph: UnrolledGraph, mask: ObservationMask, t: int) -> tuple[list, list]:
-    """The observed edges at t and t+1, after the mask, time and empty-slice checks."""
-    mask.validate(graph)
+def observed_slices(graph: UnrolledGraph, mask: ObservationMask, t: int) -> tuple[list, list]:
+    """The observed edges at t and t+1, after the time and empty-slice checks."""
     if not (0 <= t < graph.horizon - 1):
         raise ValidationError(f"alarm time {t} outside 0..{graph.horizon - 2}")
     now = mask.observed_edges(graph, t)
@@ -134,7 +138,8 @@ def hidden_node_alarm(
     information the observed slice does not account for.
     """
     m = joint.default_message(message)
-    now, nxt = _observed_slices(graph, mask, t)
+    mask.validate(graph)
+    now, nxt = observed_slices(graph, mask, t)
     return joint.dependent([m], nxt, now)
 
 
@@ -147,7 +152,8 @@ def hidden_alarm_value(
 ) -> float:
     """The violating conditional information in bits (0 when the chain holds)."""
     m = joint.default_message(message)
-    now, nxt = _observed_slices(graph, mask, t)
+    mask.validate(graph)
+    now, nxt = observed_slices(graph, mask, t)
     return joint.cmi([m], nxt, now)
 
 

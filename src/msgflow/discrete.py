@@ -185,10 +185,9 @@ class JointVariables:
         b_vars: Sequence[VarId],
         c_vars: Sequence[VarId] = (),
     ) -> bool:
-        """Exact test of I(A;B|C) > 0, the verdict of one ``ci_query``.
+        """Exact test of I(A;B|C) > 0, the verdict of one ``ask``.
         For A == B (the same set) this decides H(A|C) > 0."""
-        _check_sets(a_vars, b_vars, c_vars)
-        return self.ci_query(a_vars)(tuple(b_vars), c_vars) is not None
+        return self.ask(a_vars, b_vars, c_vars) is not None
 
     def cmi(
         self,
@@ -196,12 +195,17 @@ class JointVariables:
         b_vars: Sequence[VarId],
         c_vars: Sequence[VarId] = (),
     ) -> float:
-        """I(A;B|C) in bits, the bits of one ``ci_query``; 0 where it finds
+        """I(A;B|C) in bits, the bits of one ``ask``; 0 where it finds
         independence.  A == B (same set) yields the conditional entropy
         H(A|C).  On trials this is the plug-in estimate."""
-        _check_sets(a_vars, b_vars, c_vars)
-        bits = self.ci_query(a_vars)(tuple(b_vars), c_vars)
+        bits = self.ask(a_vars, b_vars, c_vars)
         return 0.0 if bits is None else bits()[0]
+
+    def ask(self, a_vars: Sequence[VarId], b_vars: Sequence[VarId], c_vars: Sequence[VarId] = ()):
+        """One ``ci_query`` ask of I(A;B|C), its sets checked: None when it
+        is 0, otherwise a callable giving its bits and whether they saturate."""
+        _check_sets(a_vars, b_vars, c_vars)
+        return self.ci_query(a_vars)(tuple(b_vars), c_vars)
 
     def has_var(self, v: VarId) -> bool:
         return v in self._index
@@ -481,11 +485,11 @@ def grid_cmi(g: np.ndarray, total: int, margins: tuple) -> float:
     """I(A;B|C) in bits of a (c, a, b) weight grid of total weight ``total``:
     Σ (w_abc/total)·log2(w_abc·w_c / (w_ac·w_bc)) over the occupied cells."""
     w_ac, w_bc, w_c = margins
-    live = g > 0
-    num = (g * w_c[:, None, None])[live]
-    den = (w_ac[:, :, None] * w_bc[:, None, :])[live]
-    share = (g[live] / total).astype(np.float64)
-    bits = float(np.sum(share * np.log2((num / den).astype(np.float64))))
+    c, a, b = np.nonzero(g)  # the occupied cells, in C order
+    w = g[c, a, b]
+    share = (w / total).astype(np.float64)
+    ratio = w * w_c[c] / (w_ac[c, a] * w_bc[c, b])
+    bits = float(np.sum(share * np.log2(ratio.astype(np.float64))))
     return max(bits, 0.0)
 
 

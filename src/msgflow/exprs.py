@@ -9,15 +9,16 @@ The JSON wire form is prefix notation as nested arrays, e.g.::
 
     ["xor", ["edge", "A0", "B1"], ["noise"]]
 
-Operators: xor, and, or, not (0/1 ints); add, sub, mul, negate (exact
-rational/complex arithmetic); const; select k (tuple component); concat
-(build a tuple); mod q (integers).
+Every other operator is one row of ``OPERATORS``: xor, and, or, not (0/1
+ints); add, sub, mul, negate (exact rational/complex arithmetic); select k
+(tuple component); concat (build a tuple); mod q (integers).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 from .errors import ExpressionTypeError, SpecParseError
 from .graph import EdgeRef, NodeRef
@@ -35,10 +36,42 @@ from .values import (
 
 Expr = tuple
 
-CONST_ZERO: Expr = ("const", 0)
 
-_BINARY = {"xor", "and", "or", "add", "sub", "mul"}
-_UNARY = {"not", "negate"}
+def _select(k: int, v: Value) -> Value:
+    if not isinstance(v, tuple) or not 0 <= k < len(v):
+        raise ExpressionTypeError(f"select {k} needs a tuple of length > {k}, got {v!r}")
+    return v[k]
+
+
+class Operator(NamedTuple):
+    """The least value of each integer parameter (None: any), the operand count
+    (None: one or more), and the value function of (*parameters, *operands)."""
+
+    params: tuple
+    arity: Optional[int]
+    fn: Callable[..., Value]
+
+
+OPERATORS = {
+    "xor": Operator((), 2, lambda a, b: require_bit(a, "xor") ^ require_bit(b, "xor")),
+    "and": Operator((), 2, lambda a, b: require_bit(a, "and") & require_bit(b, "and")),
+    "or": Operator((), 2, lambda a, b: require_bit(a, "or") | require_bit(b, "or")),
+    "not": Operator((), 1, lambda a: 1 - require_bit(a, "not")),
+    "add": Operator((), 2, vadd),
+    "sub": Operator((), 2, vsub),
+    "mul": Operator((), 2, vmul),
+    "negate": Operator((), 1, vneg),
+    "select": Operator((None,), 1, _select),
+    "mod": Operator((1,), 1, lambda q, a: require_int(a, "mod") % q),
+    "concat": Operator((), None, lambda *vs: vs),
+}
+
+
+def _operator(op) -> Operator:
+    row = OPERATORS.get(op)
+    if row is None:
+        raise SpecParseError(f"unknown operator {op!r}")
+    return row
 
 
 def msg(name: Optional[str] = None) -> Expr:
@@ -82,45 +115,28 @@ def parse_expr(obj) -> Expr:
         if len(args) != 1:
             raise SpecParseError(f"const takes one value: {obj!r}")
         return ("const", value_from_json(args[0]))
-    if op in _BINARY:
-        if len(args) != 2:
-            raise SpecParseError(f"{op} takes two operands: {obj!r}")
-        return (op, parse_expr(args[0]), parse_expr(args[1]))
-    if op in _UNARY:
-        if len(args) != 1:
-            raise SpecParseError(f"{op} takes one operand: {obj!r}")
-        return (op, parse_expr(args[0]))
-    if op == "select":
-        if len(args) != 2 or not isinstance(args[0], int):
-            raise SpecParseError(f"select takes an index and an operand: {obj!r}")
-        return ("select", args[0], parse_expr(args[1]))
-    if op == "mod":
-        if len(args) != 2 or not isinstance(args[0], int) or args[0] < 1:
-            raise SpecParseError(f"mod takes a positive modulus and an operand: {obj!r}")
-        return ("mod", args[0], parse_expr(args[1]))
-    if op == "concat":
-        if not args:
-            raise SpecParseError("concat needs at least one operand")
-        return ("concat", *[parse_expr(a) for a in args])
-    raise SpecParseError(f"unknown operator {op!r}")
+    lows, arity, _ = _operator(op)
+    k = len(lows)
+    n = len(args) - k  # operands, after the parameters
+    # A JSON boolean is a Python int, but no parameter.
+    if (n != arity if arity else n < 1) or k and not all(
+        type(p) is int and (low is None or p >= low) for p, low in zip(args, lows)
+    ):
+        wants = "".join(f"an integer{'' if low is None else f' >= {low}'}, " for low in lows)
+        raise SpecParseError(f"{op} takes {wants}{arity or 'one or more'} operand(s): {obj!r}")
+    return (op, *args[:k], *map(parse_expr, args[k:]))
 
 
 def expr_to_json(expr: Expr):
     op = expr[0]
     if op == "edge":
-        e: EdgeRef = expr[1]
-        return ["edge", str(e.src), str(e.dst)]
-    if op == "noise":
-        return ["noise"] if expr[1] is None else ["noise", str(expr[1])]
-    if op == "msg":
-        return ["msg"] if expr[1] is None else ["msg", expr[1]]
+        return ["edge", *map(str, expr[1])]  # an EdgeRef is the pair (src, dst)
+    if op in ("noise", "msg"):
+        return [op] if expr[1] is None else [op, str(expr[1])]
     if op == "const":
         return ["const", value_to_json(expr[1])]
-    if op in ("select", "mod"):
-        return [op, expr[1], expr_to_json(expr[2])]
-    if op == "concat":
-        return ["concat", *[expr_to_json(a) for a in expr[1:]]]
-    return [op, *[expr_to_json(a) for a in expr[1:]]]
+    k = 1 + len(_operator(op).params)
+    return [*expr[:k], *map(expr_to_json, expr[k:])]
 
 
 def leaf_refs(expr: Expr):
@@ -128,12 +144,8 @@ def leaf_refs(expr: Expr):
     op = expr[0]
     if op in ("edge", "noise", "msg"):
         yield (op, expr[1])
-    elif op == "const":
-        return
-    elif op in ("select", "mod"):
-        yield from leaf_refs(expr[2])
-    else:
-        for sub in expr[1:]:
+    elif op != "const":
+        for sub in expr[1 + len(_operator(op).params) :]:
             yield from leaf_refs(sub)
 
 
@@ -166,40 +178,18 @@ def compile_expr(expr: Expr) -> Callable[[EvalEnv], Value]:
         if name is None:
             return lambda env: _sole_msg(env)
         return lambda env: env.msg_values[name]
-    if op in ("not",):
-        f = compile_expr(expr[1])
-        return lambda env: 1 - require_bit(f(env), "not")
-    if op == "negate":
-        f = compile_expr(expr[1])
-        return lambda env: vneg(f(env))
-    if op == "select":
-        k, f = expr[1], compile_expr(expr[2])
-        def _select(env: EvalEnv) -> Value:
-            v = f(env)
-            if not isinstance(v, tuple) or not 0 <= k < len(v):
-                raise ExpressionTypeError(f"select {k} needs a tuple of length > {k}, got {v!r}")
-            return v[k]
-        return _select
-    if op == "mod":
-        q, f = expr[1], compile_expr(expr[2])
-        return lambda env: require_int(f(env), "mod") % q
-    if op == "concat":
-        fs = [compile_expr(a) for a in expr[1:]]
-        return lambda env: tuple(f(env) for f in fs)
-    fa, fb = compile_expr(expr[1]), compile_expr(expr[2])
-    if op == "xor":
-        return lambda env: require_bit(fa(env), "xor") ^ require_bit(fb(env), "xor")
-    if op == "and":
-        return lambda env: require_bit(fa(env), "and") & require_bit(fb(env), "and")
-    if op == "or":
-        return lambda env: require_bit(fa(env), "or") | require_bit(fb(env), "or")
-    if op == "add":
-        return lambda env: vadd(fa(env), fb(env))
-    if op == "sub":
-        return lambda env: vsub(fa(env), fb(env))
-    if op == "mul":
-        return lambda env: vmul(fa(env), fb(env))
-    raise SpecParseError(f"unknown operator {op!r}")
+    params, arity, fn = _operator(op)
+    k = 1 + len(params)
+    if params:
+        fn = partial(fn, *expr[1:k])
+    if arity == 1:
+        fa = compile_expr(expr[k])
+        return lambda env: fn(fa(env))
+    if arity == 2:
+        fa, fb = compile_expr(expr[k]), compile_expr(expr[k + 1])
+        return lambda env: fn(fa(env), fb(env))
+    fs = [compile_expr(a) for a in expr[k:]]
+    return lambda env: fn(*[f(env) for f in fs])
 
 
 def _sole_msg(env: EvalEnv) -> Value:

@@ -154,7 +154,7 @@ def linear_propagate(spec: SystemSpec) -> GaussianJoint:
         msg_values={msg_name: Affine(msg_name)},
         noise_values={v: Affine(v) for v in spec.noise},
     )
-    for v, e, fn in spec.compiled():
+    for v, e, fn, _ in spec.compiled():
         env.own_noise = env.noise_values.get(v, 0)
         try:
             value = fn(env)

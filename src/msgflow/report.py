@@ -37,40 +37,40 @@ def _quantified_from_json(q):
 
 
 def report_to_dict(report: FlowReport) -> dict:
+    order = sorted(report.entries)
+    names = {e: str(e) for e in order}  # each edge formatted once
+    name = lambda e: names.get(e) or str(e)
+    # Within a slice every edge's string holds the same two time suffixes,
+    # and node names are [A-Za-z_]+ (UnrolledGraph checks them).  Where one
+    # name extends another, the shorter one's time digit sorts before any
+    # letter or underscore, so the sorted edges are in their strings' order
+    # and each slice's lists need no sort.
+    partition = {t: {"flow": [], "no_flow": []} for t in report.times()}
     edges = []
-    for e in sorted(report.entries):
+    for e in order:
         entry = report.entries[e]
         row = {
-            "edge": str(e),
+            "edge": names[e],
             "time": e.time,
             "has_flow": entry.has_flow,
-            "witness": None
-            if entry.witness is None
-            else [str(w) for w in entry.witness],
+            "witness": None if entry.witness is None else [name(w) for w in entry.witness],
             "quantified": _quantified_to_json(entry.quantified),
         }
         if entry.p_values is not None:
             row["p_values"] = [
-                {"conditioning": [str(c) for c in sub], "p": p}
-                for sub, p in entry.p_values
+                {"conditioning": [name(c) for c in sub], "p": p} for sub, p in entry.p_values
             ]
-        for name in _SAMPLED_FIELDS:
-            if getattr(entry, name) is not None:
-                row[name] = getattr(entry, name)
+        for field in _SAMPLED_FIELDS:
+            if getattr(entry, field) is not None:
+                row[field] = getattr(entry, field)
         edges.append(row)
-    partition = {}
-    for t in report.times():
-        r, s = report.partition(t)
-        partition[str(t)] = {
-            "flow": sorted(str(e) for e in r),
-            "no_flow": sorted(str(e) for e in s),
-        }
+        partition[e.time]["flow" if entry.has_flow else "no_flow"].append(names[e])
     return {
         "schema": REPORT_SCHEMA,
         "message": report.message,
         "engine": report.engine,
         "edges": edges,
-        "partition": partition,
+        "partition": {str(t): lists for t, lists in partition.items()},
     }
 
 

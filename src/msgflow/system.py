@@ -14,13 +14,12 @@ Message laws come in three kinds:
 * ``derived``  — components defined as expressions over intrinsic variables,
   for systems whose message lives at the output rather than the input.
 
-Two forward passes push realizations through the node functions:
-``SystemSpec.propagate`` computes one realization from value dicts and is
-the reference the tests compare against; :class:`ColumnPass` computes whole
-columns of weighted rows for the exact enumerator and the trial sampler,
-running each node function once per distinct combination of its inputs.
-The linear-Gaussian engine runs ``propagate``'s functions, in its order, on
-affine forms (:func:`msgflow.gaussian.linear_propagate`).
+Every forward pass shares one compiled plan (``SystemSpec.compiled``): the
+node functions in forward order, with what each reads.  ``propagate`` runs
+it on one realization and is the reference the tests compare against;
+:class:`ColumnPass` on whole columns of weighted rows, for the exact
+enumerator and the trial sampler; the linear-Gaussian engine on affine
+forms (:func:`msgflow.gaussian.linear_propagate`).
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
-from . import exprs
-from .errors import MsgflowError, SpecParseError, ValidationError
+from .errors import ExpressionTypeError, MsgflowError, SpecParseError, ValidationError
 from .exprs import EvalEnv, Expr, compile_expr, expr_to_json, leaf_refs, parse_expr
 from .graph import EdgeRef, NodeRef, UnrolledGraph
 from .values import Value, value_from_json, value_to_json
@@ -219,9 +217,6 @@ class SystemSpec:
         """A gaussian message or some gaussian noise: draws that are floats."""
         return self.is_gaussian or any(n.kind == "gaussian" for n in self.noise.values())
 
-    def expr_for(self, e: EdgeRef) -> Expr:
-        return self.functions.get(e.src, {}).get(e, exprs.CONST_ZERO)
-
     def noise_nodes(self) -> tuple[NodeRef, ...]:
         return tuple(sorted(self.noise))
 
@@ -244,20 +239,13 @@ class SystemSpec:
             return None
         components = self.message.components
         message = frozenset([components]) if len(components) > 1 else frozenset()
-        out: dict[EdgeRef, frozenset] = {}
-        for t in range(self.graph.horizon):
-            for e in self.graph.edges_at(t):
-                src: set = set()
-                for kind, payload in leaf_refs(self.expr_for(e)):
-                    if kind == "edge":
-                        src |= out[payload]
-                    elif kind == "msg":
-                        src |= message
-                    else:
-                        node = e.src if payload is None else payload
-                        if node in self.noise:  # a node without noise reads 0
-                            src.add(node)
-                out[e] = frozenset(src)
+        g = self.graph
+        out = dict.fromkeys((e for t in range(g.horizon) for e in g.edges_at(t)), frozenset())
+        for _, e, _, reads in self.compiled():
+            out[e] = frozenset().union(
+                *(out[k] if f == "edges" else message if f == "msg_values" else {k}
+                  for f, k in reads)
+            )
         return out
 
     def realization_count(self) -> int:
@@ -272,17 +260,36 @@ class SystemSpec:
     # ----- propagation --------------------------------------------------
 
     def compiled(self) -> tuple:
-        """(node, edge, compiled function) for each edge with a function, in forward order."""
+        """(node, edge, compiled function, ``reads``) for each edge with a
+        function, in forward order.  An edge without one carries 0."""
         if self._compiled is None:
-            plan = []
-            for t in range(self.graph.horizon):
-                for v in self.graph.nodes_at(t):
-                    fns = self.functions.get(v, {})
-                    plan.extend(
-                        (v, e, compile_expr(fns[e])) for e in self.graph.outgoing(v) if e in fns
-                    )
-            self._compiled = tuple(plan)
+            g, fns = self.graph, {e: x for fs in self.functions.values() for e, x in fs.items()}
+            self._compiled = tuple(
+                (e.src, e, compile_expr(fns[e]), self.reads(fns[e], e.src))
+                for t in range(g.horizon)
+                for e in g.edges_at(t)
+                if e in fns
+            )
         return self._compiled
+
+    def reads(self, expr: Expr, v: Optional[NodeRef]) -> tuple:
+        """The variables ``expr`` reads at node ``v``, in order of first use,
+        as (``EvalEnv`` field, key) pairs.  A bare noise leaf reads v's own
+        noise, and a node without noise reads none: its leaf is 0.  A bare
+        msg leaf reads every component, so that it stays ambiguous when
+        there are several."""
+        reads: dict = {}
+        for kind, payload in leaf_refs(expr):
+            if kind == "edge":
+                reads[payload] = "edges"
+            elif kind == "msg":
+                names = self.message.components if payload is None else (payload,)
+                reads.update(dict.fromkeys(names, "msg_values"))
+            else:
+                node = v if payload is None else payload
+                if node in self.noise:
+                    reads[node] = "noise_values"
+        return tuple((field, key) for key, field in reads.items())
 
     def propagate(
         self,
@@ -292,7 +299,7 @@ class SystemSpec:
         """Forward pass: every edge transmission of one realization."""
         out: dict[EdgeRef, Value] = {e: 0 for e in self.graph.edges}
         env = EvalEnv(edges=out, msg_values=dict(msg_values), noise_values=dict(noise_values))
-        for v, e, fn in self.compiled():
+        for v, e, fn, _ in self.compiled():
             env.own_noise = noise_values.get(v, 0)
             out[e] = fn(env)
         return out
@@ -344,11 +351,11 @@ class SystemSpec:
     @staticmethod
     def _read_json_dict(d: dict) -> tuple:
         """The graph, message, noise, functions and declared inputs of a document."""
-        adjacency = d.get("adjacency", "complete")
+        pairs = d.get("adjacency", "complete")
         graph = UnrolledGraph(
-            d["nodes"],
+            _names(d["nodes"], "nodes"),
             d["horizon"],
-            None if adjacency == "complete" else [tuple(p) for p in adjacency],
+            None if pairs == "complete" else [_names(p, "adjacency pair", 2) for p in pairs],
         )
         message = _message_from_json(d["message"])
         noise = {
@@ -366,10 +373,17 @@ class SystemSpec:
                         f"function key {dst_id!r} under {node_id!r} is not at time {v.time + 1}"
                     )
                 functions[v][EdgeRef(v, dst)] = parse_expr(ex)
-        declared_inputs = tuple(d.get("declared_inputs", ()))
-        if not all(isinstance(name, str) for name in declared_inputs):
-            raise SpecParseError("declared inputs must be node names")
+        declared_inputs = _names(d.get("declared_inputs", []), "declared inputs")
         return graph, message, noise, functions, declared_inputs
+
+
+def _names(value, what: str, n: Optional[int] = None) -> tuple:
+    """A JSON array of names, ``n`` of them if given; a string is none."""
+    if not isinstance(value, list) or n not in (None, len(value)) or not all(
+        isinstance(x, str) for x in value
+    ):
+        raise SpecParseError(f"{what} must be an array of {n or 'any number of'} names: {value!r}")
+    return tuple(value)
 
 
 # ----- the column forward pass ------------------------------------------
@@ -385,7 +399,7 @@ def compress(key: np.ndarray, k: Optional[int] = None) -> tuple[np.ndarray, int]
     When the caller knows every code lies below ``k`` and k is at most twice
     the row count, a presence table ranks them in O(n + k) without a sort:
     the rank of a present code is the number of present codes below it.
-    Otherwise, float draws included, ``np.unique`` sorts.
+    Otherwise ``np.unique`` sorts.
     """
     if k is None or k > 2 * len(key):
         uniq, inverse = np.unique(key, return_inverse=True)
@@ -472,12 +486,14 @@ class ColumnPass:
     splits rows by pmf numerators, the trial sampler by multinomial counts.
 
     Each compiled node function, and each derived message component, runs
-    once per distinct combination of the columns it reads (``leaf_refs``),
-    in order of the combination's first row, and its result is mapped back
-    to every row.  A function given the same inputs returns the same value,
-    and columns tell values apart by type, so every row gets exactly the
-    value ``SystemSpec.propagate`` computes for it, and the first value
-    seen of each column is the one the first row holds.
+    once per distinct combination of the columns it reads
+    (``SystemSpec.reads``), in order of the combination's first row, and
+    its result is mapped back to every row.  A function given the same
+    inputs returns the same value, and columns tell values apart by type,
+    so every row gets exactly the value ``SystemSpec.propagate`` computes
+    for it, and the first value seen of each column is the one the first
+    row holds.  An error names the failing function's column: ``edge
+    A0->B1: ...``.
     """
 
     def __init__(self, spec: SystemSpec) -> None:
@@ -488,17 +504,17 @@ class ColumnPass:
         # Columns by slot: the variables first, then the noise nodes.
         self._slot = {key: i for i, key in enumerate((*self.variables, *spec.noise))}
         self._cols = [_Column() for _ in self._slot]
-        fns = [(None, name, x) for name, x in zip(m.components, m.exprs or ())]
-        fns += [(e.src, e, spec.expr_for(e)) for e in edges]
+        derived = zip(m.components, m.exprs or ())
+        fns = [(None, c, compile_expr(x), spec.reads(x, None)) for c, x in derived]
+        # (node, slot, compiled function, columns read as (slot, field, key))
+        self._fns = [
+            (v, self._slot[key], fn, tuple((self._slot[k], f, k) for f, k in reads))
+            for v, key, fn, reads in fns + list(spec.compiled())
+        ]
         # A column without a function is the constant 0, coded once here.
-        self._zeros = {self._slot[key] for _, key, x in fns if x is exprs.CONST_ZERO}
+        self._zeros = {self._slot[e] for e in edges} - {i for _, i, _, _ in self._fns}
         for j in self._zeros:
             self._cols[j].code(0)
-        fns = [f for f in fns if f[2] is not exprs.CONST_ZERO]
-        # (node, slot, compiled function, columns read)
-        self._fns = [
-            (v, self._slot[key], compile_expr(x), self._reads(x, v)) for v, key, x in fns
-        ]
         # Per function, the noise nodes it reads first and the slots of those
         # whose last reader it is.
         first: dict = {}
@@ -513,24 +529,6 @@ class ColumnPass:
             self._schedule[i][0].append(key)
         for j, i in last.items():
             self._schedule[i][1].append(j)
-
-    def _reads(self, expr: Expr, v: Optional[NodeRef]) -> tuple:
-        """The columns ``expr`` reads at node ``v``, in order of first use, as
-        (slot, EvalEnv field, key) triples."""
-        reads: dict = {}
-        for kind, payload in leaf_refs(expr):
-            if kind == "edge":
-                reads[payload] = "edges"
-            elif kind == "msg":
-                # A bare leaf sees every component, so that it stays ambiguous
-                # when there are several, as in ``propagate``.
-                names = self.spec.message.components if payload is None else (payload,)
-                reads.update(dict.fromkeys(names, "msg_values"))
-            else:
-                node = v if payload is None else payload
-                if node in self.spec.noise:  # a node without noise reads 0
-                    reads[node] = "noise_values"
-        return tuple((self._slot[key], field, key) for key, field in reads.items())
 
     def outcomes(
         self, supports: Mapping, start: tuple, split: Callable
@@ -586,7 +584,7 @@ class ColumnPass:
                 held[j] = _codes(self._cols[j], supports[u], pick)
                 zero, done, index = z, done[parent], index[parent] + offsets[u][pick]
                 live.append(j)
-            held[i] = self._apply(v, self._cols[i], fn, reads, held, n)
+            held[i] = self._apply(v, i, fn, reads, held, n)
             if len(self._cols[i].objs) == 1:
                 held[i] = zero
             else:
@@ -657,8 +655,9 @@ class ColumnPass:
                 out, weights = out[:, first], merged
         return out, values, weights
 
-    def _apply(self, v, col: _Column, fn, reads, codes: list, n: int) -> np.ndarray:
+    def _apply(self, v, slot: int, fn, reads, codes: list, n: int) -> np.ndarray:
         """Codes of one function's column, from the columns it reads."""
+        col = self._cols[slot]
         key, k = mixed_radix([(codes[i], len(self._cols[i].objs)) for i, _, _ in reads], n)
 
         def code_at(row: int) -> int:
@@ -668,7 +667,12 @@ class ColumnPass:
             env.own_noise = env.noise_values.get(v, 0)
             return col.code(fn(env))
 
-        return _each(key, k, code_at)
+        try:
+            return _each(key, k, code_at)
+        except ExpressionTypeError as exc:
+            name = self.variables[slot]
+            what = "edge" if isinstance(name, EdgeRef) else "message component"
+            raise ExpressionTypeError(f"{what} {name}: {exc}") from exc
 
 
 def _codes(col: _Column, support: list, pick: np.ndarray) -> np.ndarray:

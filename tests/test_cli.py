@@ -245,6 +245,27 @@ def _cli(*argv):
     )
 
 
+# A two-node system, valid as it stands; each edit below breaks it.
+_SMALL = {
+    "nodes": ["A", "B"],
+    "horizon": 1,
+    "adjacency": [["A", "B"], ["B", "A"]],
+    "message": {"kind": "discrete", "components": ["M"],
+                "pmf": [{"value": [0], "p": [1, 2]}, {"value": [1], "p": [1, 2]}]},
+    "functions": {"A0": {"B1": ["msg"]}},
+    "declared_inputs": ["A"],
+}
+# A string where an array of names belongs would read as its characters,
+# and a JSON boolean as the integer 1 or 0.
+_MALFORMED = {
+    "nodes-string": {"nodes": "AB"},
+    "adjacency-strings": {"adjacency": ["AB", "BA"]},
+    "inputs-string": {"declared_inputs": "A"},
+    "select-bool": {"functions": {"A0": {"B1": ["select", False, ["concat", ["msg"]]]}}},
+    "mod-bool": {"functions": {"A0": {"B1": ["mod", True, ["msg"]]}}},
+}
+
+
 @pytest.mark.parametrize("argv, code", [
     (("analyze", "--spec", "{tmp}/missing.json"), 2),
     (("analyze", "--spec", "{tmp}"), 2),
@@ -259,12 +280,29 @@ def _cli(*argv):
     (("analyze", "--fixture", "sk", "--sigma2", "1/0"), 2),
     (("simulate", "--fixture", "ce1", "--n-trials", str(10**20), "--seed", "1",
       "--out", "{tmp}/t.csv"), 3),
+    *((("analyze", "--spec", f"{{tmp}}/{name}.json"), 2) for name in _MALFORMED),
 ])
 def test_malformed_input_exits_without_traceback(argv, code, tmp_path):
     (tmp_path / "latin1.json").write_bytes(b'{"nodes": ["\xe9"]}')
+    for name, edit in _MALFORMED.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({**_SMALL, **edit}))
     proc = _cli(*(a.format(tmp=tmp_path) for a in argv))
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_node_function_errors_name_their_edge(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(_SMALL))
+    assert run("analyze", "--spec", str(spec)) == 0
+    capsys.readouterr()
+    bad = {"functions": {"A0": {"B1": ["xor", ["msg"], ["const", 2]]}}}
+    spec.write_text(json.dumps({**_SMALL, **bad}))
+    for engine in ((), ("--engine", "sampled", *SAMPLED)):
+        assert run("analyze", "--spec", str(spec), *engine) == 3
+        assert capsys.readouterr().err == (
+            "validation error: edge A0->B1: xor needs a 0/1 value, got 2\n"
+        )
 
 
 def test_derived_message_over_gaussian_noise_exits_cleanly(tmp_path):

@@ -183,11 +183,26 @@ def test_enumeration_surfaces_type_errors():
         functions={NodeRef("A", 0): {edge("A", 0, "A"): ("xor", msg(), const(Fraction(1, 2)))}},
         declared_inputs=("A",),
     )
-    for system in (spec, _mixed_zero_system()):
-        with pytest.raises(ExpressionTypeError):
+    # Each error names the edge whose function failed.
+    for system, failed in ((spec, "A0->A1"), (_mixed_zero_system(), "A1->A2")):
+        with pytest.raises(ExpressionTypeError, match=f"^edge {failed}: xor needs a 0/1 value"):
             mf.enumerate_joint(system)
-        with pytest.raises(ExpressionTypeError):
+        with pytest.raises(ExpressionTypeError, match=f"^edge {failed}: xor needs a 0/1 value"):
             mf.sample_trials(system, 200, seed=0)
+
+
+def test_derived_component_errors_name_their_component():
+    from msgflow import ExpressionTypeError
+
+    a0 = NodeRef("A", 0)
+    spec = SystemSpec(
+        UnrolledGraph(("A",), 1),
+        MessageSpec.derived(("M",), (("not", ("noise", a0)),)),
+        noise={a0: NoiseSpec.discrete(((2, Fraction(1, 2)), (3, Fraction(1, 2))))},
+    )
+    for build in (mf.enumerate_joint, lambda s: mf.sample_trials(s, 50, seed=0)):
+        with pytest.raises(ExpressionTypeError, match="^message component M: not needs a 0/1"):
+            build(spec)
 
 
 @settings(max_examples=60, deadline=None)

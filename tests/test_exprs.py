@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from msgflow import ExpressionTypeError, SpecParseError
 from msgflow.exprs import (
+    OPERATORS,
     EvalEnv,
     compile_expr,
     const,
@@ -73,6 +74,31 @@ def test_parse_rejects_garbage():
     for bad in ([], ["frobnicate", 1], ["xor", ["const", 0]], ["select", "x", ["const", 0]], 17):
         with pytest.raises(SpecParseError):
             parse_expr(bad)
+
+
+def _operands(n):
+    return [["const", i] for i in range(n)]
+
+
+@pytest.mark.parametrize("op", sorted(OPERATORS))
+def test_every_operator_row_parses_strictly(op):
+    # A well-formed node per row: each parameter at its least value (0 when
+    # any), then its operand count of operands (one for concat).
+    lows, arity, _ = OPERATORS[op]
+    params = [0 if low is None else low for low in lows]
+    n = arity or 1
+    good = [op, *params, *_operands(n)]
+    expr = parse_expr(good)
+    assert expr_to_json(expr) == good and parse_expr(expr_to_json(expr)) == expr
+    bad = [[op, *params, *_operands(n + 1)]] if arity else []
+    bad.append([op, *params, *_operands(n - 1)])
+    for i, low in enumerate(lows):
+        for wrong in (None, True, False, 1.5, "1", *([low - 1] if low is not None else [])):
+            bad.append([op, *params[:i], *([] if wrong is None else [wrong]), *params[i + 1 :],
+                        *_operands(n)])
+    for obj in bad:
+        with pytest.raises(SpecParseError):
+            parse_expr(obj)
 
 
 @given(st.fractions(), st.fractions())

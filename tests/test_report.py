@@ -90,3 +90,39 @@ def test_quantified_report_bytes_are_pinned(joints, sk_joint, name):
         assert not any(isinstance(x, tuple) for x in _walk(report_to_dict(rep)))
     text = reports_to_json(reports)
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[name]
+
+
+# SHA-256 of one sampled report on ce2 (2,000 trials at seed 11, each edge's
+# cascade at seed = its index in sorted order), taken before report_to_dict
+# formatted each edge once: its p-value subsets and sampled fields are
+# written as they were.
+SAMPLED_CE2_SHA256 = "093e2ae29264db9919c3063b63133ab3b48546e4e210f04e2be8325cfe8f0a51"
+
+
+def test_sampled_report_bytes_are_pinned(fixtures):
+    trials = mf.sample_trials(fixtures["ce2"].spec, 2000, seed=11)
+    rep = mf.FlowReport(message="M", engine="sampled")
+    for i, e in enumerate(sorted(trials.edge_vars)):
+        rep.entries[e] = mf.detect_flow_sampled(
+            trials, e, alpha=0.01, max_subset_size=2, n_perm=99, seed=i
+        )
+    text = reports_to_json({"M": rep})
+    assert hashlib.sha256(text.encode()).hexdigest() == SAMPLED_CE2_SHA256
+
+
+def test_partition_lists_are_in_string_order():
+    # Names where one extends another ("A", "AB", "A_") or differ in case, and
+    # times of two digits, where edge order and string order could part.
+    g = mf.unroll(["A", "AB", "A_", "a", "B"], 12)
+    rep = mf.FlowReport(message="M", engine="exact")
+    for i, e in enumerate(reversed(g.edges)):  # entries in no sorted order
+        rep.entries[e] = mf.FlowEntry(edge=e, has_flow=i % 3 == 0)
+    doc = report_to_dict(rep)
+    assert list(doc["partition"]) == [str(t) for t in range(12)]
+    for t in range(12):
+        flow, no_flow = rep.partition(t)
+        assert doc["partition"][str(t)] == {
+            "flow": sorted(str(e) for e in flow),
+            "no_flow": sorted(str(e) for e in no_flow),
+        }
+    assert [row["edge"] for row in doc["edges"]] == [str(e) for e in sorted(rep.entries)]
