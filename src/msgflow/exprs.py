@@ -1,9 +1,12 @@
 """Expression trees for node computations.
 
-An expression is a nested tuple headed by an operator name.  Leaves reference
+An expression is a nested tuple headed by an operator name.  Its leaves are
 an incoming edge transmission, the node's own intrinsic random variable, a
 named intrinsic variable of another node (allowed only in derived-message
-definitions), a message component, or an exact constant.
+definitions), a message component, or an exact constant.  ``compile_expr``
+resolves each non-constant leaf once, through the caller's resolver (the
+system's read rule, ``SystemSpec.leaf_key``), to the variable it reads or to
+0, and the compiled function reads one dict from variables to values.
 
 The JSON wire form is prefix notation as nested arrays, e.g.::
 
@@ -16,7 +19,6 @@ ints); add, sub, mul, negate (exact rational/complex arithmetic); select k
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
@@ -44,8 +46,8 @@ def _select(k: int, v: Value) -> Value:
 
 
 class Operator(NamedTuple):
-    """The least value of each integer parameter (None: any), the operand count
-    (None: one or more), and the value function of (*parameters, *operands)."""
+    """The least value of each integer parameter, the operand count (None:
+    one or more), and the value function of (*parameters, *operands)."""
 
     params: tuple
     arity: Optional[int]
@@ -61,7 +63,7 @@ OPERATORS = {
     "sub": Operator((), 2, vsub),
     "mul": Operator((), 2, vmul),
     "negate": Operator((), 1, vneg),
-    "select": Operator((None,), 1, _select),
+    "select": Operator((0,), 1, _select),
     "mod": Operator((1,), 1, lambda q, a: require_int(a, "mod") % q),
     "concat": Operator((), None, lambda *vs: vs),
 }
@@ -120,9 +122,9 @@ def parse_expr(obj) -> Expr:
     n = len(args) - k  # operands, after the parameters
     # A JSON boolean is a Python int, but no parameter.
     if (n != arity if arity else n < 1) or k and not all(
-        type(p) is int and (low is None or p >= low) for p, low in zip(args, lows)
+        type(p) is int and p >= low for p, low in zip(args, lows)
     ):
-        wants = "".join(f"an integer{'' if low is None else f' >= {low}'}, " for low in lows)
+        wants = "".join(f"an integer >= {low}, " for low in lows)
         raise SpecParseError(f"{op} takes {wants}{arity or 'one or more'} operand(s): {obj!r}")
     return (op, *args[:k], *map(parse_expr, args[k:]))
 
@@ -149,52 +151,27 @@ def leaf_refs(expr: Expr):
             yield from leaf_refs(sub)
 
 
-@dataclass
-class EvalEnv:
-    """Bindings visible while evaluating one node's expressions."""
-
-    edges: dict
-    own_noise: Value = 0
-    msg_values: dict = field(default_factory=dict)
-    noise_values: dict = field(default_factory=dict)
-
-
-def compile_expr(expr: Expr) -> Callable[[EvalEnv], Value]:
-    """Compile to a closure; raises ExpressionTypeError lazily at evaluation."""
+def compile_expr(expr: Expr, key: Callable[[str, object], object]) -> Callable[[dict], Value]:
+    """Compile to a closure over one environment, a dict from variables to
+    values.  ``key(kind, payload)`` names the variable an edge, noise or msg
+    leaf reads, or None for a leaf that reads 0; it runs once per leaf, here.
+    ExpressionTypeError is raised lazily, at evaluation."""
     op = expr[0]
     if op == "const":
         v = expr[1]
         return lambda env: v
-    if op == "edge":
-        e = expr[1]
-        return lambda env: env.edges[e]
-    if op == "noise":
-        node = expr[1]
-        if node is None:
-            return lambda env: env.own_noise
-        return lambda env: env.noise_values[node]
-    if op == "msg":
-        name = expr[1]
-        if name is None:
-            return lambda env: _sole_msg(env)
-        return lambda env: env.msg_values[name]
+    if op in ("edge", "noise", "msg"):
+        k = key(op, expr[1])
+        return (lambda env: 0) if k is None else (lambda env: env[k])
     params, arity, fn = _operator(op)
     k = 1 + len(params)
     if params:
         fn = partial(fn, *expr[1:k])
     if arity == 1:
-        fa = compile_expr(expr[k])
+        fa = compile_expr(expr[k], key)
         return lambda env: fn(fa(env))
     if arity == 2:
-        fa, fb = compile_expr(expr[k]), compile_expr(expr[k + 1])
+        fa, fb = compile_expr(expr[k], key), compile_expr(expr[k + 1], key)
         return lambda env: fn(fa(env), fb(env))
-    fs = [compile_expr(a) for a in expr[k:]]
+    fs = [compile_expr(a, key) for a in expr[k:]]
     return lambda env: fn(*[f(env) for f in fs])
-
-
-def _sole_msg(env: EvalEnv) -> Value:
-    if len(env.msg_values) != 1:
-        raise ExpressionTypeError(
-            "bare msg leaf is ambiguous: message has several components"
-        )
-    return next(iter(env.msg_values.values()))

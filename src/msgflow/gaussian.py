@@ -23,7 +23,6 @@ from typing import Sequence
 
 from .discrete import JointVariables, VarId
 from .errors import ExpressionTypeError, NonAffineError, ValidationError
-from .exprs import EvalEnv
 from .system import SystemSpec
 from .values import Affine
 
@@ -134,8 +133,9 @@ class GaussianJoint(JointVariables):
 def linear_propagate(spec: SystemSpec) -> GaussianJoint:
     """Exact second-order propagation through an affine system.
 
-    ``SystemSpec.propagate``'s compiled node functions run, in its order, on
-    the message ``Affine(M)`` and each noise node v as ``Affine(v)``; the
+    ``SystemSpec.propagate``'s compiled node functions run, in its order,
+    over one environment that holds the message as ``Affine(M)``, each noise
+    node v as ``Affine(v)`` and every edge, 0 until its function runs; the
     covariance is assembled from the coefficients of the affine forms they
     return and the base variances.  Any other transmission value, or a
     function that fails on affine inputs, raises NonAffineError naming the
@@ -149,24 +149,21 @@ def linear_propagate(spec: SystemSpec) -> GaussianJoint:
     base_var.update((v, ns.variance) for v, ns in spec.noise.items())
 
     graph = spec.graph
-    env = EvalEnv(
-        edges=dict.fromkeys(graph.edges, 0),
-        msg_values={msg_name: Affine(msg_name)},
-        noise_values={v: Affine(v) for v in spec.noise},
-    )
-    for v, e, fn, _ in spec.compiled():
-        env.own_noise = env.noise_values.get(v, 0)
+    env: dict = dict.fromkeys(graph.edges, 0)
+    env[msg_name] = Affine(msg_name)
+    env.update((v, Affine(v)) for v in spec.noise)
+    for e, fn, _ in spec.compiled():
         try:
             value = fn(env)
         except (ExpressionTypeError, NonAffineError) as exc:
             raise NonAffineError(f"edge {e}: {exc}") from exc
         if not isinstance(value, (Affine, int, Fraction)):
             raise NonAffineError(f"edge {e}: {value!r} is not an affine form")
-        env.edges[e] = value
+        env[e] = value
 
     edge_order = tuple(e for t in range(graph.horizon) for e in graph.edges_at(t))
     variables: tuple = (msg_name,) + edge_order
-    rows = [{msg_name: Fraction(1)}] + [getattr(env.edges[e], "coeffs", {}) for e in edge_order]
+    rows = [{msg_name: Fraction(1)}] + [getattr(env[e], "coeffs", {}) for e in edge_order]
     # Each row weighted by the base variances once: c_ik·σ²_k·c_jk is one product.
     scaled = [{k: c * base_var[k] for k, c in r.items()} for r in rows]
     n = len(variables)

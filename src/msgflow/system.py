@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Mapping, Optional
 import numpy as np
 
 from .errors import ExpressionTypeError, MsgflowError, SpecParseError, ValidationError
-from .exprs import EvalEnv, Expr, compile_expr, expr_to_json, leaf_refs, parse_expr
+from .exprs import Expr, compile_expr, expr_to_json, leaf_refs, parse_expr
 from .graph import EdgeRef, NodeRef, UnrolledGraph
 from .values import Value, value_from_json, value_to_json
 
@@ -205,6 +205,11 @@ class SystemSpec:
                     )
                 if payload is not None and payload not in self.message.components:
                     raise ValidationError(f"unknown message component {payload!r}")
+                if payload is None and len(self.message.components) != 1:
+                    raise ValidationError(
+                        f"function for {e} reads a bare msg leaf, but the message has "
+                        "several components"
+                    )
 
     # ----- structural queries ------------------------------------------
 
@@ -241,10 +246,10 @@ class SystemSpec:
         message = frozenset([components]) if len(components) > 1 else frozenset()
         g = self.graph
         out = dict.fromkeys((e for t in range(g.horizon) for e in g.edges_at(t)), frozenset())
-        for _, e, _, reads in self.compiled():
+        for e, _, reads in self.compiled():
             out[e] = frozenset().union(
-                *(out[k] if f == "edges" else message if f == "msg_values" else {k}
-                  for f, k in reads)
+                *(out[k] if isinstance(k, EdgeRef) else {k} if isinstance(k, NodeRef) else message
+                  for k in reads)
             )
         return out
 
@@ -260,36 +265,41 @@ class SystemSpec:
     # ----- propagation --------------------------------------------------
 
     def compiled(self) -> tuple:
-        """(node, edge, compiled function, ``reads``) for each edge with a
-        function, in forward order.  An edge without one carries 0."""
+        """(edge, compiled function, ``reads``) for each edge with a function,
+        in forward order.  An edge without one carries 0."""
         if self._compiled is None:
             g, fns = self.graph, {e: x for fs in self.functions.values() for e, x in fs.items()}
             self._compiled = tuple(
-                (e.src, e, compile_expr(fns[e]), self.reads(fns[e], e.src))
+                (e, compile_expr(fns[e], self.leaf_key(e.src)), self.reads(fns[e], e.src))
                 for t in range(g.horizon)
                 for e in g.edges_at(t)
                 if e in fns
             )
         return self._compiled
 
+    def leaf_key(self, v: Optional[NodeRef]) -> Callable:
+        """The read rule, as ``compile_expr``'s resolver for a function at
+        node ``v`` (None: a derived message component).  An edge leaf reads
+        its ``EdgeRef``, a named noise or msg leaf its node or component, a
+        bare msg leaf the sole component, and a bare noise leaf v, or None
+        (it reads 0) when v has no noise."""
+
+        def key(kind: str, payload):
+            if payload is not None:
+                return payload
+            if kind == "noise":
+                return v if v in self.noise else None
+            return self.message.components[0]
+
+        return key
+
     def reads(self, expr: Expr, v: Optional[NodeRef]) -> tuple:
-        """The variables ``expr`` reads at node ``v``, in order of first use,
-        as (``EvalEnv`` field, key) pairs.  A bare noise leaf reads v's own
-        noise, and a node without noise reads none: its leaf is 0.  A bare
-        msg leaf reads every component, so that it stays ambiguous when
-        there are several."""
-        reads: dict = {}
-        for kind, payload in leaf_refs(expr):
-            if kind == "edge":
-                reads[payload] = "edges"
-            elif kind == "msg":
-                names = self.message.components if payload is None else (payload,)
-                reads.update(dict.fromkeys(names, "msg_values"))
-            else:
-                node = v if payload is None else payload
-                if node in self.noise:
-                    reads[node] = "noise_values"
-        return tuple((field, key) for key, field in reads.items())
+        """The variables ``expr`` reads at node ``v`` (``leaf_key``), in order
+        of first use."""
+        key = self.leaf_key(v)
+        reads = dict.fromkeys(key(kind, payload) for kind, payload in leaf_refs(expr))
+        reads.pop(None, None)
+        return tuple(reads)
 
     def propagate(
         self,
@@ -297,12 +307,15 @@ class SystemSpec:
         noise_values: Mapping[NodeRef, Value],
     ) -> dict[EdgeRef, Value]:
         """Forward pass: every edge transmission of one realization."""
-        out: dict[EdgeRef, Value] = {e: 0 for e in self.graph.edges}
-        env = EvalEnv(edges=out, msg_values=dict(msg_values), noise_values=dict(noise_values))
-        for v, e, fn, _ in self.compiled():
-            env.own_noise = noise_values.get(v, 0)
-            out[e] = fn(env)
-        return out
+        for v in self.noise_nodes():
+            if v not in noise_values:
+                raise ValidationError(f"propagate needs a value of the noise at {v}")
+        env: dict = dict.fromkeys(self.graph.edges, 0)
+        env.update(msg_values)
+        env.update(noise_values)
+        for e, fn, _ in self.compiled():
+            env[e] = fn(env)
+        return {e: env[e] for e in self.graph.edges}
 
     # ----- JSON ----------------------------------------------------------
 
@@ -505,23 +518,23 @@ class ColumnPass:
         self._slot = {key: i for i, key in enumerate((*self.variables, *spec.noise))}
         self._cols = [_Column() for _ in self._slot]
         derived = zip(m.components, m.exprs or ())
-        fns = [(None, c, compile_expr(x), spec.reads(x, None)) for c, x in derived]
-        # (node, slot, compiled function, columns read as (slot, field, key))
+        fns = [(c, compile_expr(x, spec.leaf_key(None)), spec.reads(x, None)) for c, x in derived]
+        # (slot, compiled function, columns read as (slot, variable))
         self._fns = [
-            (v, self._slot[key], fn, tuple((self._slot[k], f, k) for f, k in reads))
-            for v, key, fn, reads in fns + list(spec.compiled())
+            (self._slot[var], fn, tuple((self._slot[k], k) for k in reads))
+            for var, fn, reads in fns + list(spec.compiled())
         ]
         # A column without a function is the constant 0, coded once here.
-        self._zeros = {self._slot[e] for e in edges} - {i for _, i, _, _ in self._fns}
+        self._zeros = {self._slot[e] for e in edges} - {i for i, _, _ in self._fns}
         for j in self._zeros:
             self._cols[j].code(0)
         # Per function, the noise nodes it reads first and the slots of those
         # whose last reader it is.
         first: dict = {}
         last: dict = {}
-        for i, (_, _, _, reads) in enumerate(self._fns):
-            for j, field, key in reads:
-                if field == "noise_values":
+        for i, (_, _, reads) in enumerate(self._fns):
+            for j, key in reads:
+                if isinstance(key, NodeRef):
                     first.setdefault(key, i)
                     last[j] = i
         self._schedule = [([], []) for _ in self._fns]
@@ -575,7 +588,7 @@ class ColumnPass:
         # A key over the columns computed up to the last merge, the
         # non-constant slots computed since, and the live sources.
         done, k_done, fresh, live = np.arange(n), n, [], []
-        for (v, i, fn, reads), (expand, retire) in zip(self._fns, self._schedule):
+        for (i, fn, reads), (expand, retire) in zip(self._fns, self._schedule):
             for u in expand:
                 parent, weights, pick = split(u, weights)
                 n, j = len(pick), self._slot[u]
@@ -584,7 +597,7 @@ class ColumnPass:
                 held[j] = _codes(self._cols[j], supports[u], pick)
                 zero, done, index = z, done[parent], index[parent] + offsets[u][pick]
                 live.append(j)
-            held[i] = self._apply(v, i, fn, reads, held, n)
+            held[i] = self._apply(i, fn, reads, held, n)
             if len(self._cols[i].objs) == 1:
                 held[i] = zero
             else:
@@ -655,17 +668,13 @@ class ColumnPass:
                 out, weights = out[:, first], merged
         return out, values, weights
 
-    def _apply(self, v, slot: int, fn, reads, codes: list, n: int) -> np.ndarray:
+    def _apply(self, slot: int, fn, reads, codes: list, n: int) -> np.ndarray:
         """Codes of one function's column, from the columns it reads."""
         col = self._cols[slot]
-        key, k = mixed_radix([(codes[i], len(self._cols[i].objs)) for i, _, _ in reads], n)
+        key, k = mixed_radix([(codes[i], len(self._cols[i].objs)) for i, _ in reads], n)
 
         def code_at(row: int) -> int:
-            env = EvalEnv(edges={})
-            for i, field, name in reads:
-                getattr(env, field)[name] = self._cols[i].objs[codes[i][row]]
-            env.own_noise = env.noise_values.get(v, 0)
-            return col.code(fn(env))
+            return col.code(fn({var: self._cols[i].objs[codes[i][row]] for i, var in reads}))
 
         try:
             return _each(key, k, code_at)

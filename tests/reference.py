@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 import msgflow as mf
-from msgflow.exprs import EvalEnv, compile_expr
+from msgflow.exprs import compile_expr
 
 
 def _variables(spec) -> tuple:
@@ -45,8 +45,8 @@ def reference_row(spec, msg: tuple, noise: dict) -> tuple:
     time order.  ``msg`` is the message's value tuple; a derived message
     computes its own from the noise."""
     if spec.message.kind == "derived":
-        env = EvalEnv(edges={}, noise_values=dict(noise))
-        msg = tuple(compile_expr(x)(env) for x in spec.message.exprs)
+        key = spec.leaf_key(None)
+        msg = tuple(compile_expr(x, key)(noise) for x in spec.message.exprs)
     edges = spec.propagate(dict(zip(spec.message.components, msg)), noise)
     return tuple(msg) + tuple(edges[e] for e in _variables(spec)[len(msg):])
 

@@ -123,11 +123,16 @@ def _extra_component(doc):
     doc["message"]["components"].append("M2")
 
 
+def _bare_msg(doc):
+    doc["functions"]["A0"]["A1"] = ["msg"]
+
+
 @pytest.mark.parametrize(
     "fixture, edit",
     [
         ("output-msg", _without_noise),  # the derived message reads absent noise
         ("output-msg", _extra_component),  # a component without an expression
+        ("mult-msg", _bare_msg),  # a bare msg leaf, but two components
     ],
 )
 def test_ill_formed_spec_is_a_validation_error(tmp_path, fixture, edit):

@@ -229,6 +229,29 @@ def test_named_own_noise_reads_like_bare_noise():
     assert j.rows == ((0, 0), (0, 1), (1, 1), (1, 0))
 
 
+def test_bare_msg_leaf_needs_a_sole_component():
+    # A bare msg leaf names the message's only component; with two it names
+    # none, and the system is refused at load.
+    g = UnrolledGraph(("A",), 1)
+    a0 = NodeRef("A", 0)
+    two = MessageSpec.discrete(("M1", "M2"), [((0, 0), Fraction(1, 2)), ((1, 1), Fraction(1, 2))])
+    with pytest.raises(ValidationError, match="A0->A1 reads a bare msg leaf"):
+        SystemSpec(g, two, functions={a0: {edge("A", 0, "A"): msg()}}, declared_inputs=("A",))
+    spec = SystemSpec(g, two, functions={a0: {edge("A", 0, "A"): msg("M2")}}, declared_inputs=("A",))
+    assert spec.propagate({"M1": 0, "M2": 1}, {}) == {edge("A", 0, "A"): 1}
+
+
+def test_propagate_needs_every_noise_value():
+    g = UnrolledGraph(("A",), 1)
+    a0 = NodeRef("A", 0)
+    for leaf in (("noise", None), ("noise", a0)):
+        spec = SystemSpec(g, MessageSpec.bernoulli("M"), noise={a0: NoiseSpec.bernoulli()},
+                          functions={a0: {edge("A", 0, "A"): leaf}})
+        assert spec.propagate({"M": 0}, {a0: 1}) == {edge("A", 0, "A"): 1}
+        with pytest.raises(ValidationError, match="noise at A0"):
+            spec.propagate({"M": 0}, {})
+
+
 @pytest.mark.parametrize("name", ["output-msg", "fft-phase", "mult-msg", "hidden-masked"])
 def test_enumeration_matches_reference_on_fixtures(fixtures, name):
     # A derived message, ComplexQ transmissions, a two-component message.

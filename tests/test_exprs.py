@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from msgflow import ExpressionTypeError, SpecParseError
 from msgflow.exprs import (
     OPERATORS,
-    EvalEnv,
     compile_expr,
     const,
     edge_in,
@@ -19,8 +18,14 @@ from msgflow.graph import edge
 from msgflow.values import ComplexQ, make_complex, value_from_json, value_to_json, vmul
 
 
+def _key(kind, payload):
+    """A leaf's variable: its payload, or "own" for a bare noise leaf and "M"
+    for a bare msg leaf."""
+    return payload if payload is not None else {"noise": "own", "msg": "M"}[kind]
+
+
 def _run(expr, **env):
-    return compile_expr(expr)(EvalEnv(edges=env.get("edges", {}), own_noise=env.get("own", 0), msg_values=env.get("msgs", {"M": env.get("m", 0)})))
+    return compile_expr(expr, _key)({"own": env.get("own", 0), "M": env.get("m", 0)})
 
 
 def test_boolean_ops():
@@ -54,7 +59,7 @@ def test_type_errors():
 def test_edge_and_noise_leaves():
     e01 = edge("A", 0, "B")
     expr = ("xor", edge_in(e01), noise())
-    out = compile_expr(expr)(EvalEnv(edges={e01: 1}, own_noise=1))
+    out = compile_expr(expr, _key)({e01: 1, "own": 1})
     assert out == 0
 
 
