@@ -10,11 +10,13 @@ Node and edge refs are symbolic, so that analysis output stays
 human-readable, and are ``tuple`` subclasses, ``(name, time)`` and
 ``(src, dst)``, so that the hashing, equality and ordering that key every
 layer's work run in C; edges sort by ``(src.name, src.time, dst.name,
-dst.time)``.  A ref equals the plain tuple of its fields.  No container mixes
-the two (an edge's sources are ``NodeRef``s and a multi-component message's
-tuple of component names, which no ``(str, int)`` pair equals), and output
-calls ``str`` on a ref: ``json`` would write it as a list.  Graphs are
-immutable after construction and safe to share between concurrent readers.
+dst.time)``.  A ref equals the plain tuple of its fields, and one container
+may still hold both kinds with message component names (the environment of
+a forward pass, the columns of ``ColumnPass``, an edge's sources): a
+``(str, int)`` pair never equals a pair of pairs, a string, or a message's
+tuple of component names.  Output calls ``str`` on a ref: ``json`` would
+write it as a list.  Graphs are immutable after construction and safe to
+share between concurrent readers.
 """
 
 from __future__ import annotations

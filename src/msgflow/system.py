@@ -15,11 +15,15 @@ Message laws come in three kinds:
   for systems whose message lives at the output rather than the input.
 
 Every forward pass shares one compiled plan (``SystemSpec.compiled``): the
-node functions in forward order, with what each reads.  ``propagate`` runs
-it on one realization and is the reference the tests compare against;
-:class:`ColumnPass` on whole columns of weighted rows, for the exact
-enumerator and the trial sampler; the linear-Gaussian engine on affine
-forms (:func:`msgflow.gaussian.linear_propagate`).
+node functions in forward order, with the variables each reads.  Each leaf
+is resolved once, by the read rule ``SystemSpec.leaf_key``, to the variable
+it names (an ``EdgeRef``, a message component name or a noise ``NodeRef``)
+or to 0, and every pass runs the functions over one dict from variables to
+values.  ``propagate`` runs the plan on one realization and is the
+reference the tests compare against; :class:`ColumnPass` on whole columns
+of weighted rows, for the exact enumerator and the trial sampler; the
+linear-Gaussian engine on affine forms
+(:func:`msgflow.gaussian.linear_propagate`).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 from .errors import ExpressionTypeError, MsgflowError, SpecParseError, ValidationError
 from .exprs import Expr, compile_expr, expr_to_json, leaf_refs, parse_expr
 from .graph import EdgeRef, NodeRef, UnrolledGraph
-from .values import Value, value_from_json, value_to_json
+from .values import Value, fraction_from_json, value_from_json, value_to_json
 
 Pmf = tuple  # tuple of (value tuple, Fraction) pairs, order-preserving
 
@@ -364,10 +368,12 @@ class SystemSpec:
     @staticmethod
     def _read_json_dict(d: dict) -> tuple:
         """The graph, message, noise, functions and declared inputs of a document."""
-        pairs = d.get("adjacency", "complete")
+        pairs, horizon = d.get("adjacency", "complete"), d["horizon"]
+        if type(horizon) is not int:  # a JSON boolean is a Python int, but no horizon
+            raise SpecParseError(f"horizon must be an integer: {horizon!r}")
         graph = UnrolledGraph(
             _names(d["nodes"], "nodes"),
-            d["horizon"],
+            horizon,
             None if pairs == "complete" else [_names(p, "adjacency pair", 2) for p in pairs],
         )
         message = _message_from_json(d["message"])
@@ -742,14 +748,15 @@ def _message_from_json(d: dict) -> MessageSpec:
     kind = d.get("kind")
     if kind == "discrete":
         pmf = [
-            (tuple(value_from_json(x) for x in row["value"]), Fraction(*row["p"]))
+            (tuple(map(value_from_json, row["value"])), fraction_from_json(row["p"], "p"))
             for row in d["pmf"]
         ]
         return MessageSpec.discrete(d["components"], pmf)
     if kind == "gaussian":
         if len(d["components"]) != 1:
             raise ValidationError("gaussian messages are scalar")
-        return MessageSpec.gaussian(d["components"][0], Fraction(*d["variance"]))
+        variance = fraction_from_json(d["variance"], "variance")
+        return MessageSpec.gaussian(d["components"][0], variance)
     if kind == "derived":
         return MessageSpec.derived(
             d["components"], [parse_expr(x) for x in d["exprs"]]
@@ -773,10 +780,11 @@ def _noise_from_json(d: dict) -> NoiseSpec:
     kind = d.get("kind")
     if kind == "discrete":
         return NoiseSpec.discrete(
-            [(value_from_json(row["value"]), Fraction(*row["p"])) for row in d["pmf"]]
+            [(value_from_json(row["value"]), fraction_from_json(row["p"], "p"))
+             for row in d["pmf"]]
         )
     if kind == "gaussian":
-        return NoiseSpec.gaussian(Fraction(*d["variance"]))
+        return NoiseSpec.gaussian(fraction_from_json(d["variance"], "variance"))
     raise ValidationError(f"unknown noise kind {kind!r}")
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import ExpressionTypeError, NonAffineError
+from .errors import ExpressionTypeError, NonAffineError, SpecParseError
 
 Rational = Union[int, Fraction]
 
@@ -178,24 +178,29 @@ def value_to_json(v: Value):
     raise ExpressionTypeError(f"cannot serialize value {v!r}")
 
 
+def fraction_from_json(obj, what: str = "rational") -> Fraction:
+    """Decode ``[num, den]``: exactly two JSON integers (a JSON boolean is
+    none), the denominator nonzero; anything else is a SpecParseError."""
+    if not isinstance(obj, list) or len(obj) != 2 or not all(type(x) is int for x in obj) or (
+        obj[1] == 0
+    ):
+        raise SpecParseError(f"{what} must be [num, den], two integers, den != 0: {obj!r}")
+    return Fraction(obj[0], obj[1])
+
+
 def value_from_json(obj) -> Value:
-    """Decode a value from the JSON system format."""
-    if isinstance(obj, bool):
-        raise ExpressionTypeError("booleans are not transmission values")
-    if isinstance(obj, int):
+    """Decode a value from the JSON system format; a malformed one (a JSON
+    boolean, a float, a string) is a SpecParseError."""
+    if type(obj) is int:
         return obj
     if isinstance(obj, list):
-        if len(obj) != 2 or not all(isinstance(x, int) for x in obj):
-            raise ExpressionTypeError(f"rational must be [num, den]: {obj!r}")
-        return _demote(Fraction(obj[0], obj[1]))
+        return _demote(fraction_from_json(obj))
     if isinstance(obj, dict):
-        if "tuple" in obj:
+        if isinstance(obj.get("tuple"), list):
             return tuple(value_from_json(x) for x in obj["tuple"])
         if "re" in obj and "im" in obj:
-            re = Fraction(obj["re"][0], obj["re"][1])
-            im = Fraction(obj["im"][0], obj["im"][1])
-            return make_complex(re, im)
-    raise ExpressionTypeError(f"cannot parse value {obj!r}")
+            return make_complex(fraction_from_json(obj["re"]), fraction_from_json(obj["im"]))
+    raise SpecParseError(f"cannot parse value {obj!r}")
 
 
 def value_str(v: Value) -> str:

@@ -268,6 +268,20 @@ _MALFORMED = {
     "inputs-string": {"declared_inputs": "A"},
     "select-bool": {"functions": {"A0": {"B1": ["select", False, ["concat", ["msg"]]]}}},
     "mod-bool": {"functions": {"A0": {"B1": ["mod", True, ["msg"]]}}},
+    # A [num, den] is two JSON integers, and a value of the wrong type is a
+    # parse error too, not a type error of the node functions.
+    "horizon-bool": {"horizon": True},
+    "p-bool": {"message": {**_SMALL["message"], "pmf": [{"value": [0], "p": [True, 2]},
+                                                        {"value": [1], "p": [1, 2]}]}},
+    "p-float": {"message": {**_SMALL["message"], "pmf": [{"value": [0], "p": [0.5]},
+                                                         {"value": [1], "p": [0.5]}]}},
+    "noise-p-bool": {"noise": {"A0": {"kind": "discrete", "pmf": [{"value": 0, "p": [True, 1]}]}}},
+    "variance-bool": {"message": {"kind": "gaussian", "components": ["M"], "variance": [True, 1]}},
+    "complex-bool": {"functions": {"A0": {"B1": ["const", {"re": [True, 1], "im": [1, 1]}]}}},
+    "value-bool": {"message": {**_SMALL["message"], "pmf": [{"value": [True], "p": [1, 1]}]}},
+    "value-string": {"message": {**_SMALL["message"], "pmf": [{"value": ["x"], "p": [1, 1]}]}},
+    "const-float": {"functions": {"A0": {"B1": ["const", 1.5]}}},
+    "select-negative": {"functions": {"A0": {"B1": ["select", -1, ["concat", ["msg"]]]}}},
 }
 
 

@@ -87,10 +87,10 @@ def _operands(n):
 
 @pytest.mark.parametrize("op", sorted(OPERATORS))
 def test_every_operator_row_parses_strictly(op):
-    # A well-formed node per row: each parameter at its least value (0 when
-    # any), then its operand count of operands (one for concat).
+    # A well-formed node per row: each parameter at its least value, then
+    # its operand count of operands (one for concat).
     lows, arity, _ = OPERATORS[op]
-    params = [0 if low is None else low for low in lows]
+    params = list(lows)
     n = arity or 1
     good = [op, *params, *_operands(n)]
     expr = parse_expr(good)
@@ -98,7 +98,7 @@ def test_every_operator_row_parses_strictly(op):
     bad = [[op, *params, *_operands(n + 1)]] if arity else []
     bad.append([op, *params, *_operands(n - 1)])
     for i, low in enumerate(lows):
-        for wrong in (None, True, False, 1.5, "1", *([low - 1] if low is not None else [])):
+        for wrong in (None, True, False, 1.5, "1", low - 1):
             bad.append([op, *params[:i], *([] if wrong is None else [wrong]), *params[i + 1 :],
                         *_operands(n)])
     for obj in bad:
