@@ -107,14 +107,6 @@ def reports_to_json(reports: Mapping[str, FlowReport]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _edge_label_width(q: Optional[float]) -> float:
-    if q is None:
-        return 1.6
-    if math.isinf(q):
-        return 4.0
-    return 1.0 + min(q, 3.0)
-
-
 def to_dot(
     graph: UnrolledGraph,
     reports: Mapping[str, FlowReport],
@@ -150,7 +142,8 @@ def to_dot(
                     for m in flows
                     if reports[m].entries[e].quantified is not None
                 ]
-                width = max((_edge_label_width(q) for q in qs), default=1.6)
+                # One bit widens the pen by 1, up to 3 (an infinite flow too).
+                width = max((1.0 + min(q, 3.0) for q in qs), default=1.6)
                 attrs.append(f"penwidth={width:.2f}")
         else:
             attrs.append('color="#bbbbbb"')

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -408,6 +409,42 @@ def test_text_report(capsys):
     assert lines[0] == "message M (sampled engine)"
     assert "    A1->B2 given {C1->B2}" in lines
     assert not any("bits" in line for line in lines)
+
+
+# SHA-256 of each command's stdout, taken from the exact engine before node
+# functions read one dict of variables.
+DOT_SHA256 = {
+    ("analyze", "--fixture", "butterfly", "--format", "dot", "--quantify"):
+        "c405fc2981941fdf43992626d8b84bbb2bbd68fe68b652b179dc68f57fd21b43",
+    ("analyze", "--fixture", "sk", "--format", "dot", "--quantify"):
+        "667d807f6b80e30d009b4fb6194aa2c43e4285f196542fae9089b4d025d87009",
+    ("paths", "--fixture", "butterfly", "--message", "M2", "--target", "A4", "--format", "dot"):
+        "6229497cbf26eba1f3af9899d574be8b2f6341459179713332c49840bc96418c",
+}
+
+
+@pytest.mark.parametrize("argv", list(DOT_SHA256), ids=["butterfly", "sk", "paths-butterfly"])
+def test_dot_output_is_pinned(argv, capsys):
+    assert run(*argv) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == DOT_SHA256[argv]
+    if "sk" in argv:  # an infinite flow draws the widest pen
+        assert '"A0" -> "A1" [color="#1f77b4", penwidth=4.00];' in text
+    if "paths" in argv:  # the target and the root input are double circles
+        shapes = [line.split()[0] for line in text.splitlines() if "doublecircle" in line]
+        assert shapes == ['"A4"', '"C0"']
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--fixture", "ce1"),
+    ("analyze", "--fixture", "ce1", "--engine", "sampled", *SAMPLED),
+    ("paths", "--fixture", "ce1", "--target", "C2"),
+    ("hidden", "--fixture", "ce1", "--hide", "C"),
+    ("derived", "--fixture", "ce1", "--query-edges", "B2->B3", "--given-edges", "A1->B2"),
+], ids=["analyze-exact", "analyze-sampled", "paths", "hidden", "derived"])
+def test_unknown_message_exits_3(argv, capsys):
+    assert run(*argv, "--message", "Z") == 3
+    assert capsys.readouterr().err == "validation error: unknown message variable 'Z'\n"
 
 
 def test_paths_command(tmp_path):

@@ -9,7 +9,9 @@ import msgflow as mf
 from msgflow import BudgetExceededError, MessageSpec, NoiseSpec, SystemSpec, ValidationError
 from msgflow.exprs import edge_in, msg
 from msgflow.graph import NodeRef, UnrolledGraph, edge
+from msgflow.report import reports_to_json
 from msgflow.system import compress, first_rows, mixed_radix
+from msgflow.values import value_str
 
 from randsys import pad_mask, random_noisy_system, random_system
 from reference import assert_same_table, reference_joint
@@ -435,6 +437,35 @@ def test_zero_weight_csv_round_trip(tmp_path):
     assert path.read_text().splitlines() == ["A,B,#weight", "0,0,1", "1,1,0"]
     again = mf.DiscreteJoint.from_csv(path)
     assert again.rows == j.rows and again.weights.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("name", ["fft-phase", "hidden-ignored"])
+def test_csv_round_trip_of_exact_values(joints, name, tmp_path):
+    # A rational cell reads back as the int or Fraction its text names (so
+    # Fraction(0) as 0); a complex (fft-phase) or tuple (hidden-ignored)
+    # value as its display string, which a cell cannot tell from text.  The
+    # codes, and so every verdict and bit, are the table's own.
+    def cell(x):
+        if type(x) in (int, Fraction):
+            return int(x) if x.denominator == 1 else x
+        return value_str(x)
+
+    joint = joints[name]
+    path = tmp_path / "joint.csv"
+    joint.to_csv(path)
+    again = mf.DiscreteJoint.from_csv(path)
+    want = [tuple(map(cell, vs)) for vs in joint.values]
+    assert [tuple(map(repr, vs)) for vs in again.values] == [tuple(map(repr, vs)) for vs in want]
+    kinds = {type(x) for vs in again.values for x in vs}
+    assert kinds == ({int, Fraction, str} if name == "fft-phase" else {int, str})
+    assert {x for vs in again.values for x in vs if isinstance(x, str)} == (
+        {"0+1/2j", "0+1/4j", "0-1/4j"} if name == "fft-phase"
+        else {"(0;0)", "(0;1)", "(1;0)", "(1;1)"}
+    )
+    assert again.variables == joint.variables and np.array_equal(again.codes, joint.codes)
+    assert again.weights.tolist() == joint.weights.tolist()
+    reports = [mf.analyze_messages(j, quantify=True) for j in (joint, again)]
+    assert reports_to_json(reports[0]) == reports_to_json(reports[1])
 
 
 def test_csv_blank_lines_are_skipped(tmp_path):
