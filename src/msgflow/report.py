@@ -142,7 +142,7 @@ def to_dot(
                     for m in flows
                     if reports[m].entries[e].quantified is not None
                 ]
-                # One bit widens the pen by 1, up to 3 (an infinite flow too).
+                # A bit widens the pen by 1, by 3 at most: an infinite flow draws 4.
                 width = max((1.0 + min(q, 3.0) for q in qs), default=1.6)
                 attrs.append(f"penwidth={width:.2f}")
         else:

@@ -311,7 +311,7 @@ class SystemSpec:
         noise_values: Mapping[NodeRef, Value],
     ) -> dict[EdgeRef, Value]:
         """Forward pass: every edge transmission of one realization."""
-        for v in self.noise_nodes():
+        for v in self.noise:
             if v not in noise_values:
                 raise ValidationError(f"propagate needs a value of the noise at {v}")
         env: dict = dict.fromkeys(self.graph.edges, 0)

@@ -181,9 +181,8 @@ def value_to_json(v: Value):
 def fraction_from_json(obj, what: str = "rational") -> Fraction:
     """Decode ``[num, den]``: exactly two JSON integers (a JSON boolean is
     none), the denominator nonzero; anything else is a SpecParseError."""
-    if not isinstance(obj, list) or len(obj) != 2 or not all(type(x) is int for x in obj) or (
-        obj[1] == 0
-    ):
+    ints = isinstance(obj, list) and len(obj) == 2 and all(type(x) is int for x in obj)
+    if not ints or obj[1] == 0:
         raise SpecParseError(f"{what} must be [num, den], two integers, den != 0: {obj!r}")
     return Fraction(obj[0], obj[1])
 
@@ -196,7 +195,7 @@ def value_from_json(obj) -> Value:
     if isinstance(obj, list):
         return _demote(fraction_from_json(obj))
     if isinstance(obj, dict):
-        if isinstance(obj.get("tuple"), list):
+        if "tuple" in obj:
             return tuple(value_from_json(x) for x in obj["tuple"])
         if "re" in obj and "im" in obj:
             return make_complex(fraction_from_json(obj["re"]), fraction_from_json(obj["im"]))
