@@ -204,7 +204,7 @@ def cmd_hidden(args) -> int:
     for t in range(spec.graph.horizon - 1):
         now, nxt = derived.observed_slices(spec.graph, mask, t)
         bits = joint.ask([message], nxt, now)  # the alarm and its bits, from one ask
-        value = 0.0 if bits is None else bits()[0]
+        value = report.bits_to_json(0.0 if bits is None else bits()[0])
         alarms.append({"t": t, "alarm": bits is not None, "violation_bits": value})
     doc = {
         "schema": "msgflow.hidden/1",
@@ -221,14 +221,14 @@ def cmd_derived(args) -> int:
     q = [EdgeRef.parse(e) for e in args.query_edges]
     p = [EdgeRef.parse(e) for e in args.given_edges]
     bits = derived.derived_ask(joint, q, p, message)  # the verdict and its bits, from one ask
-    value = 0.0 if bits is None else bits()[0]
+    value = report.bits_to_json(0.0 if bits is None else bits()[0])
     doc = {
         "schema": "msgflow.derived/1",
         "message": message,
         "query": sorted(str(e) for e in q),
         "given": sorted(str(e) for e in p),
         "is_derived": bits is None,
-        "leftover_bits": "inf" if math.isinf(value) else value,
+        "leftover_bits": value,
     }
     _emit_json(doc, args.out)
     return 0

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .discrete import VarId
 from .errors import ValidationError
-from .flow import Joint, analyze
+from .flow import Joint, edge_flow
 from .graph import EdgeRef, NodeRef, UnrolledGraph
 
 
@@ -66,8 +66,7 @@ def redundancy_pairs(
     transmission pair: each one exhausts the other's message content.
     """
     m = joint.default_message(message)
-    report = analyze(joint, m)
-    flowing = sorted(report.flowing(t))
+    flowing = [e for e in joint.edges_at(t) if edge_flow(joint, e, m)[0]]
     out: list[frozenset[EdgeRef]] = []
     for i, p in enumerate(flowing):
         for q in flowing[i + 1 :]:

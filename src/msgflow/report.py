@@ -1,4 +1,9 @@
-"""Serialization of flow reports and DOT rendering of annotated graphs."""
+"""Serialization of flow reports and DOT rendering of annotated graphs.
+
+:func:`bits_to_json` is the one encoder of bits for every JSON document the
+package writes (a report's ``quantified``, ``hidden``'s ``violation_bits``,
+``derived``'s ``leftover_bits``); :func:`bits_from_json` reads them back.
+"""
 
 from __future__ import annotations
 
@@ -20,7 +25,8 @@ _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 _SAMPLED_FIELDS = ("level", "n_tests_planned", "replicates")
 
 
-def _quantified_to_json(q: Optional[float]):
+def bits_to_json(q: Optional[float]):
+    """Encode bits for JSON, an infinite amount as ``"inf"``: JSON has no Infinity."""
     if q is None:
         return None
     if math.isinf(q):
@@ -28,7 +34,7 @@ def _quantified_to_json(q: Optional[float]):
     return q
 
 
-def _quantified_from_json(q):
+def bits_from_json(q):
     if q is None:
         return None
     if q == "inf":
@@ -54,7 +60,7 @@ def report_to_dict(report: FlowReport) -> dict:
             "time": e.time,
             "has_flow": entry.has_flow,
             "witness": None if entry.witness is None else [name(w) for w in entry.witness],
-            "quantified": _quantified_to_json(entry.quantified),
+            "quantified": bits_to_json(entry.quantified),
         }
         if entry.p_values is not None:
             row["p_values"] = [
@@ -86,7 +92,7 @@ def report_from_dict(d: dict) -> FlowReport:
             edge=e,
             has_flow=bool(row["has_flow"]),
             witness=None if witness is None else tuple(EdgeRef.parse(w) for w in witness),
-            quantified=_quantified_from_json(row.get("quantified")),
+            quantified=bits_from_json(row.get("quantified")),
             p_values=None
             if p_values is None
             else tuple(

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import ExpressionTypeError, MsgflowError, SpecParseError, ValidationError
 from .exprs import Expr, compile_expr, expr_to_json, leaf_refs, parse_expr
 from .graph import EdgeRef, NodeRef, UnrolledGraph
-from .values import Value, fraction_from_json, value_from_json, value_to_json
+from .values import Value, fraction_from_json, fraction_to_json, value_from_json, value_to_json
 
 Pmf = tuple  # tuple of (value tuple, Fraction) pairs, order-preserving
 
@@ -329,9 +329,12 @@ class SystemSpec:
             "nodes": list(g.node_names),
             "horizon": g.horizon,
             "adjacency": "complete" if g.is_complete else sorted(map(list, g.base_edges)),
-            "message": _message_to_json(self.message),
+            "message": {
+                "components": list(self.message.components),
+                **_law_to_json(self.message, lambda v: list(map(value_to_json, v))),
+            },
             "noise": {
-                str(v): _noise_to_json(ns) for v, ns in sorted(self.noise.items())
+                str(v): _law_to_json(ns, value_to_json) for v, ns in sorted(self.noise.items())
             },
             "functions": {
                 str(v): {
@@ -386,12 +389,7 @@ class SystemSpec:
             v = NodeRef.parse(node_id)
             functions[v] = {}
             for dst_id, ex in fns.items():
-                dst = NodeRef.parse(dst_id)
-                if dst.time != v.time + 1:
-                    raise ValidationError(
-                        f"function key {dst_id!r} under {node_id!r} is not at time {v.time + 1}"
-                    )
-                functions[v][EdgeRef(v, dst)] = parse_expr(ex)
+                functions[v][EdgeRef(v, NodeRef.parse(dst_id))] = parse_expr(ex)
         declared_inputs = _names(d.get("declared_inputs", []), "declared inputs")
         return graph, message, noise, functions, declared_inputs
 
@@ -721,36 +719,25 @@ def _each(key: np.ndarray, k: int, code_at: Callable[[int], int]) -> np.ndarray:
     return lut[key]
 
 
-def _message_to_json(m: MessageSpec) -> dict:
-    if m.kind == "discrete":
-        return {
-            "kind": "discrete",
-            "components": list(m.components),
-            "pmf": [
-                {"value": [value_to_json(x) for x in v], "p": [p.numerator, p.denominator]}
-                for v, p in m.pmf
-            ],
-        }
-    if m.kind == "gaussian":
-        return {
-            "kind": "gaussian",
-            "components": list(m.components),
-            "variance": [m.variance.numerator, m.variance.denominator],
-        }
-    return {
-        "kind": "derived",
-        "components": list(m.components),
-        "exprs": [expr_to_json(x) for x in m.exprs],
-    }
+def _law_to_json(law: MessageSpec | NoiseSpec, value: Callable) -> dict:
+    """A message or noise law's document; ``value`` encodes one support value."""
+    if law.kind == "discrete":
+        pmf = [{"value": value(v), "p": fraction_to_json(p)} for v, p in law.pmf]
+        return {"kind": "discrete", "pmf": pmf}
+    if law.kind == "gaussian":
+        return {"kind": "gaussian", "variance": fraction_to_json(law.variance)}
+    return {"kind": "derived", "exprs": [expr_to_json(x) for x in law.exprs]}
+
+
+def _pmf_from_json(d: dict, value: Callable) -> list:
+    """The pmf rows of a discrete law; ``value`` decodes one support value."""
+    return [(value(row["value"]), fraction_from_json(row["p"], "p")) for row in d["pmf"]]
 
 
 def _message_from_json(d: dict) -> MessageSpec:
     kind = d.get("kind")
     if kind == "discrete":
-        pmf = [
-            (tuple(map(value_from_json, row["value"])), fraction_from_json(row["p"], "p"))
-            for row in d["pmf"]
-        ]
+        pmf = _pmf_from_json(d, lambda v: tuple(map(value_from_json, v)))
         return MessageSpec.discrete(d["components"], pmf)
     if kind == "gaussian":
         if len(d["components"]) != 1:
@@ -758,31 +745,14 @@ def _message_from_json(d: dict) -> MessageSpec:
         variance = fraction_from_json(d["variance"], "variance")
         return MessageSpec.gaussian(d["components"][0], variance)
     if kind == "derived":
-        return MessageSpec.derived(
-            d["components"], [parse_expr(x) for x in d["exprs"]]
-        )
+        return MessageSpec.derived(d["components"], [parse_expr(x) for x in d["exprs"]])
     raise ValidationError(f"unknown message kind {kind!r}")
-
-
-def _noise_to_json(ns: NoiseSpec) -> dict:
-    if ns.kind == "discrete":
-        return {
-            "kind": "discrete",
-            "pmf": [
-                {"value": value_to_json(v), "p": [p.numerator, p.denominator]}
-                for v, p in ns.pmf
-            ],
-        }
-    return {"kind": "gaussian", "variance": [ns.variance.numerator, ns.variance.denominator]}
 
 
 def _noise_from_json(d: dict) -> NoiseSpec:
     kind = d.get("kind")
     if kind == "discrete":
-        return NoiseSpec.discrete(
-            [(value_from_json(row["value"]), fraction_from_json(row["p"], "p"))
-             for row in d["pmf"]]
-        )
+        return NoiseSpec.discrete(_pmf_from_json(d, value_from_json))
     if kind == "gaussian":
         return NoiseSpec.gaussian(fraction_from_json(d["variance"], "variance"))
     raise ValidationError(f"unknown noise kind {kind!r}")

@@ -3,19 +3,18 @@
 Transmissions are ints, ``fractions.Fraction``s, complex numbers with exact
 rational real/imaginary parts (:class:`ComplexQ`), or tuples thereof (built by
 the ``concat`` operator).  All arithmetic stays exact; a :class:`ComplexQ`
-whose imaginary part cancels to zero is normalized back to a plain rational so
-that equality and hashing behave uniformly across types.
+whose imaginary part cancels to zero is normalized back to a plain rational,
+and a rational of denominator 1 is an int, whether it is read from JSON (a
+constant or a support value) or computed by arithmetic, so that equality,
+hashing and the bit and integer operators behave uniformly across types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import ExpressionTypeError, NonAffineError, SpecParseError
-
-Rational = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -106,8 +105,9 @@ def make_complex(re, im) -> Scalar:
     return ComplexQ(re, im)
 
 
-def _demote(x: Fraction) -> Rational:
-    return int(x) if x.denominator == 1 else x
+def _demote(x):
+    """A Fraction of denominator 1 as an int; any other value unchanged."""
+    return int(x) if isinstance(x, Fraction) and x.denominator == 1 else x
 
 
 def _parts(v: Scalar) -> tuple[Fraction, Fraction]:
@@ -123,27 +123,27 @@ _REAL = (int, Fraction, float, Affine)  # float: gaussian sampling; Affine: line
 
 def vadd(a: Scalar, b: Scalar) -> Scalar:
     if isinstance(a, _REAL) and isinstance(b, _REAL):
-        return a + b
+        return _demote(a + b)
     (ar, ai), (br, bi) = _parts(a), _parts(b)
     return make_complex(ar + br, ai + bi)
 
 
 def vsub(a: Scalar, b: Scalar) -> Scalar:
     if isinstance(a, _REAL) and isinstance(b, _REAL):
-        return a - b
+        return _demote(a - b)
     return vadd(a, vneg(b))
 
 
 def vneg(a: Scalar) -> Scalar:
     if isinstance(a, _REAL):
-        return -a
+        return _demote(-a)
     ar, ai = _parts(a)
     return make_complex(-ar, -ai)
 
 
 def vmul(a: Scalar, b: Scalar) -> Scalar:
     if isinstance(a, _REAL) and isinstance(b, _REAL):
-        return a * b
+        return _demote(a * b)
     (ar, ai), (br, bi) = _parts(a), _parts(b)
     return make_complex(ar * br - ai * bi, ar * bi + ai * br)
 
@@ -167,15 +167,17 @@ def value_to_json(v: Value):
     if isinstance(v, int):
         return v
     if isinstance(v, Fraction):
-        return [v.numerator, v.denominator]
+        return fraction_to_json(v)
     if isinstance(v, ComplexQ):
-        return {
-            "re": [v.re.numerator, v.re.denominator],
-            "im": [v.im.numerator, v.im.denominator],
-        }
+        return {"re": fraction_to_json(v.re), "im": fraction_to_json(v.im)}
     if isinstance(v, tuple):
         return {"tuple": [value_to_json(x) for x in v]}
     raise ExpressionTypeError(f"cannot serialize value {v!r}")
+
+
+def fraction_to_json(x: Fraction) -> list:
+    """Encode a rational as ``[num, den]``, the one form every document uses."""
+    return [x.numerator, x.denominator]
 
 
 def fraction_from_json(obj, what: str = "rational") -> Fraction:

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -128,18 +129,77 @@ def _bare_msg(doc):
     doc["functions"]["A0"]["A1"] = ["msg"]
 
 
+def _set(*path, value):
+    """An edit that puts ``value`` at ``path`` in the document."""
+
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+
+    return edit
+
+
+def _ill_formed(fixture, edit, fragment, name=None):
+    return pytest.param(fixture, edit, fragment, id=f"{fixture}-{name or edit.__name__}")
+
+
 @pytest.mark.parametrize(
-    "fixture, edit",
+    "fixture, edit, fragment",
     [
-        ("output-msg", _without_noise),  # the derived message reads absent noise
-        ("output-msg", _extra_component),  # a component without an expression
-        ("mult-msg", _bare_msg),  # a bare msg leaf, but two components
+        _ill_formed("output-msg", _without_noise, "which has no noise"),
+        _ill_formed("output-msg", _extra_component, "one expression per component"),
+        _ill_formed("mult-msg", _bare_msg, "reads a bare msg leaf"),
+        _ill_formed("ce1", _set("message", "pmf", 0, "p", value=[-1, 2]),
+                    "negative probability", "negative_p"),
+        _ill_formed("ce1", _set("noise", "C0", "pmf", 1, "value", value=0),
+                    "duplicate support value", "duplicate_value"),
+        _ill_formed("sk", _set("message", "variance", value=[0, 1]),
+                    "gaussian message needs positive variance", "message_variance"),
+        _ill_formed("sk", _set("noise", "B3", "variance", value=[-1, 2]),
+                    "gaussian noise needs positive variance", "noise_variance"),
+        _ill_formed("ce1", _set("message", "components", value=[7]),
+                    "component names must be strings", "component_not_a_string"),
+        _ill_formed("mult-msg", _set("message", "components", value=["M1", "M1"]),
+                    "duplicate message component names", "duplicate_component"),
+        _ill_formed("ce1", _set("declared_inputs", value=["A", "D"]),
+                    "declared input 'D' is not a node", "input_not_a_node"),
+        _ill_formed("output-msg", _set("declared_inputs", value=["A"]),
+                    "derived messages cannot also enter", "derived_with_inputs"),
+        _ill_formed("ce1", _set("noise", "D0", value={"kind": "discrete", "pmf": [
+            {"value": 0, "p": [1, 1]}]}), "noise declared at unknown node D0", "noise_unknown_node"),
+        _ill_formed("ce1", _set("functions", "D0", value={"D1": ["const", 0]}),
+                    "function declared at unknown node D0", "function_unknown_node"),
+        _ill_formed("ce1", _set("functions", "B3", value={"B4": ["const", 0]}),
+                    "B3 has no outgoing edge B3->B4", "no_outgoing_edge"),
+        _ill_formed("output-msg", _set("message", "exprs", 0, value=["noise"]),
+                    "may only read named intrinsic variables", "derived_reads_bare_noise"),
+        _ill_formed("ce1", _set("functions", "A1", "B2", value=["edge", "B0", "B1"]),
+                    "reads B0->B1, not an incoming edge of A1", "not_incoming"),
+        _ill_formed("ce1", _set("functions", "C1", "B2", value=["noise", "C0"]),
+                    "intrinsic variable of another node C0", "other_nodes_noise"),
+        _ill_formed("ce1", _set("functions", "A1", "B2", value=["noise", "A1"]),
+                    "reads A1, which has no noise", "absent_noise"),
+        _ill_formed("ce1", _set("functions", "C1", "B2", value=["msg"]),
+                    "C1 is not a declared input", "msg_off_input"),
+        _ill_formed("ce1", _set("functions", "A0", "A1", value=["msg", "Q"]),
+                    "unknown message component 'Q'", "unknown_component"),
+        _ill_formed("sk", _set("message", "components", value=["M", "N"]),
+                    "gaussian messages are scalar", "gaussian_two_components"),
+        _ill_formed("ce1", _set("message", "kind", value="poisson"),
+                    "unknown message kind 'poisson'", "unknown_message_kind"),
+        _ill_formed("ce1", _set("noise", "C0", "kind", value="poisson"),
+                    "unknown noise kind 'poisson'", "unknown_noise_kind"),
+        # EdgeRef refuses the key before the outgoing-edge rule would.
+        _ill_formed("ce1", _set("functions", "A0", value={"B2": ["msg"]}),
+                    "edge A0->B2 must connect consecutive times", "wrong_time_key"),
     ],
 )
-def test_ill_formed_spec_is_a_validation_error(tmp_path, fixture, edit):
+def test_ill_formed_spec_is_a_validation_error(tmp_path, capsys, fixture, edit, fragment):
     doc = mf.build(fixture).spec.to_json_dict()
     edit(doc)
     assert _analyze_doc(tmp_path, doc) == 3
+    assert fragment in capsys.readouterr().err
 
 
 def test_derived_message_without_expressions_is_a_validation_error():
@@ -445,6 +505,61 @@ def test_dot_output_is_pinned(argv, capsys):
 def test_unknown_message_exits_3(argv, capsys):
     assert run(*argv, "--message", "Z") == 3
     assert capsys.readouterr().err == "validation error: unknown message variable 'Z'\n"
+
+
+# A relay through a hidden node H: at t=1 the hidden node holds the whole
+# gaussian message, so the observed slices violate the chain by infinite bits.
+RELAY = {
+    "nodes": ["A", "B", "H"],
+    "horizon": 3,
+    "adjacency": [["A", "A"], ["A", "H"], ["H", "B"], ["B", "B"]],
+    "message": {"kind": "gaussian", "components": ["M"], "variance": [1, 1]},
+    "noise": {},
+    "functions": {
+        "A0": {"H1": ["msg"]},
+        "H1": {"B2": ["edge", "A0", "H1"]},
+        "B2": {"B3": ["edge", "H1", "B2"]},
+    },
+    "declared_inputs": ["A"],
+}
+
+
+def _strict_json(text: str):
+    """Parse JSON as RFC 8259 defines it: no Infinity, -Infinity or NaN."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_every_json_output_is_strict(tmp_path, capsys):
+    relay = tmp_path / "relay.json"
+    relay.write_text(json.dumps(RELAY))
+    sk_leftover = ("derived", "--fixture", "sk", "--query-edges", "A0->A1",
+                   "--given-edges", "B1->B2")
+    commands = [
+        *(("analyze", "--fixture", name, *quantify)
+          for name in mf.FIXTURE_NAMES for quantify in ((), ("--quantify",))),
+        ("analyze", "--fixture", "ce2", "--engine", "sampled", *SAMPLED),
+        ("paths", "--fixture", "butterfly", "--message", "M2", "--target", "A4"),
+        ("hidden", "--fixture", "ce1", "--hide", "C"),
+        ("hidden", "--spec", str(relay), "--hide", "H"),
+        ("derived", "--fixture", "ce1", "--query-edges", "B2->B3",
+         "--given-edges", "A1->B2", "C1->B2"),
+        sk_leftover,
+        *(("fixtures", "--build", name) for name in mf.FIXTURE_NAMES),
+    ]
+    docs = {}
+    for argv in commands:
+        assert run(*argv) == 0, argv
+        docs[argv] = _strict_json(capsys.readouterr().out)
+    # Infinite bits are the string "inf" in every document, and read back.
+    relay_alarms = docs[("hidden", "--spec", str(relay), "--hide", "H")]["alarms"]
+    assert relay_alarms[1] == {"t": 1, "alarm": True, "violation_bits": "inf"}
+    assert docs[sk_leftover]["leftover_bits"] == "inf"
+    sk = report_from_dict(docs[("analyze", "--fixture", "sk", "--quantify")]["reports"]["M"])
+    assert sk.entries[edge("A", 0, "A")].quantified == math.inf
 
 
 def test_paths_command(tmp_path):

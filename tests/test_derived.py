@@ -55,6 +55,20 @@ def test_redundancy_pairs_empty_for_constant_slice():
     assert mf.redundancy_pairs(j, 0) == []
 
 
+def test_redundancy_pairs_searches_only_its_slice():
+    # Slice 1 holds 22 candidates sharing one source, past the search cap of
+    # 20; the pairs of slice 0 must not need it.
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    m = rng.integers(0, 2, 64)
+    noise = rng.integers(0, 2, (22, 64)).tolist()
+    variables = ["M", edge("A", 0, "A")] + [edge(chr(ord("B") + i), 1, "A") for i in range(22)]
+    j = mf.DiscreteJoint(variables, zip(m.tolist(), m.tolist(), *noise))
+    assert len(j.candidates_at(1)) == 22
+    assert mf.redundancy_pairs(j, 0) == []
+
+
 def test_markov_holds(joints):
     j = joints["ce1"]
     e1 = list(j.edges_at(1))

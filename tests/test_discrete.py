@@ -159,13 +159,13 @@ def test_node_level_markov_on_fixtures(joints, fixtures):
 
 
 def _mixed_zero_system():
-    # A0->A1 carries Z * 0: first the int 0, then Fraction(0), which equals
+    # A0->A1 carries Z * 0: first the int 0, then the float 0.0, which equals
     # it but is not a bit, so the xor downstream fails on it.
     g = UnrolledGraph(("A",), 2)
     return SystemSpec(
         g,
         MessageSpec.bernoulli("M"),
-        noise={NodeRef("A", 0): NoiseSpec.discrete(((1, Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2))))},
+        noise={NodeRef("A", 0): NoiseSpec.discrete(((1, Fraction(1, 2)), (0.5, Fraction(1, 2))))},
         functions={
             NodeRef("A", 0): {edge("A", 0, "A"): ("mul", ("noise", None), ("const", 0))},
             NodeRef("A", 1): {edge("A", 1, "A"): ("xor", ("edge", edge("A", 0, "A")), ("const", 0))},
@@ -174,7 +174,7 @@ def _mixed_zero_system():
 
 
 def test_enumeration_surfaces_type_errors():
-    # Both engines, on an xor of a Fraction and on an xor of Fraction(0).
+    # Both engines, on an xor of a Fraction and on an xor of the float 0.0.
     from msgflow import ExpressionTypeError
     from msgflow.exprs import const, msg
 

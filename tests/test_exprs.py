@@ -42,6 +42,19 @@ def test_arithmetic_and_complex():
     assert vmul(w, make_complex(0, 1)) == 1  # -j * j normalizes to a rational
 
 
+def test_whole_rational_results_are_ints():
+    # 1/2 * 2 is the int 1, as the constant [2, 2] is, so xor accepts it.
+    for one in (["mul", ["const", [1, 2]], ["const", 2]], ["const", [2, 2]]):
+        assert _run(parse_expr(["xor", one, ["const", 0]])) == 1
+    for e in (
+        ("add", const(Fraction(1, 2)), const(Fraction(1, 2))),
+        ("sub", const(Fraction(3, 2)), const(Fraction(1, 2))),
+        ("negate", const(Fraction(2, 1))),
+    ):
+        assert type(_run(e)) is int
+    assert _run(("mul", const(Fraction(1, 3)), const(2))) == Fraction(2, 3)
+
+
 def test_select_concat_mod():
     e = ("select", 1, ("concat", const(5), ("mod", 3, const(7))))
     assert _run(e) == 1
