@@ -348,6 +348,9 @@ def main(argv=None) -> int:
         except (SpecParseError, json.JSONDecodeError) as exc:
             print(f"parse error: {exc}", file=sys.stderr)
             return EXIT_PARSE
+        except OSError as exc:  # load_system maps an unreadable --spec; this is --out
+            print(f"parse error: cannot write the output: {exc}", file=sys.stderr)
+            return EXIT_PARSE
         except (BudgetExceededError, SearchSpaceError) as exc:
             print(f"budget exceeded: {exc}", file=sys.stderr)
             return EXIT_BUDGET

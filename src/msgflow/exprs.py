@@ -4,9 +4,10 @@ An expression is a nested tuple headed by an operator name.  Its leaves are
 an incoming edge transmission, the node's own intrinsic random variable, a
 named intrinsic variable of another node (allowed only in derived-message
 definitions), a message component, or an exact constant.  ``compile_expr``
-resolves each non-constant leaf once, through the caller's resolver (the
-system's read rule, ``SystemSpec.leaf_key``), to the variable it reads or to
-0, and the compiled function reads one dict from variables to values.
+resolves each non-constant leaf once, left to right, through the caller's
+resolver (the system's read rule ``SystemSpec.leaf_key``, which checks it)
+to the variable it reads or to 0; the compiled function reads one dict from
+variables to values.
 
 The JSON wire form is prefix notation as nested arrays, e.g.::
 
@@ -139,16 +140,6 @@ def expr_to_json(expr: Expr):
         return ["const", value_to_json(expr[1])]
     k = 1 + len(_operator(op).params)
     return [*expr[:k], *map(expr_to_json, expr[k:])]
-
-
-def leaf_refs(expr: Expr):
-    """Yield every (kind, payload) leaf in the expression."""
-    op = expr[0]
-    if op in ("edge", "noise", "msg"):
-        yield (op, expr[1])
-    elif op != "const":
-        for sub in expr[1 + len(_operator(op).params) :]:
-            yield from leaf_refs(sub)
 
 
 def compile_expr(expr: Expr, key: Callable[[str, object], object]) -> Callable[[dict], Value]:

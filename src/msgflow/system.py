@@ -14,15 +14,16 @@ Message laws come in three kinds:
 * ``derived``  — components defined as expressions over intrinsic variables,
   for systems whose message lives at the output rather than the input.
 
-Every forward pass shares one compiled plan (``SystemSpec.compiled``): the
-node functions in forward order, with the variables each reads.  Each leaf
-is resolved once, by the read rule ``SystemSpec.leaf_key``, to the variable
-it names (an ``EdgeRef``, a message component name or a noise ``NodeRef``)
-or to 0, and every pass runs the functions over one dict from variables to
-values.  ``propagate`` runs the plan on one realization and is the
-reference the tests compare against; :class:`ColumnPass` on whole columns
-of weighted rows, for the exact enumerator and the trial sampler; the
-linear-Gaussian engine on affine forms
+Every forward pass shares one compiled plan (``SystemSpec.compiled``), built
+once when the system is loaded: the derived message components, then the
+node functions in forward order, each with the variables it reads.  The read
+rule ``SystemSpec.leaf_key`` checks each leaf as the plan compiles and
+resolves it to the variable it names (an ``EdgeRef``, a message component
+name or a noise ``NodeRef``) or to 0; every pass runs the functions over one
+dict from variables to values.  ``propagate`` runs the plan on one
+realization and is the reference the tests compare against;
+:class:`ColumnPass` on whole columns of weighted rows, for the exact
+enumerator and the trial sampler; the linear-Gaussian engine on affine forms
 (:func:`msgflow.gaussian.linear_propagate`).
 """
 
@@ -37,7 +38,7 @@ from typing import Callable, Iterable, Mapping, Optional
 import numpy as np
 
 from .errors import ExpressionTypeError, MsgflowError, SpecParseError, ValidationError
-from .exprs import Expr, compile_expr, expr_to_json, leaf_refs, parse_expr
+from .exprs import Expr, compile_expr, expr_to_json, parse_expr
 from .graph import EdgeRef, NodeRef, UnrolledGraph
 from .values import Value, fraction_from_json, fraction_to_json, value_from_json, value_to_json
 
@@ -145,7 +146,10 @@ class SystemSpec:
         }
         self.declared_inputs: frozenset[str] = frozenset(declared_inputs)
         self._validate()
-        self._compiled = None
+        fns = {e: x for fs in self.functions.values() for e, x in fs.items()}
+        steps = list(zip(message.components, message.exprs or ()))
+        steps += [(e, fns[e]) for t in range(graph.horizon) for e in graph.edges_at(t) if e in fns]
+        self._compiled = tuple(self._compile(var, x) for var, x in steps)
 
     # ----- validation -------------------------------------------------
 
@@ -171,49 +175,12 @@ class SystemSpec:
             if v not in g:
                 raise ValidationError(f"function declared at unknown node {v}")
             out = set(g.outgoing(v))
-            inc = set(g.incoming(v))
-            for e, expr in fns.items():
+            for e in fns:
                 if e not in out:
                     raise ValidationError(f"{v} has no outgoing edge {e}")
-                self._check_leaves(v, e, expr, inc)
         if self.message.kind == "derived":
             if len(self.message.exprs or ()) != len(self.message.components):
                 raise ValidationError("a derived message needs one expression per component")
-            for expr in self.message.exprs or ():
-                for kind, payload in leaf_refs(expr):
-                    if kind != "noise" or payload is None:
-                        raise ValidationError(
-                            "derived message expressions may only read named intrinsic variables"
-                        )
-                    if payload not in self.noise:
-                        raise ValidationError(f"derived message reads {payload}, which has no noise")
-
-    def _check_leaves(self, v: NodeRef, e: EdgeRef, expr: Expr, incoming: set) -> None:
-        for kind, payload in leaf_refs(expr):
-            if kind == "edge":
-                if payload not in incoming:
-                    raise ValidationError(
-                        f"function for {e} reads {payload}, not an incoming edge of {v}"
-                    )
-            elif kind == "noise":
-                if payload is not None and payload != v:
-                    raise ValidationError(
-                        f"function for {e} reads intrinsic variable of another node {payload}"
-                    )
-                if payload is not None and payload not in self.noise:
-                    raise ValidationError(f"function for {e} reads {payload}, which has no noise")
-            elif kind == "msg":
-                if v.time != 0 or v.name not in self.declared_inputs:
-                    raise ValidationError(
-                        f"function for {e} reads the message but {v} is not a declared input"
-                    )
-                if payload is not None and payload not in self.message.components:
-                    raise ValidationError(f"unknown message component {payload!r}")
-                if payload is None and len(self.message.components) != 1:
-                    raise ValidationError(
-                        f"function for {e} reads a bare msg leaf, but the message has "
-                        "several components"
-                    )
 
     # ----- structural queries ------------------------------------------
 
@@ -269,48 +236,82 @@ class SystemSpec:
     # ----- propagation --------------------------------------------------
 
     def compiled(self) -> tuple:
-        """(edge, compiled function, ``reads``) for each edge with a function,
+        """The plan, built once when the system is constructed: (variable,
+        compiled function, the variables it reads in order of first use) for
+        each derived message component, then for each edge with a function
         in forward order.  An edge without one carries 0."""
-        if self._compiled is None:
-            g, fns = self.graph, {e: x for fs in self.functions.values() for e, x in fs.items()}
-            self._compiled = tuple(
-                (e, compile_expr(fns[e], self.leaf_key(e.src)), self.reads(fns[e], e.src))
-                for t in range(g.horizon)
-                for e in g.edges_at(t)
-                if e in fns
-            )
         return self._compiled
 
-    def leaf_key(self, v: Optional[NodeRef]) -> Callable:
-        """The read rule, as ``compile_expr``'s resolver for a function at
-        node ``v`` (None: a derived message component).  An edge leaf reads
-        its ``EdgeRef``, a named noise or msg leaf its node or component, a
-        bare msg leaf the sole component, and a bare noise leaf v, or None
-        (it reads 0) when v has no noise."""
+    def _compile(self, var, expr: Expr) -> tuple:
+        """One step of the plan: ``var``'s compiled function and what it reads."""
+        key, reads = self.leaf_key(var.src if isinstance(var, EdgeRef) else None, var), {}
+
+        def read(kind: str, payload):
+            k = key(kind, payload)
+            if k is not None:
+                reads.setdefault(k)
+            return k
+
+        return var, compile_expr(expr, read), tuple(reads)
+
+    def leaf_key(self, v: Optional[NodeRef], var=None) -> Callable:
+        """The read rule, as ``compile_expr``'s resolver for the function of
+        ``var`` at node ``v`` (None: a derived message component).  It checks
+        each leaf, raising ValidationError, and returns what the leaf reads:
+
+        * an edge leaf, only of an incoming edge of v: that ``EdgeRef``;
+        * a bare noise leaf: v, or None (0) when v has no noise; a named one
+          must name v, and v must have noise;
+        * a msg leaf, only at a declared input at time 0: the component it
+          names, or when bare the message's sole component;
+        * a derived component reads only named noise leaves of nodes with noise.
+        """
+        comps, noise, who = self.message.components, self.noise, f"function for {var}"
+        incoming = frozenset(self.graph.incoming(v)) if v is not None else ()
 
         def key(kind: str, payload):
-            if payload is not None:
-                return payload
-            if kind == "noise":
-                return v if v in self.noise else None
-            return self.message.components[0]
+            if v is None:
+                if kind != "noise" or payload is None:
+                    raise ValidationError(
+                        "derived message expressions may only read named intrinsic variables"
+                    )
+                if payload not in noise:
+                    raise ValidationError(f"derived message reads {payload}, which has no noise")
+            elif kind == "edge" and payload not in incoming:
+                raise ValidationError(f"{who} reads {payload}, not an incoming edge of {v}")
+            elif kind == "noise":
+                if payload is None:
+                    return v if v in noise else None
+                if payload != v:
+                    raise ValidationError(
+                        f"{who} reads intrinsic variable of another node {payload}"
+                    )
+                if payload not in noise:
+                    raise ValidationError(f"{who} reads {payload}, which has no noise")
+            elif kind == "msg":
+                if v.time != 0 or v.name not in self.declared_inputs:
+                    raise ValidationError(
+                        f"{who} reads the message but {v} is not a declared input"
+                    )
+                if payload is None:
+                    if len(comps) != 1:
+                        raise ValidationError(
+                            f"{who} reads a bare msg leaf, but the message has several components"
+                        )
+                    return comps[0]
+                if payload not in comps:
+                    raise ValidationError(f"unknown message component {payload!r}")
+            return payload
 
         return key
-
-    def reads(self, expr: Expr, v: Optional[NodeRef]) -> tuple:
-        """The variables ``expr`` reads at node ``v`` (``leaf_key``), in order
-        of first use."""
-        key = self.leaf_key(v)
-        reads = dict.fromkeys(key(kind, payload) for kind, payload in leaf_refs(expr))
-        reads.pop(None, None)
-        return tuple(reads)
 
     def propagate(
         self,
         msg_values: Mapping[str, Value],
         noise_values: Mapping[NodeRef, Value],
     ) -> dict[EdgeRef, Value]:
-        """Forward pass: every edge transmission of one realization."""
+        """Forward pass: every edge transmission of one realization.  A
+        derived message's components are computed from ``noise_values``."""
         for v in self.noise:
             if v not in noise_values:
                 raise ValidationError(f"propagate needs a value of the noise at {v}")
@@ -502,9 +503,9 @@ class ColumnPass:
     constructor builds from what each function reads: the exact enumerator
     splits rows by pmf numerators, the trial sampler by multinomial counts.
 
-    Each compiled node function, and each derived message component, runs
-    once per distinct combination of the columns it reads
-    (``SystemSpec.reads``), in order of the combination's first row, and
+    Each step of the plan (``SystemSpec.compiled``), a derived message
+    component or a node function, runs once per distinct combination of the
+    columns it reads, in order of the combination's first row, and
     its result is mapped back to every row.  A function given the same
     inputs returns the same value, and columns tell values apart by type,
     so every row gets exactly the value ``SystemSpec.propagate`` computes
@@ -521,12 +522,10 @@ class ColumnPass:
         # Columns by slot: the variables first, then the noise nodes.
         self._slot = {key: i for i, key in enumerate((*self.variables, *spec.noise))}
         self._cols = [_Column() for _ in self._slot]
-        derived = zip(m.components, m.exprs or ())
-        fns = [(c, compile_expr(x, spec.leaf_key(None)), spec.reads(x, None)) for c, x in derived]
         # (slot, compiled function, columns read as (slot, variable))
         self._fns = [
             (self._slot[var], fn, tuple((self._slot[k], k) for k in reads))
-            for var, fn, reads in fns + list(spec.compiled())
+            for var, fn, reads in spec.compiled()
         ]
         # A column without a function is the constant 0, coded once here.
         self._zeros = {self._slot[e] for e in edges} - {i for i, _, _ in self._fns}
@@ -735,17 +734,20 @@ def _pmf_from_json(d: dict, value: Callable) -> list:
 
 
 def _message_from_json(d: dict) -> MessageSpec:
-    kind = d.get("kind")
+    kind, components = d.get("kind"), d["components"]
+    # A string would read as its characters; element types are a model rule.
+    if not isinstance(components, list):
+        raise SpecParseError(f"message components must be an array: {components!r}")
     if kind == "discrete":
         pmf = _pmf_from_json(d, lambda v: tuple(map(value_from_json, v)))
-        return MessageSpec.discrete(d["components"], pmf)
+        return MessageSpec.discrete(components, pmf)
     if kind == "gaussian":
-        if len(d["components"]) != 1:
+        if len(components) != 1:
             raise ValidationError("gaussian messages are scalar")
         variance = fraction_from_json(d["variance"], "variance")
-        return MessageSpec.gaussian(d["components"][0], variance)
+        return MessageSpec.gaussian(components[0], variance)
     if kind == "derived":
-        return MessageSpec.derived(d["components"], [parse_expr(x) for x in d["exprs"]])
+        return MessageSpec.derived(components, [parse_expr(x) for x in d["exprs"]])
     raise ValidationError(f"unknown message kind {kind!r}")
 
 

@@ -202,6 +202,18 @@ def test_ill_formed_spec_is_a_validation_error(tmp_path, capsys, fixture, edit, 
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fixture, components", [
+    ("ce1", "M"), ("output-msg", "M"), ("mult-msg", "MN"), ("sk", "MN"),
+])
+def test_message_components_string_is_a_parse_error(tmp_path, capsys, fixture, components):
+    # A string where the array of component names belongs would read as its
+    # characters: "MN" as the two components M and N.
+    doc = mf.build(fixture).spec.to_json_dict()
+    doc["message"]["components"] = components
+    assert _analyze_doc(tmp_path, doc) == 2
+    assert "message components must be an array" in capsys.readouterr().err
+
+
 def test_derived_message_without_expressions_is_a_validation_error():
     spec = mf.build("output-msg").spec
     message = mf.MessageSpec("derived", spec.message.components)
@@ -361,6 +373,16 @@ _MALFORMED = {
     (("simulate", "--fixture", "ce1", "--n-trials", str(10**20), "--seed", "1",
       "--out", "{tmp}/t.csv"), 3),
     *((("analyze", "--spec", f"{{tmp}}/{name}.json"), 2) for name in _MALFORMED),
+    # An --out that cannot be written: in a missing directory, or a directory.
+    *(((*argv, "--out", "{tmp}/missing/out"), 2) for argv in (
+        ("analyze", "--fixture", "ce1"),
+        ("paths", "--fixture", "butterfly", "--message", "M2", "--target", "A4"),
+        ("hidden", "--fixture", "ce1", "--hide", "C"),
+        ("derived", "--fixture", "ce1", "--query-edges", "B2->B3", "--given-edges", "A1->B2"),
+        ("fixtures", "--build", "ce1"),
+        ("simulate", "--fixture", "ce1", "--n-trials", "20", "--seed", "1"),
+    )),
+    (("analyze", "--fixture", "ce1", "--out", "{tmp}"), 2),
 ])
 def test_malformed_input_exits_without_traceback(argv, code, tmp_path):
     (tmp_path / "latin1.json").write_bytes(b'{"nodes": ["\xe9"]}')
@@ -674,6 +696,14 @@ def test_fixture_export_and_spec_round_trip(tmp_path):
         else:
             g1, g2 = mf.linear_propagate(original), mf.linear_propagate(spec)
             assert g1.cov == g2.cov
+
+
+def test_readme_system_file_is_ce1():
+    # The system-file example in README's format section is ce1, as it says.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    spec = mf.SystemSpec.from_json_dict(json.loads(block))
+    assert spec.to_json_dict() == mf.build("ce1").spec.to_json_dict()
 
 
 def test_fixture_listing(capsys):

@@ -243,6 +243,50 @@ def test_bare_msg_leaf_needs_a_sole_component():
     assert spec.propagate({"M1": 0, "M2": 1}, {}) == {edge("A", 0, "A"): 1}
 
 
+def test_the_plan_is_compiled_once_at_load(monkeypatch):
+    # Building output-msg with a random gate compiles its three edge
+    # functions and its derived component; the passes compile nothing.
+    import msgflow.system
+
+    calls = []
+    compile_expr = msgflow.system.compile_expr
+    monkeypatch.setattr(
+        msgflow.system, "compile_expr", lambda *args: calls.append(args) or compile_expr(*args)
+    )
+    spec = mf.build("output-msg", gate=None).spec
+    assert len(calls) == 4
+    for _ in range(2):
+        mf.enumerate_joint(spec)
+        mf.sample_trials(spec, 100, seed=1)
+    assert len(calls) == 4
+
+
+def test_the_plan_lists_each_read_once_in_first_use_order():
+    # The derived component comes first, then the edges in forward order;
+    # a bare noise leaf at a node without noise reads nothing.
+    a0, b0 = NodeRef("A", 0), NodeRef("B", 0)
+    ab, ba = edge("A", 0, "B"), edge("B", 0, "A")
+    bare = ("noise", None)
+    spec = SystemSpec(
+        UnrolledGraph(("A", "B"), 2),
+        MessageSpec.derived(("M",), (("xor", ("noise", b0), ("xor", ("noise", a0), ("noise", b0))),)),
+        noise={a0: NoiseSpec.bernoulli(), b0: NoiseSpec.bernoulli()},
+        functions={
+            a0: {ab: ("xor", bare, bare)},
+            b0: {ba: bare},
+            NodeRef("A", 1): {edge("A", 1, "B"): ("add", bare, ("xor", edge_in(ba), edge_in(ba)))},
+            NodeRef("B", 1): {edge("B", 1, "B"): ("xor", edge_in(ab), bare)},
+        },
+    )
+    assert [(var, reads) for var, _, reads in spec.compiled()] == [
+        ("M", (b0, a0)),
+        (ab, (a0,)),
+        (ba, (b0,)),
+        (edge("A", 1, "B"), (ba,)),
+        (edge("B", 1, "B"), (ab,)),
+    ]
+
+
 def test_propagate_needs_every_noise_value():
     g = UnrolledGraph(("A",), 1)
     a0 = NodeRef("A", 0)
