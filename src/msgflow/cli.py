@@ -199,11 +199,10 @@ def cmd_paths(args) -> int:
 def cmd_hidden(args) -> int:
     spec, joint, message = _load_query(args)
     mask = derived.ObservationMask(frozenset(args.hide))
-    mask.validate(spec.graph)
+    mask.validate(spec.graph)  # also when the horizon leaves no alarm time
     alarms = []
     for t in range(spec.graph.horizon - 1):
-        now, nxt = derived.observed_slices(spec.graph, mask, t)
-        bits = joint.ask([message], nxt, now)  # the alarm and its bits, from one ask
+        bits = derived.hidden_ask(joint, spec.graph, mask, t, message)  # alarm and bits at once
         value = report.bits_to_json(0.0 if bits is None else bits()[0])
         alarms.append({"t": t, "alarm": bits is not None, "violation_bits": value})
     doc = {
@@ -244,8 +243,7 @@ def cmd_fixtures(args) -> int:
     if args.build:
         _emit_json(canon.build(args.build).spec.to_json_dict(), args.out)
         return 0
-    for name in canon.FIXTURE_NAMES:
-        sys.stdout.write(name + "\n")
+    _emit("".join(name + "\n" for name in canon.FIXTURE_NAMES), args.out)
     return 0
 
 

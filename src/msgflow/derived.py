@@ -113,15 +113,18 @@ class ObservationMask:
         return tuple(e for e in graph.edges_at(t) if self.observes_edge(e))
 
 
-def observed_slices(graph: UnrolledGraph, mask: ObservationMask, t: int) -> tuple[list, list]:
-    """The observed edges at t and t+1, after the time and empty-slice checks."""
+def hidden_ask(joint: Joint, graph, mask, t: int, message: Optional[str] = None):
+    """The hidden-node alarm's one ``ask`` of I(M; observed t+1 | observed t),
+    after the mask, time and empty-slice checks: None when the chain holds."""
+    m = joint.default_message(message)
+    mask.validate(graph)
     if not (0 <= t < graph.horizon - 1):
         raise ValidationError(f"alarm time {t} outside 0..{graph.horizon - 2}")
     now = mask.observed_edges(graph, t)
     nxt = mask.observed_edges(graph, t + 1)
     if not now or not nxt:
         raise ValidationError(f"mask hides every edge at time {t} or {t + 1}")
-    return list(now), list(nxt)
+    return joint.ask([m], list(nxt), list(now))
 
 
 def hidden_node_alarm(
@@ -136,10 +139,7 @@ def hidden_node_alarm(
     A breakage certifies that the hidden nodes at time ``t`` transmit message
     information the observed slice does not account for.
     """
-    m = joint.default_message(message)
-    mask.validate(graph)
-    now, nxt = observed_slices(graph, mask, t)
-    return joint.dependent([m], nxt, now)
+    return hidden_ask(joint, graph, mask, t, message) is not None
 
 
 def hidden_alarm_value(
@@ -150,10 +150,8 @@ def hidden_alarm_value(
     message: Optional[str] = None,
 ) -> float:
     """The violating conditional information in bits (0 when the chain holds)."""
-    m = joint.default_message(message)
-    mask.validate(graph)
-    now, nxt = observed_slices(graph, mask, t)
-    return joint.cmi([m], nxt, now)
+    bits = hidden_ask(joint, graph, mask, t, message)
+    return 0.0 if bits is None else bits()[0]
 
 
 def local_markov_violations(

@@ -6,13 +6,15 @@ the base variables (message, intrinsic noises) plus a constant, and the
 covariance matrix, kept in exact rational arithmetic, describes everything
 the flow tests read (a constant shifts no variance, so no mean is kept).
 
-Conditional variances are computed by solving the (possibly singular, always
-consistent) normal equations with exact fraction elimination, so "variance is
-exactly zero" — the noiseless-recovery case that makes mutual information
-infinite — is decided without any tolerance.  The joint answers one question,
-``ci_query``, from two conditional variances, Var(a|C) and Var(a|B,C);
-``dependent`` and ``cmi`` ask it after the set checks every joint shares, so
-overlapping variable sets are refused as on a discrete table.
+A conditional variance Var(v|S) is the Schur complement of S's block, got by
+one forward elimination of S in exact fractions that skips each zero pivot
+(a variable fixed by the earlier ones) and refuses a covariance that is not
+positive semidefinite, so "variance is exactly zero" — the noiseless-recovery
+case that makes mutual information infinite — is decided without any
+tolerance.  The joint answers one question, ``ci_query``, from two
+conditional variances, Var(a|C) and Var(a|B,C); ``dependent`` and ``cmi``
+ask it after the set checks every joint shares, so overlapping variable sets
+are refused as on a discrete table.
 """
 
 from __future__ import annotations
@@ -27,39 +29,28 @@ from .system import SystemSpec
 from .values import Affine
 
 
-def _solve_psd(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve ``mat @ x = rhs`` exactly for a PSD Gram matrix.
+def _schur(block: list[list[Fraction]]) -> Fraction:
+    """Var(v | given) from the covariance ``block`` ordered (given..., v), by
+    forward elimination of each earlier variable in turn.
 
-    The system is consistent whenever ``rhs`` lies in the range of ``mat``
-    (always true for covariance blocks of a joint law); free coordinates are
-    set to zero.
+    After eliminating a set S the trailing block is Cov(rest | S), and in a
+    PSD matrix that block is PSD too.  In a PSD block |c_ij|² ≤ c_ii·c_jj, so
+    a zero pivot has a zero row: its variable is a function of S, and
+    skipping it is the same as dropping it.  The last cell is then
+    Var(v | given); when v is itself given, its duplicate row drops to 0.  A
+    negative pivot, or a zero pivot whose row is not zero, shows that the
+    covariance is not PSD and raises ValidationError.  The block is
+    eliminated in place.
     """
-    n = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, n) if a[r][col] != 0), None)
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        pv = a[row][col]
-        a[row] = [x / pv for x in a[row]]
-        for r in range(n):
-            if r != row and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == n:
-            break
-    for r in range(row, n):
-        if a[r][n] != 0:
-            raise ValidationError("inconsistent covariance system; matrix is not PSD")
-    x = [Fraction(0)] * n
-    for r, c in pivots:
-        x[c] = a[r][n]
-    return x
+    for k, row in enumerate(block):
+        pivot = row[k]
+        if pivot < 0 or (pivot == 0 and any(row[k + 1 :])):
+            raise ValidationError("covariance is not positive semidefinite")
+        for lower in block[k + 1 :]:
+            if lower[k]:  # 0 below a zero pivot: its row, so its column, is 0
+                f = lower[k] / pivot
+                lower[k + 1 :] = [x - f * y for x, y in zip(lower[k + 1 :], row[k + 1 :])]
+    return block[-1][-1]
 
 
 class GaussianJoint(JointVariables):
@@ -93,21 +84,14 @@ class GaussianJoint(JointVariables):
         return self.cov[self._col(u)][self._col(v)]
 
     def cond_var(self, v: VarId, given: Sequence[VarId] = ()) -> Fraction:
-        """Exact Var(v | given)."""
+        """Exact Var(v | given), by ``_schur``."""
         i = self._col(v)
         cols = tuple(sorted(self._col(g) for g in set(given)))
         key = (i, cols)
-        if key in self._cond_cache:
-            return self._cond_cache[key]
-        if not cols:
-            out = self.cov[i][i]
-        else:
-            sub = [[self.cov[r][c] for c in cols] for r in cols]
-            rhs = [self.cov[r][i] for r in cols]
-            x = _solve_psd(sub, rhs)
-            out = self.cov[i][i] - sum(r * xi for r, xi in zip(rhs, x))
-        self._cond_cache[key] = out
-        return out
+        if key not in self._cond_cache:
+            order = cols + (i,)
+            self._cond_cache[key] = _schur([[self.cov[r][c] for c in order] for r in order])
+        return self._cond_cache[key]
 
     def ci_query(self, a_vars: Sequence[VarId]):
         """``DiscreteJoint.ci_query`` for a scalar A, on the cached

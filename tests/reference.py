@@ -17,6 +17,8 @@ trials carry no sources.  Each of its tests (``reference_test``) picks the
 G-test or the permutation test by its own loop over strata.
 ``stopped_search_length`` counts the subsets a quantified search tries
 before it stops, from Fraction probabilities summed over the rows.
+``reference_cond_var`` is a conditional variance of affine forms, from
+weighted Gram–Schmidt on their coefficients rather than from a covariance.
 """
 
 from __future__ import annotations
@@ -238,3 +240,28 @@ def reference_cascade(trials, edge, alpha, max_subset_size, n_perm, seed, messag
                     edge, True, sub, None, tuple(p_values), level, n_tests, replicates
                 )
     return mf.FlowEntry(edge, False, None, None, tuple(p_values), level, n_tests, replicates)
+
+
+def reference_cond_var(rows, variances, v, given) -> Fraction:
+    """Var(rows[v] | rows[g] for g in ``given``), each row an affine form's
+    coefficients over independent base variables of the given ``variances``:
+    the squared length of what is left of row v after weighted Gram–Schmidt
+    over the given rows, in the inner product Σ_k a_k·b_k·σ²_k.  A given row
+    left at length 0 is a function of the earlier ones and is dropped."""
+
+    def dot(a, b):
+        return sum(c * b.get(k, 0) * variances[k] for k, c in a.items())
+
+    def residual(r):
+        for b in basis:
+            f = dot(r, b) / dot(b, b)
+            r = {k: r.get(k, 0) - f * b.get(k, 0) for k in r.keys() | b.keys()}
+        return r
+
+    basis = []
+    for g in given:
+        r = residual(rows[g])
+        if dot(r, r):
+            basis.append(r)
+    r = residual(rows[v])
+    return dot(r, r)

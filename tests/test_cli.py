@@ -619,6 +619,12 @@ def test_hidden_command(tmp_path):
     assert run("hidden", "--fixture", "ce1", "--hide", "A", "--hide", "B", "--hide", "C") == 3
 
 
+def test_hidden_checks_the_mask_without_an_alarm_time(capsys):
+    # mult-msg has horizon 1, so no alarm time: the mask is checked anyway.
+    assert run("hidden", "--fixture", "mult-msg", "--hide", "C", "--message", "M1") == 3
+    assert "hidden names not in graph: ['C']" in capsys.readouterr().err
+
+
 def test_derived_command(tmp_path, capsys):
     assert (
         run("derived", "--fixture", "ce1",
@@ -710,3 +716,10 @@ def test_fixture_listing(capsys):
     assert run("fixtures") == 0
     names = capsys.readouterr().out.split()
     assert list(mf.FIXTURE_NAMES) == names
+
+
+def test_fixture_listing_out_writes_the_file(tmp_path, capsys):
+    out = tmp_path / "names.txt"
+    assert run("fixtures", "--out", str(out)) == 0
+    assert out.read_text().splitlines() == list(mf.FIXTURE_NAMES)
+    assert capsys.readouterr().out == ""

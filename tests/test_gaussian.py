@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from msgflow.graph import NodeRef, UnrolledGraph, edge
 from msgflow.system import save_system
 from msgflow.values import Affine, make_complex, vadd, vmul, vneg, vsub
 from randsys import random_affine_system
+from reference import reference_cond_var
 
 
 def test_sk_second_estimate_variance(sk_joint):
@@ -205,6 +208,57 @@ def test_singular_conditioning_exact():
     y1a, y1b = edge("A", 0, "B"), edge("A", 0, "A")  # both carry the message
     assert g.cond_var("M", [y1a, y1b]) == 0
     assert g.cmi(["M"], [edge("B", 1, "B")], [y1a, y1b]) == 0.0
+
+
+def _random_gram(seed):
+    """Affine rows over 1-4 base variables of random positive variances: 2-7
+    rows, some zero, some copies and some combinations of earlier ones."""
+    rng = random.Random(seed)
+    bases = [f"U{k}" for k in range(rng.randint(1, 4))]
+    variances = {b: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for b in bases}
+    rows = []
+    for _ in range(rng.randint(2, 7)):
+        kind = rng.choice(["fresh", "fresh", "zero", "copy", "combine"] if rows else ["fresh"])
+        if kind == "fresh":
+            row = {b: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for b in bases}
+        elif kind == "zero":
+            row = {}
+        elif kind == "copy":
+            row = dict(rng.choice(rows))
+        else:
+            a, b = rng.choice(rows), rng.choice(rows)
+            fa, fb = rng.randint(-2, 2), Fraction(rng.randint(-2, 2), 3)
+            row = {k: fa * a.get(k, 0) + fb * b.get(k, 0) for k in bases}
+        rows.append(row)
+    return rows, variances
+
+
+def test_cond_var_matches_gram_schmidt_reference():
+    # Every conditional variance of a random Gram covariance, with zero,
+    # duplicated and combined rows and with v among the given, equals the
+    # residual of v's affine row after Gram–Schmidt over the given rows.
+    for seed in range(60):
+        rows, variances = _random_gram(seed)
+        n = len(rows)
+        dot = lambda a, b: sum(c * b.get(k, 0) * variances[k] for k, c in a.items())
+        names = [f"X{i}" for i in range(n)]
+        g = mf.GaussianJoint(names, [[dot(a, b) for b in rows] for a in rows])
+        for v in range(n):
+            for size in range(4):
+                for given in itertools.combinations(range(n), size):
+                    want = reference_cond_var(rows, variances, v, given)
+                    assert g.cond_var(names[v], [names[x] for x in given]) == want, (seed, v, given)
+
+
+@pytest.mark.parametrize("cov, v, given", [
+    ([[0, 1], [1, 0]], "B", ["A"]),
+    ([[1, 2], [2, 1]], "B", ["A"]),
+    ([[-1, 0], [0, 1]], "A", []),
+], ids=["zero-pivot-nonzero-row", "negative-schur-complement", "negative-variance"])
+def test_covariance_that_is_not_psd_is_refused(cov, v, given):
+    g = mf.GaussianJoint(["A", "B"], cov)
+    with pytest.raises(ValidationError):
+        g.cond_var(v, given)
 
 
 def test_ordering_agrees_with_matched_discretization():
