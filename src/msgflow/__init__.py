@@ -55,7 +55,7 @@ from .paths import (
     find_info_paths,
     zero_information_cut,
 )
-from .sampling import detect_flow_sampled, permutation_ci_test, sample_trials
+from .sampling import analyze_sampled, detect_flow_sampled, permutation_ci_test, sample_trials
 from .system import MessageSpec, NoiseSpec, SystemSpec, load_system, save_system
 
 __version__ = "0.1.0"
@@ -93,6 +93,7 @@ __all__ = [
     "ValidationError",
     "analyze",
     "analyze_messages",
+    "analyze_sampled",
     "build",
     "candidate_flow",
     "detect_flow_sampled",

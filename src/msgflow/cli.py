@@ -3,7 +3,8 @@
 Subcommands: analyze (flow verdicts per edge), paths (flow-path recovery),
 hidden (slice-to-slice alarms under an observation mask), derived
 (derivedness query), simulate (trial CSV export), fixtures (list or export
-built-in systems).
+built-in systems).  They parse and print; ``flow.analyze_messages`` and
+``sampling.analyze_sampled``, with its seed policy, are the analyses.
 
 Exit codes: 0 success, 2 parse error, 3 validation error, 4 budget exceeded,
 5 no path found, 6 model violation at an input node.
@@ -18,8 +19,6 @@ import sys
 import warnings
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from . import canon, derived, flow, paths, report, sampling
 from .discrete import enumerate_joint
@@ -83,15 +82,9 @@ def _emit_json(doc, out: Optional[str]) -> None:
 
 def cmd_analyze(args) -> int:
     spec = _load_spec(args)
-    messages = tuple(args.message) if args.message else spec.message.components
-    if len(set(messages)) < len(messages):
-        raise ValidationError(f"a message is given more than once: {list(messages)}")
-    sampled = {
-        "n_trials": args.n_trials,
-        "seed": args.seed,
-        "alpha": args.alpha,
-        "n_perm": args.n_perm,
-    }
+    messages = flow.distinct_messages(args.message or spec.message.components)
+    sampled = {k: getattr(args, k) for k in ("n_trials", "seed", "alpha", "n_perm")}
+    cap = args.max_conditioning
     if args.engine == "sampled":
         missing = [k for k, v in sampled.items() if v is None]
         if missing:
@@ -103,22 +96,16 @@ def cmd_analyze(args) -> int:
                 "the sampled engine tests discrete trials; this system has a gaussian "
                 "message or noise"
             )
+        cap = sampling.DEFAULT_MAX_SUBSET if cap is None else cap
         joint = sampling.sample_trials(spec, args.n_trials, args.seed)
-        streams = np.random.SeedSequence(args.seed).spawn(len(messages))
-        reports = {
-            m: _sampled_report(joint, m, args, ss) for m, ss in zip(messages, streams)
-        }
+        reports = sampling.analyze_sampled(joint, messages, args.alpha, cap, args.n_perm, args.seed)
     else:
         extra = [k for k, v in sampled.items() if v is not None]
         if extra:
             raise ValidationError(f"{extra} only apply to the sampled engine")
-        max_candidates = (
-            flow.DEFAULT_MAX_CANDIDATES if args.max_conditioning is None else args.max_conditioning
-        )
+        cap = flow.DEFAULT_MAX_CANDIDATES if cap is None else cap
         joint = _joint_for(spec)
-        reports = flow.analyze_messages(
-            joint, messages, quantify=args.quantify, max_candidates=max_candidates
-        )
+        reports = flow.analyze_messages(joint, messages, quantify=args.quantify, max_candidates=cap)
     if args.format == "json":
         _emit(report.reports_to_json(reports), args.out)
     elif args.format == "dot":
@@ -127,27 +114,6 @@ def cmd_analyze(args) -> int:
     else:
         _emit(_text_report(reports), args.out)
     return 0
-
-
-def _sampled_report(
-    trials, message: str, args, stream: np.random.SeedSequence
-) -> flow.FlowReport:
-    max_subset_size = (
-        sampling.DEFAULT_MAX_SUBSET if args.max_conditioning is None else args.max_conditioning
-    )
-    rep = flow.FlowReport(message=message, engine="sampled")
-    edges = sorted(trials.edge_vars)
-    for e, edge_stream in zip(edges, stream.spawn(len(edges))):
-        rep.entries[e] = sampling.detect_flow_sampled(
-            trials,
-            e,
-            alpha=args.alpha,
-            max_subset_size=max_subset_size,
-            n_perm=args.n_perm,
-            seed=int(edge_stream.generate_state(1, np.uint64)[0]),
-            message=message,
-        )
-    return rep
 
 
 def _text_report(reports) -> str:

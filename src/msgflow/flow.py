@@ -356,6 +356,14 @@ def analyze(
     return report
 
 
+def distinct_messages(messages: Sequence[str]) -> tuple[str, ...]:
+    """``messages`` as a tuple; a repeat, which would merge two reports, raises."""
+    names = tuple(messages)
+    if len(set(names)) < len(names):
+        raise ValidationError(f"a message is given more than once: {list(names)}")
+    return names
+
+
 def analyze_messages(
     joint: Joint,
     messages: Optional[Sequence[str]] = None,
@@ -365,9 +373,9 @@ def analyze_messages(
     """One report per message against the same joint.
 
     Dependent message pairs are analyzed as-is but flagged with a warning,
-    since each one's flow then also traces the other's.
+    since each one's flow then also traces the other's.  A repeat raises.
     """
-    names = tuple(messages) if messages is not None else joint.message_vars
+    names = distinct_messages(joint.message_vars if messages is None else messages)
     for a, b in itertools.combinations(names, 2):
         if joint.dependent([a], [b]):
             warnings.warn(

@@ -132,8 +132,7 @@ def linear_propagate(spec: SystemSpec) -> GaussianJoint:
     base_var = {msg_name: spec.message.variance}
     base_var.update((v, ns.variance) for v, ns in spec.noise.items())
 
-    graph = spec.graph
-    env: dict = dict.fromkeys(graph.edges, 0)
+    env: dict = dict.fromkeys(spec.graph.edges, 0)
     env[msg_name] = Affine(msg_name)
     env.update((v, Affine(v)) for v in spec.noise)
     for e, fn, _ in spec.compiled():
@@ -145,12 +144,10 @@ def linear_propagate(spec: SystemSpec) -> GaussianJoint:
             raise NonAffineError(f"edge {e}: {value!r} is not an affine form")
         env[e] = value
 
-    edge_order = tuple(e for t in range(graph.horizon) for e in graph.edges_at(t))
-    variables: tuple = (msg_name,) + edge_order
-    rows = [{msg_name: Fraction(1)}] + [getattr(env[e], "coeffs", {}) for e in edge_order]
+    rows = [{msg_name: Fraction(1)}] + [getattr(env[e], "coeffs", {}) for e in spec.variables[1:]]
     # Each row weighted by the base variances once: c_ik·σ²_k·c_jk is one product.
     scaled = [{k: c * base_var[k] for k, c in r.items()} for r in rows]
-    n = len(variables)
+    n = len(spec.variables)
     cov = [[Fraction(0)] * n for _ in range(n)]
     live = [i for i in range(n) if rows[i]]  # a constant edge's row and column are 0
     for x, i in enumerate(live):
@@ -164,6 +161,6 @@ def linear_propagate(spec: SystemSpec) -> GaussianJoint:
                 if ck is not None:
                     s += wk * ck
             cov[i][j] = cov[j][i] = s
-    joint = GaussianJoint(variables, cov)
+    joint = GaussianJoint(spec.variables, cov)
     joint.sources = spec.sources()
     return joint

@@ -53,7 +53,8 @@ test of the cascade permuted.
 
 All randomness is driven by spawned child streams of one master seed, so
 identical inputs give bit-identical trials and p-values; a cascade builds a
-test's stream only when the test permutes.
+test's stream only when the test permutes.  ``analyze_sampled``, what
+``msgflow analyze --engine sampled`` prints, owns the seed policy.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from .errors import (
     DegenerateTestWarning,
     ValidationError,
 )
-from .flow import FlowEntry, _component, _subsets
+from .flow import FlowEntry, FlowReport, _component, _subsets, distinct_messages
 from .graph import EdgeRef
 from .system import ColumnPass, SystemSpec
 
@@ -431,3 +432,27 @@ def detect_flow_sampled(
         if p <= level:
             return FlowEntry(edge, True, sub, None, tuple(p_values), level, n_tests, replicates)
     return FlowEntry(edge, False, None, None, tuple(p_values), level, n_tests, replicates)
+
+
+def analyze_sampled(
+    trials: DiscreteJoint,
+    messages: Optional[Sequence[str]] = None,
+    alpha: float = 0.05,
+    max_subset_size: int = DEFAULT_MAX_SUBSET,
+    n_perm: int = 999,
+    seed: int = 0,
+) -> dict[str, FlowReport]:
+    """Every edge's cascade (``detect_flow_sampled``), one report per message:
+    the sampled twin of ``flow.analyze_messages``.  Message i draws from the
+    i-th child of ``SeedSequence(seed)``, and the k-th edge of
+    ``sorted(trials.edge_vars)`` from its k-th child's ``generate_state(1, uint64)[0]``."""
+    names = distinct_messages(trials.message_vars if messages is None else messages)
+    _check_seed(seed)
+    edges = sorted(trials.edge_vars)
+    reports = {}
+    for m, stream in zip(names, np.random.SeedSequence(seed).spawn(len(names))):
+        rep = reports[m] = FlowReport(m, "sampled")
+        for e, child in zip(edges, stream.spawn(len(edges))):
+            s = int(child.generate_state(1, np.uint64)[0])
+            rep.entries[e] = detect_flow_sampled(trials, e, alpha, max_subset_size, n_perm, s, m)
+    return reports

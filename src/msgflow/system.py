@@ -146,9 +146,12 @@ class SystemSpec:
         }
         self.declared_inputs: frozenset[str] = frozenset(declared_inputs)
         self._validate()
+        # The joint's columns: message components, then edges in forward time order.
+        edges = [e for t in range(graph.horizon) for e in graph.edges_at(t)]
+        self.variables: tuple = (*message.components, *edges)
         fns = {e: x for fs in self.functions.values() for e, x in fs.items()}
         steps = list(zip(message.components, message.exprs or ()))
-        steps += [(e, fns[e]) for t in range(graph.horizon) for e in graph.edges_at(t) if e in fns]
+        steps += [(e, fns[e]) for e in edges if e in fns]
         self._compiled = tuple(self._compile(var, x) for var, x in steps)
 
     # ----- validation -------------------------------------------------
@@ -215,8 +218,7 @@ class SystemSpec:
             return None
         components = self.message.components
         message = frozenset([components]) if len(components) > 1 else frozenset()
-        g = self.graph
-        out = dict.fromkeys((e for t in range(g.horizon) for e in g.edges_at(t)), frozenset())
+        out = dict.fromkeys(self.variables[len(components):], frozenset())
         for e, _, reads in self.compiled():
             out[e] = frozenset().union(
                 *(out[k] if isinstance(k, EdgeRef) else {k} if isinstance(k, NodeRef) else message
@@ -516,9 +518,8 @@ class ColumnPass:
 
     def __init__(self, spec: SystemSpec) -> None:
         self.spec = spec
-        g, m = spec.graph, spec.message
-        edges = tuple(e for t in range(g.horizon) for e in g.edges_at(t))
-        self.variables: tuple = tuple(m.components) + edges
+        self.variables = spec.variables
+        edges = self.variables[len(spec.message.components):]
         # Columns by slot: the variables first, then the noise nodes.
         self._slot = {key: i for i, key in enumerate((*self.variables, *spec.noise))}
         self._cols = [_Column() for _ in self._slot]

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import msgflow as mf
 from msgflow.cli import main
 from msgflow.graph import edge
-from msgflow.report import report_from_dict, report_to_dict
+from msgflow.report import report_from_dict, report_to_dict, reports_to_json
 from msgflow.system import load_system, save_system
 from reference import assert_same_table
 
@@ -275,6 +275,17 @@ def test_sampled_report_records_the_cascade(tmp_path):
     again = report_from_dict(rep)
     assert again.entries[edge("A", 0, "A")].replicates == 20
     assert report_to_dict(again) == rep
+
+
+@pytest.mark.parametrize("cap", [(), ("--max-conditioning", "1")], ids=["default-cap", "cap-1"])
+def test_sampled_analyze_prints_the_library_reports(cap, fixtures, capsys):
+    # Two messages: the CLI splits the seed streams as the library call does.
+    assert run("analyze", "--fixture", "mult-msg", "--engine", "sampled", "--n-trials", "300",
+               "--seed", "7", "--alpha", "0.01", "--n-perm", "49", *cap) == 0
+    trials = mf.sample_trials(fixtures["mult-msg"].spec, 300, 7)
+    size = int(cap[1]) if cap else mf.sampling.DEFAULT_MAX_SUBSET
+    want = reports_to_json(mf.analyze_sampled(trials, None, 0.01, size, 49, 7))
+    assert capsys.readouterr().out == want
 
 
 def test_sampled_requires_parameters():

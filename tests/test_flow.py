@@ -326,6 +326,12 @@ def test_analyze_messages_warns_on_dependence(joints):
         mf.analyze_messages(joints["butterfly"])  # independent pair: no warning
 
 
+def test_analyze_messages_rejects_a_repeated_message(joints):
+    # Two requests for M would collapse into one report.
+    with pytest.raises(ValidationError, match=r"more than once: \['M', 'M'\]"):
+        mf.analyze_messages(joints["ce1"], ["M", "M"])
+
+
 def test_input_nodes(joints, fixtures):
     j = joints["ce1"]
     g = fixtures["ce1"].spec.graph

@@ -829,3 +829,26 @@ def test_cascade_matches_the_reference_on_sparse_trials(fixtures):
                 if not t.is_constant(e)
             )
     assert permuted >= 4
+
+
+def test_analyze_sampled_applies_the_seed_policy(fixtures):
+    # Message i draws from the i-th child of SeedSequence(seed), and the k-th
+    # sorted edge from the k-th child of that, as one uint64.
+    trials = mf.sample_trials(fixtures["mult-msg"].spec, 300, seed=3)
+    reports = mf.analyze_sampled(trials, alpha=0.05, max_subset_size=1, n_perm=49, seed=7)
+    assert list(reports) == list(trials.message_vars) == ["M1", "M2"]
+    edges = sorted(trials.edge_vars)
+    for m, stream in zip(reports, np.random.SeedSequence(7).spawn(2)):
+        assert reports[m].engine == "sampled" and list(reports[m].entries) == edges
+        for e, child in zip(edges, stream.spawn(len(edges))):
+            seed = int(child.generate_state(1, np.uint64)[0])
+            want = mf.detect_flow_sampled(trials, e, 0.05, 1, 49, seed, message=m)
+            assert reports[m].entries[e] == want
+    # A message's report depends on its place in the list, not on the others.
+    alone = mf.analyze_sampled(trials, ["M1"], 0.05, 1, 49, 7)
+    assert alone["M1"] == reports["M1"]
+
+
+def test_analyze_sampled_rejects_a_repeated_message(ce1_trials):
+    with pytest.raises(ValidationError, match=r"more than once: \['M', 'M'\]"):
+        mf.analyze_sampled(ce1_trials, ["M", "M"])
