@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 parse error, 3 validation error, 4 budget exceeded,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import warnings
@@ -34,6 +33,7 @@ from .errors import (
 from .gaussian import linear_propagate
 from .graph import EdgeRef, NodeRef
 from .system import SystemSpec, load_system
+from .values import json_text
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -61,9 +61,20 @@ def _joint_for(spec: SystemSpec):
     return linear_propagate(spec) if spec.is_gaussian else enumerate_joint(spec)
 
 
-def _load_query(args):
-    """The spec, its exact joint and the one message a query is about."""
+def _check_messages(spec: SystemSpec, messages) -> None:
+    unknown = [m for m in messages if m not in spec.message.components]
+    if unknown:
+        raise ValidationError(f"unknown message variable {unknown[0]!r}")
+
+
+def _load_query(args, cap: Optional[int] = None):
+    """The spec, its exact joint and the one message a query is about.  The
+    message, and the conditioning cap if given, are checked before the
+    joint is built."""
     spec = _load_spec(args)
+    _check_messages(spec, [] if args.message is None else [args.message])
+    if cap is not None:
+        flow.check_cap(cap)
     joint = _joint_for(spec)
     return spec, joint, joint.default_message(args.message)
 
@@ -77,12 +88,13 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _emit_json(doc, out: Optional[str]) -> None:
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
+    _emit(json_text(doc) + "\n", out)
 
 
 def cmd_analyze(args) -> int:
     spec = _load_spec(args)
     messages = flow.distinct_messages(args.message or spec.message.components)
+    _check_messages(spec, messages)
     sampled = {k: getattr(args, k) for k in ("n_trials", "seed", "alpha", "n_perm")}
     cap = args.max_conditioning
     if args.engine == "sampled":
@@ -97,6 +109,7 @@ def cmd_analyze(args) -> int:
                 "message or noise"
             )
         cap = sampling.DEFAULT_MAX_SUBSET if cap is None else cap
+        sampling.check_cascade(args.alpha, cap, args.n_perm, args.seed)
         joint = sampling.sample_trials(spec, args.n_trials, args.seed)
         reports = sampling.analyze_sampled(joint, messages, args.alpha, cap, args.n_perm, args.seed)
     else:
@@ -104,6 +117,7 @@ def cmd_analyze(args) -> int:
         if extra:
             raise ValidationError(f"{extra} only apply to the sampled engine")
         cap = flow.DEFAULT_MAX_CANDIDATES if cap is None else cap
+        flow.check_cap(cap)
         joint = _joint_for(spec)
         reports = flow.analyze_messages(joint, messages, quantify=args.quantify, max_candidates=cap)
     if args.format == "json":
@@ -137,7 +151,7 @@ def _text_report(reports) -> str:
 
 
 def cmd_paths(args) -> int:
-    spec, joint, message = _load_query(args)
+    spec, joint, message = _load_query(args, args.max_conditioning)
     rep = flow.analyze(joint, message, max_candidates=args.max_conditioning)
     target = NodeRef.parse(args.target)
     v_ip = flow.input_nodes(joint, spec.graph, message)
@@ -309,7 +323,7 @@ def main(argv=None) -> int:
         warnings.showwarning = _show_warning
         try:
             return args.fn(args)
-        except (SpecParseError, json.JSONDecodeError) as exc:
+        except SpecParseError as exc:
             print(f"parse error: {exc}", file=sys.stderr)
             return EXIT_PARSE
         except OSError as exc:  # load_system maps an unreadable --spec; this is --out

@@ -131,14 +131,14 @@ class FlowReport:
         return tuple(sorted({e.time for e in self.entries}))
 
 
-def _check_cap(max_candidates: int) -> None:
+def check_cap(max_candidates: int) -> None:
     if max_candidates < 0:
         raise ValidationError(f"max_candidates must be at least 0, got {max_candidates}")
 
 
 def _cap(cands: tuple[EdgeRef, ...], max_candidates: int, where) -> tuple[EdgeRef, ...]:
     """``cands`` within the cap; ``where()`` names them in the error."""
-    _check_cap(max_candidates)
+    check_cap(max_candidates)
     if len(cands) > max_candidates:
         raise SearchSpaceError(
             f"{len(cands)} conditioning candidates {where()} exceed the cap of "
@@ -182,7 +182,7 @@ def _search(
     for e in targets:
         if not joint.has_var(e):
             raise ValidationError(f"edge {e} absent from joint")
-    _check_cap(max_candidates)  # also when every target is constant
+    check_cap(max_candidates)  # also when every target is constant
     targets = tuple(e for e in targets if not joint.is_constant(e))
     if not targets:
         return

@@ -3,17 +3,20 @@
 :func:`bits_to_json` is the one encoder of bits for every JSON document the
 package writes (a report's ``quantified``, ``hidden``'s ``violation_bits``,
 ``derived``'s ``leftover_bits``); :func:`bits_from_json` reads them back.
+:func:`~msgflow.values.json_text` is the one text writer: every document,
+a report here, a CLI query or a saved system, is its 2-space indented,
+key-sorted text.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Mapping, Optional, Sequence
 
 from .errors import SpecParseError
 from .flow import FlowEntry, FlowReport
 from .graph import EdgeRef, UnrolledGraph
+from .values import json_text
 
 REPORT_SCHEMA = "msgflow.flow-report/1"
 
@@ -110,7 +113,7 @@ def reports_to_json(reports: Mapping[str, FlowReport]) -> str:
         "messages": sorted(reports),
         "reports": {m: report_to_dict(reports[m]) for m in sorted(reports)},
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json_text(doc) + "\n"
 
 
 def to_dot(

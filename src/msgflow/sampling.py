@@ -91,6 +91,17 @@ def _check_seed(seed: int) -> None:
         raise ValidationError(f"seed {seed} is negative")
 
 
+def check_cascade(alpha: float, max_subset_size: int, n_perm: int, seed: int) -> None:
+    """Refuse cascade settings no run can use, before any trial is drawn."""
+    if not 0 < alpha < 1:
+        raise ValidationError("alpha must be in (0, 1)")
+    if n_perm < 1:
+        raise ValidationError("need at least one permutation")
+    if max_subset_size < 0:
+        raise ValidationError(f"max_subset_size must be at least 0, got {max_subset_size}")
+    _check_seed(seed)
+
+
 def sample_trials(spec: SystemSpec, n: int, seed: int) -> DiscreteJoint:
     """Draw ``n`` independent trials, as the counts of their distinct outcomes.
 
@@ -409,13 +420,7 @@ def detect_flow_sampled(
     m = trials.default_message(message)
     if not trials.has_var(edge):
         raise ValidationError(f"edge column {edge} missing from trials")
-    if not 0 < alpha < 1:
-        raise ValidationError("alpha must be in (0, 1)")
-    if n_perm < 1:
-        raise ValidationError("need at least one permutation")
-    if max_subset_size < 0:
-        raise ValidationError(f"max_subset_size must be at least 0, got {max_subset_size}")
-    _check_seed(seed)
+    check_cascade(alpha, max_subset_size, n_perm, seed)
     if trials.is_constant(edge):
         return FlowEntry(edge, False, None, None, (), alpha, 0, 0)
     family = list(_subsets(_component(trials, [edge], frozenset([edge])), max_subset_size))
@@ -447,7 +452,7 @@ def analyze_sampled(
     i-th child of ``SeedSequence(seed)``, and the k-th edge of
     ``sorted(trials.edge_vars)`` from its k-th child's ``generate_state(1, uint64)[0]``."""
     names = distinct_messages(trials.message_vars if messages is None else messages)
-    _check_seed(seed)
+    check_cascade(alpha, max_subset_size, n_perm, seed)
     edges = sorted(trials.edge_vars)
     reports = {}
     for m, stream in zip(names, np.random.SeedSequence(seed).spawn(len(names))):

@@ -40,7 +40,14 @@ import numpy as np
 from .errors import ExpressionTypeError, MsgflowError, SpecParseError, ValidationError
 from .exprs import Expr, compile_expr, expr_to_json, parse_expr
 from .graph import EdgeRef, NodeRef, UnrolledGraph
-from .values import Value, fraction_from_json, fraction_to_json, value_from_json, value_to_json
+from .values import (
+    Value,
+    fraction_from_json,
+    fraction_to_json,
+    json_text,
+    value_from_json,
+    value_to_json,
+)
 
 Pmf = tuple  # tuple of (value tuple, Fraction) pairs, order-preserving
 
@@ -775,5 +782,4 @@ def load_system(path) -> SystemSpec:
 
 def save_system(spec: SystemSpec, path) -> None:
     with open(path, "w") as fh:
-        json.dump(spec.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(spec.to_json_dict()) + "\n")

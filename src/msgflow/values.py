@@ -11,8 +11,10 @@ hashing and the bit and integer operators behave uniformly across types.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import ExpressionTypeError, NonAffineError, SpecParseError
 
@@ -209,3 +211,47 @@ def value_str(v: Value) -> str:
     if isinstance(v, tuple):
         return "(" + ";".join(value_str(x) for x in v) + ")"
     return str(v)
+
+
+def json_text(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte: the text
+    of every JSON document the package writes.  One recursion appends to one
+    list, where the stdlib's indented encoder resumes a generator per level
+    for every chunk.  A NaN or infinite float raises ValueError, as
+    ``allow_nan=False`` would; a non-string key or another type, TypeError."""
+    parts: list[str] = []
+    _json_parts(doc, "\n", parts)
+    return "".join(parts)
+
+
+def _json_parts(x, outer: str, parts: list) -> None:
+    if isinstance(x, str):
+        parts.append(_quote(x))
+    elif isinstance(x, dict):
+        sep, pad = "{", outer + "  "
+        for k in sorted(x):
+            if not isinstance(k, str):
+                raise TypeError(f"JSON keys are strings, got {k!r}")
+            parts += (sep, pad, _quote(k), ": ")
+            _json_parts(x[k], pad, parts)
+            sep = ","
+        parts.append(outer + "}" if x else "{}")
+    elif isinstance(x, (list, tuple)):
+        sep, pad = "[", outer + "  "
+        for item in x:
+            parts += (sep, pad)
+            _json_parts(item, pad, parts)
+            sep = ","
+        parts.append(outer + "]" if x else "[]")
+    elif x is None:
+        parts.append("null")
+    elif x is True or x is False:
+        parts.append("true" if x else "false")
+    elif isinstance(x, int):
+        parts.append(int.__repr__(x))
+    elif isinstance(x, float) and math.isfinite(x):
+        parts.append(float.__repr__(x))
+    elif isinstance(x, float):
+        raise ValueError(f"JSON has no {x!r}")
+    else:
+        raise TypeError(f"{type(x).__name__} is not a JSON value")

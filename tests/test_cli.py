@@ -455,6 +455,47 @@ def test_analyze_rejects_a_repeated_message(engine, monkeypatch, capsys):
     assert "more than once" in capsys.readouterr().err
 
 
+_SAMPLED_CE1 = ("analyze", "--fixture", "ce1", "--engine", "sampled", *SAMPLED)
+_QUERIES = {
+    "paths": ("paths", "--fixture", "ce1", "--target", "A2"),
+    "hidden": ("hidden", "--fixture", "ce1", "--hide", "C"),
+    "derived": ("derived", "--fixture", "ce1", "--query-edges", "B2->B3",
+                "--given-edges", "A1->B2"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, why",
+    [
+        (("analyze", "--fixture", "mult-msg", "--max-conditioning", "-1"),
+         "max_candidates must be"),
+        (("analyze", "--fixture", "ce1", "--message", "X"), "unknown message variable 'X'"),
+        (("analyze", "--fixture", "sk", "--message", "X"), "unknown message variable 'X'"),
+        ((*_SAMPLED_CE1, "--alpha", "2"), "alpha must be"),
+        ((*_SAMPLED_CE1, "--n-perm", "0"), "at least one permutation"),
+        ((*_SAMPLED_CE1, "--seed", "-1"), "seed -1 is negative"),
+        ((*_SAMPLED_CE1, "--max-conditioning", "-1"), "max_subset_size must be"),
+        (("analyze", "--fixture", "mult-msg", "--engine", "sampled", *SAMPLED, "--message", "X"),
+         "unknown message variable 'X'"),
+        ((*_QUERIES["paths"], "--max-conditioning", "-1"), "max_candidates must be"),
+        *(((*argv, "--message", "X"), "unknown message variable 'X'")
+          for argv in _QUERIES.values()),
+    ],
+    ids=["exact-cap", "exact-message", "gaussian-message", "alpha", "n-perm", "seed",
+         "sampled-cap", "sampled-message", "paths-cap", *(f"{q}-message" for q in _QUERIES)],
+)
+def test_a_bad_option_is_refused_before_any_engine_runs(argv, why, monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("an engine ran")
+
+    for engine in ("enumerate_joint", "linear_propagate", "sampling.sample_trials"):
+        monkeypatch.setattr(f"msgflow.cli.{engine}", unreachable)
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and why in err
+    assert len(err.splitlines()) == 1
+
+
 def test_sampled_engine_rejects_a_gaussian_system_before_sampling(monkeypatch, capsys):
     def unreachable(*args):
         raise AssertionError("trials were sampled")
@@ -586,7 +627,10 @@ def test_every_json_output_is_strict(tmp_path, capsys):
     docs = {}
     for argv in commands:
         assert run(*argv) == 0, argv
-        docs[argv] = _strict_json(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        docs[argv] = _strict_json(out)
+        # Byte for byte the stdlib's 2-space indented, key-sorted text.
+        assert out == json.dumps(docs[argv], indent=2, sort_keys=True) + "\n", argv
     # Infinite bits are the string "inf" in every document, and read back.
     relay_alarms = docs[("hidden", "--spec", str(relay), "--hide", "H")]["alarms"]
     assert relay_alarms[1] == {"t": 1, "alarm": True, "violation_bits": "inf"}

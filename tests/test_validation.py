@@ -78,6 +78,14 @@ CASES = {
         ValidationError, "at least one permutation",
         lambda f, j: mf.detect_flow_sampled(j["ce1"], edge("A", 0, "A"), n_perm=0),
     ),
+    "cascade-subset-cap": (
+        ValidationError, "max_subset_size must be at least 0",
+        lambda f, j: mf.detect_flow_sampled(j["ce1"], edge("A", 0, "A"), max_subset_size=-1),
+    ),
+    "analysis-alpha": (
+        ValidationError, "alpha must be",
+        lambda f, j: mf.analyze_sampled(j["ce1"], alpha=2.0),
+    ),
     # exprs.py: leaf arities
     "noise-leaf-arity": (
         SpecParseError, "noise leaf",
