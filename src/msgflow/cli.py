@@ -67,14 +67,15 @@ def _check_messages(spec: SystemSpec, messages) -> None:
         raise ValidationError(f"unknown message variable {unknown[0]!r}")
 
 
-def _load_query(args, cap: Optional[int] = None):
+def _load_query(args, check, cap: Optional[int] = None):
     """The spec, its exact joint and the one message a query is about.  The
-    message, and the conditioning cap if given, are checked before the
-    joint is built."""
+    message, the conditioning cap if given, and the query's other options,
+    by ``check(graph)``, are checked before the joint is built."""
     spec = _load_spec(args)
     _check_messages(spec, [] if args.message is None else [args.message])
     if cap is not None:
         flow.check_cap(cap)
+    check(spec.graph)
     joint = _joint_for(spec)
     return spec, joint, joint.default_message(args.message)
 
@@ -151,9 +152,14 @@ def _text_report(reports) -> str:
 
 
 def cmd_paths(args) -> int:
-    spec, joint, message = _load_query(args, args.max_conditioning)
-    rep = flow.analyze(joint, message, max_candidates=args.max_conditioning)
     target = NodeRef.parse(args.target)
+
+    def check(graph) -> None:
+        paths.check_target(graph, target)
+        paths.check_limit(args.limit)
+
+    spec, joint, message = _load_query(args, check, args.max_conditioning)
+    rep = flow.analyze(joint, message, max_candidates=args.max_conditioning)
     v_ip = flow.input_nodes(joint, spec.graph, message)
     h = paths.find_info_paths(rep, spec.graph, target, v_ip)
     listing = paths.enumerate_paths(h, limit=args.limit)
@@ -177,9 +183,8 @@ def cmd_paths(args) -> int:
 
 
 def cmd_hidden(args) -> int:
-    spec, joint, message = _load_query(args)
     mask = derived.ObservationMask(frozenset(args.hide))
-    mask.validate(spec.graph)  # also when the horizon leaves no alarm time
+    spec, joint, message = _load_query(args, mask.validate)
     alarms = []
     for t in range(spec.graph.horizon - 1):
         bits = derived.hidden_ask(joint, spec.graph, mask, t, message)  # alarm and bits at once
@@ -196,9 +201,15 @@ def cmd_hidden(args) -> int:
 
 
 def cmd_derived(args) -> int:
-    _, joint, message = _load_query(args)
     q = [EdgeRef.parse(e) for e in args.query_edges]
     p = [EdgeRef.parse(e) for e in args.given_edges]
+
+    def check(graph) -> None:
+        for e in q + p:
+            if e not in graph:
+                raise ValidationError(f"unknown edge {e}")
+
+    _, joint, message = _load_query(args, check)
     bits = derived.derived_ask(joint, q, p, message)  # the verdict and its bits, from one ask
     value = report.bits_to_json(0.0 if bits is None else bits()[0])
     doc = {

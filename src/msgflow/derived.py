@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .discrete import VarId
 from .errors import ValidationError
-from .flow import Joint, edge_flow
+from .flow import Joint, edge_flows
 from .graph import EdgeRef, NodeRef, UnrolledGraph
 
 
@@ -66,7 +66,8 @@ def redundancy_pairs(
     transmission pair: each one exhausts the other's message content.
     """
     m = joint.default_message(message)
-    flowing = [e for e in joint.edges_at(t) if edge_flow(joint, e, m)[0]]
+    flags = edge_flows(joint, joint.edges_at(t), m)
+    flowing = [e for e, (has_flow, _) in flags.items() if has_flow]
     out: list[frozenset[EdgeRef]] = []
     for i, p in enumerate(flowing):
         for q in flowing[i + 1 :]:

@@ -22,18 +22,19 @@ pass, like the rows constructor, numbers each column's values by first
 appearance and lists only values some row holds, so the table stores its
 codes as given.
 
-Every query asks one question of one (c, a, b) weight grid with C
-compressed to its observed strata, and one grid query
-(``DiscreteJoint.grid_query``), which codes A and each B once, serves
-``weight_grid``, ``ci_query`` and the sampled cascade alike.  A grid axis
-is one stored column, whose codes serve as they are, or a mixed-radix key
-of several columns, renumbered over its observed values by a presence table
-(``system.compress``), so building a grid sorts nothing:
+Queries about one A are answered in batches, each from one stacked (c, a,
+b) weight grid (``DiscreteJoint._stack``) that numbers the C strata of every
+query of the batch end to end; a single query is the batch of one, and that
+one grid builder serves ``weight_grid``, ``grid_query``, ``ci_query`` and
+the sampled cascade alike.  A grid axis is one stored column, whose codes
+serve as they are, or a mixed-radix key of several columns, renumbered over
+its observed values by a presence table (``system.compress``) where needed,
+so building a grid sorts nothing:
 
 * ``ci_query`` — the one question every joint answers; ``dependent`` and
   ``cmi``, written once on ``JointVariables``, are the verdict and the bits
-  of one ask.  A query's grid, its margins summed once (``grid_margins``),
-  gives the verdict, an exact yes/no decision of I(A;B|C) > 0: A and B are
+  of a batch of one.  A batch's grid, its margins summed once
+  (``grid_margins``), gives each query's verdict, an exact yes/no decision of I(A;B|C) > 0: A and B are
   independent given C exactly when every cell of the full grid factorizes,
   w_abc·w_c == w_ac·w_bc (``grid_dependent``); empty cells take part too,
   so no separate zero-cell pass is needed.  Flow verdicts are always taken
@@ -62,6 +63,7 @@ Variable identifiers are message component names (strings) and
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -78,6 +80,8 @@ from .values import value_str
 VarId = str | EdgeRef
 
 DEFAULT_BUDGET = 2 ** 24
+
+BATCH_ROWS = 4096  # rows one stacked grid indexes at most (``DiscreteJoint.batch_size``)
 
 WEIGHT_HEADER = "#weight"
 
@@ -205,7 +209,7 @@ class JointVariables:
         """One ``ci_query`` ask of I(A;B|C), its sets checked: None when it
         is 0, otherwise a callable giving its bits and whether they saturate."""
         _check_sets(a_vars, b_vars, c_vars)
-        return self.ci_query(a_vars)(tuple(b_vars), c_vars)
+        return self.ci_query(a_vars)([(tuple(b_vars), tuple(c_vars))])[0]
 
     def has_var(self, v: VarId) -> bool:
         return v in self._index
@@ -301,6 +305,7 @@ class DiscreteJoint(JointVariables):
         self.codes = codes
         self.values: tuple[tuple, ...] = tuple(map(tuple, values))
         self._finite = [True] * width
+        self._sizes = np.array([len(vs) for vs in self.values], dtype=np.int64)
         self._constant = {v: len(vs) <= 1 for v, vs in zip(self.variables, self.values)}
 
     def _floats_continuous(self) -> "DiscreteJoint":
@@ -342,7 +347,18 @@ class DiscreteJoint(JointVariables):
 
     # ----- information queries -----------------------------------------
 
-    def _code(self, vars: Sequence[VarId]) -> tuple[np.ndarray, int]:
+    def _cols(self, vars: Sequence[VarId]) -> list[int]:
+        """The column of each of ``vars``; an unknown variable, or a
+        continuous column, is refused."""
+        cols = [self._col(v) for v in vars]
+        for v, j in zip(vars, cols):
+            if not self._finite[j]:
+                raise ValidationError(
+                    f"column {v} is continuous; CI tests need finite alphabets"
+                )
+        return cols
+
+    def _code(self, vars: Sequence[VarId], dense: bool = True) -> tuple[np.ndarray, int]:
         """One code per row for the joint value of ``vars``, and the code count.
 
         A single column is its stored codes: they are dense, every value is
@@ -352,18 +368,107 @@ class DiscreteJoint(JointVariables):
         order, by a presence table (``compress``; the bound is at most the
         row count).  Either way the codes depend on the values the rows hold
         and on their order, not on the row count, so tables that differ only
-        in how their rows are split or merged get the same codes.
+        in how their rows are split or merged get the same codes.  Unless
+        ``dense``, several columns keep ``mixed_radix``'s codes, in the same
+        order below a bound of at most the row count, some of them unheld.
         """
-        cols = [self._col(v) for v in vars]
-        for v, j in zip(vars, cols):
-            if not self._finite[j]:
-                raise ValidationError(
-                    f"column {v} is continuous; CI tests need finite alphabets"
-                )
+        cols = self._cols(vars)
         if len(cols) == 1:
             return self.codes[cols[0]], len(self.values[cols[0]])
         code, k = mixed_radix([(self.codes[j], len(self.values[j])) for j in cols], self.n_rows)
-        return compress(code, k) if cols else (code, k)
+        return compress(code, k) if cols and dense else (code, k)
+
+    @property
+    def batch_size(self) -> int:
+        """The most queries one stacked grid (``ci_query``) holds:
+        max(1, BATCH_ROWS // n_rows), so a batch indexes at most
+        ``BATCH_ROWS`` rows and a larger table asks one query a batch.
+        Measured with ``analyze`` on pad-mask rungs (best of 7; 2-vCPU x86,
+        numpy 2.4.6), one query a batch against 4,096 rows a batch: k3d3
+        (128 rows) 1.39 → 0.65 ms, k4d4 (512) 3.11 → 1.68 ms, k5d5 (2,048)
+        7.5 → 8.1 ms, k6d6 (8,192) 28.5 ms either way.  Budgets of 8,192
+        and 16,384 rows read 1.25–1.45 ms on k4d4 and 5.3–6.2 ms on k5d5,
+        but 32.3 ms on k6d6, and 65,536 rows 10.7 ms on k5d5 and 84.6 ms on
+        k6d6: the subsets of a search that stopped early in a batch are
+        still answered, and on a large table each costs its rows."""
+        return max(1, BATCH_ROWS // self.n_rows)
+
+    def _strata(self, queries: Sequence[tuple], dense: bool = False):
+        """The stratum of each row for each of a batch of (B, C) queries whose
+        C hold equally many variables, numbered end to end over the batch,
+        shape (m, n), or (m, 1) to broadcast when C is empty; and each
+        query's first stratum, with the stratum count appended.
+
+        Query q's key is the mixed-radix value of its C columns, below k_q,
+        the product of their code counts (0 below 1 when C is empty); a
+        stored column is read as a view when the batch holds one query.
+        Adding o_q, the sum of the bounds before q, puts q's keys in [o_q,
+        o_q + k_q), so the keys of different queries never meet and ascend
+        with q, and the keys serve as strata with q's first at o_q.  Strata
+        no row holds are empty, and every test of the grid ignores them
+        (``grid_dependent``, ``grid_terms``, ``grid_saturated``), so the
+        keys are ranked only when ``dense`` asks for observed strata
+        (``grid_query``), or when the bounds pass the rows indexed, which
+        keeps the grid within as many strata as rows.  One presence table
+        ranks them (``compress``, which sorts instead when the bound passes
+        twice the keys) and keeps their order: q's strata are the ranks
+        from its smallest key's up to the next query's, the strata
+        ``_code`` gives q alone, shifted by the strata before it.  A stored
+        column's codes are already dense.  When the summed bounds might pass
+        int64 (m·w^k, w the widest column's count), each query is first
+        coded by ``_code``, to fewer codes than rows and in the same order.
+        """
+        m, k = len(queries), len(queries[0][1])
+        if k == 0:
+            return np.arange(m)[:, None], np.arange(m + 1)
+        if m == 1:
+            key, kc = self._code(queries[0][1], dense)
+            return key[None], np.array([0, kc])
+        cols = np.array([self._cols(c) for _, c in queries], dtype=np.intp)
+        sizes = self._sizes[cols]
+        if m * int(sizes.max()) ** k > _INT64_MAX:
+            coded = [self._code(c, dense=False) for _, c in queries]
+            key, bounds = np.stack([code for code, _ in coded]), [kc for _, kc in coded]
+        else:
+            key, bounds = self.codes[cols[:, 0]], sizes.prod(axis=1)
+            for j in range(1, k):
+                key = key * sizes[:, j, None] + self.codes[cols[:, j]]
+        offsets = np.concatenate(([0], np.cumsum(bounds)))
+        key = key + offsets[:-1, None]
+        if k == 1 or offsets[-1] <= key.size:
+            return key, offsets
+        ranks, count = compress(key.ravel(), int(offsets[-1]))
+        ranks = ranks.reshape(m, -1)
+        return ranks, np.append(ranks.min(axis=1), count)
+
+    def _stack(self, a: np.ndarray, ka: int, queries: Sequence[tuple], held: dict, dense=False):
+        """The stacked (strata, ka, KB) weight grid of a batch of (B, C)
+        queries about A, whose codes ``a`` take ``ka`` values, and each
+        query's first stratum with the stratum count appended (``_strata``).
+
+        KB is the batch's widest kb, and row i of query q adds its weight at
+        s·(ka·KB) + a_i·KB + b_i, s its stratum: one ``np.add.at``, on a flat
+        index and flat weights, fills the grid.  Query q's strata, cut to
+        its own kb columns, are the grid it would build alone; the cells
+        past its kb stay 0.  Each B of the batch is coded once and folded
+        once into a·KB + b.  ``held`` keeps the previous batch's folds, keyed
+        by B's variable ids and KB, so a run of one-query batches on one
+        target folds it once.  A batch of one adds the stored weights
+        themselves; a larger one repeats them once per query.
+        """
+        coded = {b: self._code(b) for b in dict.fromkeys(b for b, _ in queries)}
+        kb = max(size for _, size in coded.values())
+        kept = dict(held)
+        held.clear()
+        for b, (code, _) in coded.items():
+            held[b, kb] = kept[b, kb] if (b, kb) in kept else a * kb + code
+        m, (b, _) = len(queries), queries[0]
+        ab = held[b, kb] if len(held) == 1 else np.stack([held[b, kb] for b, _ in queries])
+        strata, starts = self._strata(queries, dense)
+        index = ab if starts[-1] == 1 else strata * (ka * kb) + ab
+        g = np.zeros(int(starts[-1]) * ka * kb, dtype=self.weights.dtype)
+        np.add.at(g, index.ravel(), self.weights if m == 1 else np.tile(self.weights, m))
+        return g.reshape(-1, ka, kb), starts
 
     def weight_grid(
         self,
@@ -385,47 +490,49 @@ class DiscreteJoint(JointVariables):
 
     def grid_query(self, a_vars: Sequence[VarId]):
         """``grid(B, C)`` is ``weight_grid(A, B, C)`` without its set checks:
-        the one grid builder.  A is coded once and each tuple B folded once
-        into the index a·kb + b, so a call codes only C (not at all when C is
-        empty) and makes one ``np.add.at`` at (c·ka + a)·kb + b.  The caller
-        keeps C disjoint from A and B."""
+        the stacked grid (``_stack``) of a batch of one, A coded once.  The
+        caller keeps C disjoint from A and B."""
         a, ka = self._code(a_vars)
-        folded: dict = {}
-
-        def grid(b_vars: tuple, c_vars: Sequence[VarId]) -> np.ndarray:
-            ab = folded.get(b_vars)
-            if ab is None:
-                b, kb = self._code(b_vars)
-                ab = folded[b_vars] = (a * kb + b, kb)
-            index, kb = ab
-            kc = 1
-            if c_vars:
-                c, kc = self._code(c_vars)
-                index = c * (ka * kb) + index
-            g = np.zeros(kc * ka * kb, dtype=self.weights.dtype)
-            np.add.at(g, index, self.weights)
-            return g.reshape(kc, ka, kb)
-
-        return grid
+        held: dict = {}
+        return lambda b, c: self._stack(a, ka, [(tuple(b), tuple(c))], held, dense=True)[0]
 
     def ci_query(self, a_vars: Sequence[VarId]):
-        """The queries about A: ``ask(B, C)`` is None when I(A;B|C) = 0 and
-        otherwise a callable giving I(A;B|C) in bits and whether they
-        saturate.  Like ``grid_query`` it checks no sets.
+        """The queries about A: ``batch([(B, C), ...])``, whose C hold equally
+        many variables, answers each query with None when I(A;B|C) = 0, and
+        otherwise with a callable giving I(A;B|C) in bits and whether they
+        saturate.  Like ``grid_query`` it checks no sets; a caller keeps a
+        batch within ``batch_size``.
 
-        Each query builds one grid (``grid_query``), whose margins, summed
-        once, give the verdict, the bits (``grid_cmi``) and the saturation.
+        A batch is one stacked grid (``_stack``), whose margins, summed
+        once, give every query's verdict (``grid_dependent``).  The first
+        bits asked take the terms of every occupied cell (``grid_terms``)
+        and every query's saturation (``grid_saturated``).  ``np.nonzero``
+        lists the cells in (stratum, a, b) order, so query q's cells are
+        contiguous, and in the order its own grid would list them; the sum
+        of its slice of the terms (``term_sum``) is then the float
+        ``grid_cmi`` gives on its own grid, bit for bit.
         """
-        grid = self.grid_query(a_vars)
+        a, ka = self._code(a_vars)
+        held: dict = {}
 
-        def ask(b_vars: tuple, c_vars: Sequence[VarId]):
-            g = grid(b_vars, c_vars)
-            m = grid_margins(g)
-            if not grid_dependent(g, m):
-                return None
-            return lambda: (grid_cmi(g, self.total, m), grid_saturated(g, self.total, m))
+        def batch(queries: Sequence[tuple]) -> list:
+            g, starts = self._stack(a, ka, queries, held)
+            margins = grid_margins(g)
 
-        return ask
+            measured: list = []
+
+            def bits(q: int) -> tuple[float, bool]:
+                if not measured:
+                    cells, terms = grid_terms(g, self.total, margins)
+                    cuts = np.searchsorted(cells, starts).tolist()
+                    measured.extend((terms, cuts, grid_saturated(g, self.total, margins, starts)))
+                terms, cuts, saturated = measured
+                return term_sum(terms[cuts[q] : cuts[q + 1]]), bool(saturated[q])
+
+            dependent = grid_dependent(g, margins, starts).tolist()
+            return [functools.partial(bits, q) if d else None for q, d in enumerate(dependent)]
+
+        return batch
 
     def entropy(self, vars: Sequence[VarId]) -> float:
         """H(vars) in bits."""
@@ -473,35 +580,59 @@ def grid_margins(g: np.ndarray) -> tuple:
     return w_ac, g.sum(axis=1), w_ac.sum(axis=1)
 
 
-def grid_dependent(g: np.ndarray, margins: tuple) -> bool:
-    """I(A;B|C) > 0 on a (c, a, b) weight grid, exactly: A and B are
-    independent given C when every cell, empty ones too, factorizes as
-    w_abc·w_c == w_ac·w_bc."""
+def grid_dependent(g: np.ndarray, margins: tuple, starts: np.ndarray) -> np.ndarray:
+    """I(A;B|C) > 0 for each query of a stacked (c, a, b) weight grid, whose
+    query q holds the strata ``starts[q]`` to ``starts[q + 1]``, exactly: A
+    and B are independent given C when every cell, empty ones too, of every
+    stratum factorizes as w_abc·w_c == w_ac·w_bc.  A padded cell (b at or
+    past the query's own kb) and every cell of an empty stratum read
+    0·w_c == w_ac·0, so they never break it, and the test of a query's
+    strata is its test alone."""
     w_ac, w_bc, w_c = margins
-    return bool((g * w_c[:, None, None] != w_ac[:, :, None] * w_bc[:, None, :]).any())
+    broken = g * w_c[:, None, None] != w_ac[:, :, None] * w_bc[:, None, :]
+    return np.logical_or.reduceat(broken.ravel(), starts[:-1] * (g.size // len(g)))
+
+
+def grid_terms(g: np.ndarray, total: int, margins: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The occupied cells of a (c, a, b) weight grid of total weight
+    ``total``, as each cell's stratum and its term (w_abc/total)·log2(w_abc·w_c
+    / (w_ac·w_bc)), in the C order of ``np.nonzero``: (stratum, a, b)."""
+    w_ac, w_bc, w_c = margins
+    c, a, b = np.nonzero(g)
+    w = g[c, a, b]
+    share = (w / total).astype(np.float64)
+    ratio = w * w_c[c] / (w_ac[c, a] * w_bc[c, b])
+    return c, share * np.log2(ratio.astype(np.float64))
 
 
 def grid_cmi(g: np.ndarray, total: int, margins: tuple) -> float:
     """I(A;B|C) in bits of a (c, a, b) weight grid of total weight ``total``:
-    Σ (w_abc/total)·log2(w_abc·w_c / (w_ac·w_bc)) over the occupied cells."""
-    w_ac, w_bc, w_c = margins
-    c, a, b = np.nonzero(g)  # the occupied cells, in C order
-    w = g[c, a, b]
-    share = (w / total).astype(np.float64)
-    ratio = w * w_c[c] / (w_ac[c, a] * w_bc[c, b])
-    bits = float(np.sum(share * np.log2(ratio.astype(np.float64))))
-    return max(bits, 0.0)
+    the sum of its occupied cells' terms (``grid_terms``)."""
+    return term_sum(grid_terms(g, total, margins)[1])
 
 
-def grid_saturated(g: np.ndarray, total: int, margins: tuple) -> bool:
-    """I(A;B|C) = min(H(A), H(B)) on a (c, a, b) weight grid, exactly.  As
-    I(A;B|C) = H(A) − (H(A) − H(A|C)) − H(A|B,C) <= min(H(A), H(B)), it is
-    H(A), the minimum, exactly when A ⊥ C, w_ac·total == w_a·w_c, and no
-    (c, b) holds two occupied a, H(A|B,C) = 0; likewise for B."""
+def term_sum(terms: np.ndarray) -> float:
+    """The bits of a query's terms, in their order; never below 0."""
+    return max(float(np.sum(terms)), 0.0)
+
+
+def grid_saturated(g: np.ndarray, total: int, margins: tuple, starts: np.ndarray) -> np.ndarray:
+    """I(A;B|C) = min(H(A), H(B)) for each query of a stacked (c, a, b)
+    weight grid, exactly.  As I(A;B|C) = H(A) − (H(A) − H(A|C)) − H(A|B,C)
+    <= min(H(A), H(B)), it is H(A), the minimum, exactly when A ⊥ C,
+    w_ac·total == w_a·w_c, and no (c, b) holds two occupied a, H(A|B,C) =
+    0; likewise for B.  Each condition holds per stratum, and a query's
+    holds when all its strata's do (``reduceat`` over its first strata);
+    w_a sums w_ac over the query's strata, and padded B columns read 0."""
     w_ac, w_bc, w_c = margins
-    apart = lambda w_xc: (w_xc * total == w_xc.sum(axis=0) * w_c[:, None]).all()
-    fixed = lambda axis: (np.count_nonzero(g, axis=axis) <= 1).all()
-    return bool(apart(w_ac) and fixed(1) or apart(w_bc) and fixed(2))
+    first, strata = starts[:-1], np.diff(starts)
+    occupied = g != 0
+    w_x = lambda w_xc: np.repeat(np.add.reduceat(w_xc, first), strata, axis=0)
+    apart = lambda w_xc: w_xc * total == w_x(w_xc) * w_c[:, None]
+    fixed = lambda axis: occupied.sum(axis=axis) <= 1
+    side = lambda w_xc, axis: apart(w_xc).all(axis=1) & fixed(axis).all(axis=1)
+    every = lambda per_stratum: np.logical_and.reduceat(per_stratum, first)
+    return every(side(w_ac, 1)) | every(side(w_bc, 2))
 
 
 def _parse_weight(text: str) -> int:

@@ -41,11 +41,12 @@ slice.  The candidate cap applies to the component searched.
 
 Each slice's components are found once per joint (``components_at``, built
 afresh whenever ``sources`` is assigned) and serve every search of the slice
-and the sampled cascade.  A search asks all of its questions through one
-query (``ci_query``): the exact joint codes the message once and each target
-set once, then builds one weight grid per subset, whose factorization test
-is the verdict.  The gaussian joint answers the same query from its cached
-conditional variances.
+and the sampled cascade.  The searches of one call run together, level by
+level (``_search``), and ask their questions through one query
+(``ci_query``): the exact joint codes the message once and answers a whole
+level of every open search, in batches, each from one stacked weight grid
+whose per-stratum factorization test is the verdict.  The gaussian joint
+answers the same batches from its cached conditional variances.
 
 A quantified search takes each witness's bits from its grid and stops at
 the first witness whose bits saturate: I(M; e | S) <= min(H(M), H(e)) for
@@ -169,46 +170,91 @@ def _component(
 def _search(
     joint: Joint,
     m: str,
-    targets: Sequence[EdgeRef],
+    searches: Sequence[tuple[Sequence[EdgeRef], frozenset[EdgeRef]]],
     max_candidates: int,
-    exclude: frozenset[EdgeRef] = frozenset(),
-):
-    """Yield (S, bits) for every witness S of the same-time targets T: each
-    subset S of comp(T) \\ ``exclude`` with I(m; T \\ S | S) > 0, in
-    (cardinality, canonical order), and ``bits()`` gives that information
-    and whether it saturates.  Constant targets carry nothing and are
-    dropped.  One ``ci_query`` serves the search; S is disjoint from m and
-    T \\ S by construction."""
-    for e in targets:
-        if not joint.has_var(e):
-            raise ValidationError(f"edge {e} absent from joint")
-    check_cap(max_candidates)  # also when every target is constant
-    targets = tuple(e for e in targets if not joint.is_constant(e))
-    if not targets:
-        return
-    where = lambda: "sharing a source with " + ", ".join(map(str, targets))
-    cands = _cap(_component(joint, targets, exclude), max_candidates, where)
+    quantify: bool = False,
+) -> list[tuple[Optional[tuple[EdgeRef, ...]], float]]:
+    """The subset searches of several same-time target sets T, run
+    together: for each (T, exclude), the first witness S, a subset of
+    comp(T) \\ ``exclude`` with I(m; T \\ S | S) > 0 in (cardinality,
+    canonical order), or None, and, with ``quantify``, the largest
+    I(m; T \\ S | S) over the witnesses up to the first that saturates
+    (0.0 otherwise).  Constant targets carry nothing and are dropped.
+
+    Every search is checked, and its candidates capped, before the first
+    query, in the order given.  Then the open searches advance level by
+    level, |S| = 0, 1, …, as the PC algorithm runs its tests (Kalisch &
+    Bühlmann, *JMLR* 2007): level k asks every open search's k-subsets, in
+    canonical order, search after search, through one ``ci_query`` in
+    batches of the joint's ``batch_size``.  A search closes at its first
+    witness, or with ``quantify`` at its first saturating one; the rest of
+    its level in a batch already built is answered and ignored, and later
+    batches skip it.  Each search reads its answers in its own (cardinality,
+    canonical) order, so its first witness and its largest bits up to the
+    stop are those of a search run alone.  Every order comes from
+    ``candidates_at`` and ``itertools.combinations``, never from a set.
+    S is disjoint from m and T \\ S by construction.
+    """
+    plans = []
+    for targets, exclude in searches:
+        for e in targets:
+            if not joint.has_var(e):
+                raise ValidationError(f"edge {e} absent from joint")
+        check_cap(max_candidates)  # also when every target is constant
+        live = tuple(e for e in targets if not joint.is_constant(e))
+        where = lambda: "sharing a source with " + ", ".join(map(str, live))
+        cands = _cap(_component(joint, live, exclude), max_candidates, where) if live else ()
+        plans.append((live, cands, not set(live).isdisjoint(cands)))
+    witness: list = [None] * len(plans)
+    best = [0.0] * len(plans)
+    done = [not live for live, _, _ in plans]
     ask = joint.ci_query([m])
-    for sub in _subsets(cands):
-        rest = tuple(e for e in targets if e not in sub)
-        if rest and (bits := ask(rest, sub)) is not None:
-            yield sub, bits
+
+    def level(k: int, open_: list[int]):
+        for i in open_:
+            live, cands, overlap = plans[i]
+            for sub in itertools.combinations(cands, k):
+                if done[i]:
+                    break
+                rest = tuple(e for e in live if e not in sub) if overlap else live
+                if rest:
+                    yield i, sub, rest
+
+    open_ = [i for i in range(len(plans)) if not done[i]]
+    for k in itertools.count():
+        queue = level(k, open_)
+        while batch := list(itertools.islice(queue, joint.batch_size)):
+            answers = ask([(rest, sub) for _, sub, rest in batch])
+            for (i, sub, _), bits in zip(batch, answers):
+                if done[i] or bits is None:
+                    continue
+                if witness[i] is None:
+                    witness[i] = sub
+                if quantify:
+                    q, done[i] = bits()
+                    best[i] = max(best[i], q)
+                else:
+                    done[i] = True
+        open_ = [i for i in open_ if not done[i] and len(plans[i][1]) > k]
+        if not open_:
+            return list(zip(witness, best))
 
 
-def _witness_and_bits(
-    joint: Joint, m: str, edge: EdgeRef, max_candidates: int
-) -> tuple[Optional[tuple[EdgeRef, ...]], float]:
-    """The first witness of ``edge`` and the largest I(m; edge | S) over
-    all of them, stopping at the first that saturates."""
-    witness, best = None, 0.0
-    for sub, bits in _search(joint, m, [edge], max_candidates, frozenset([edge])):
-        if witness is None:
-            witness = sub
-        q, saturated = bits()
-        best = max(best, q)
-        if saturated:
-            break
-    return witness, best
+def _one_each(edges: Sequence[EdgeRef], exclude: frozenset[EdgeRef] = frozenset()) -> list:
+    """The searches of single edges, each excluding itself and ``exclude``."""
+    return [((e,), exclude | {e}) for e in edges]
+
+
+def edge_flows(
+    joint: Joint,
+    edges: Sequence[EdgeRef],
+    message: Optional[str] = None,
+    max_candidates: int = DEFAULT_MAX_CANDIDATES,
+) -> dict[EdgeRef, tuple[bool, Optional[tuple[EdgeRef, ...]]]]:
+    """``edge_flow`` for each of ``edges``, searched together (``_search``)."""
+    m = joint.default_message(message)
+    found = _search(joint, m, _one_each(edges), max_candidates)
+    return {e: (w is not None, w) for e, (w, _) in zip(edges, found)}
 
 
 def edge_flow(
@@ -218,10 +264,7 @@ def edge_flow(
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> tuple[bool, Optional[tuple[EdgeRef, ...]]]:
     """Flow verdict for one edge, with the first (minimal) witness found."""
-    m = joint.default_message(message)
-    found = _search(joint, m, [edge], max_candidates, frozenset([edge]))
-    witness = next((sub for sub, _ in found), None)
-    return witness is not None, witness
+    return edge_flows(joint, [edge], message, max_candidates)[edge]
 
 
 def set_flow(
@@ -235,7 +278,7 @@ def set_flow(
     edges = tuple(edges)
     if len({e.time for e in edges}) > 1:
         raise ValidationError("set_flow needs edges at a common time")
-    return next(_search(joint, m, edges, max_candidates), None) is not None
+    return _search(joint, m, [(edges, frozenset())], max_candidates)[0][0] is not None
 
 
 def candidate_flow(
@@ -280,7 +323,7 @@ def quantified_flow(
     recoverable given the witness.
     """
     m = joint.default_message(message)
-    return _witness_and_bits(joint, m, edge, max_candidates)[1]
+    return _search(joint, m, _one_each([edge]), max_candidates, quantify=True)[0][1]
 
 
 def separability_partition(
@@ -302,14 +345,13 @@ def separability_partition(
     edges = joint.edges_at(t)
     if not edges:
         raise ValidationError(f"no edges at time {t}")
-    flags = {
-        e: edge_flow(joint, e, m, max_candidates=max_candidates)[0] for e in edges
-    }
-    r_set = frozenset(e for e in edges if flags[e])
+    flags = edge_flows(joint, edges, m, max_candidates)
+    r_set = frozenset(e for e in edges if flags[e][0])
     s_set = frozenset(edges) - r_set
 
-    for e in sorted(r_set):
-        if next(_search(joint, m, [e], max_candidates, s_set | {e}), None) is None:
+    inside = sorted(r_set)
+    for e, (w, _) in zip(inside, _search(joint, m, _one_each(inside, s_set), max_candidates)):
+        if w is None:
             raise InvariantViolation(
                 f"flowing edge {e} has no witness inside the flowing set at t={t}"
             )
@@ -346,13 +388,10 @@ def analyze(
     """Run the detector over every edge of the joint for one message."""
     m = joint.default_message(message)
     report = FlowReport(message=m, engine=joint.engine)
-    for t in joint.times():
-        for e in joint.edges_at(t):
-            if quantify:  # one walk of the search gives the witness and the value
-                witness, q = _witness_and_bits(joint, m, e, max_candidates)
-            else:
-                witness, q = edge_flow(joint, e, m, max_candidates)[1], None
-            report.entries[e] = FlowEntry(e, witness is not None, witness, q)
+    edges = [e for t in joint.times() for e in joint.edges_at(t)]
+    found = _search(joint, m, _one_each(edges), max_candidates, quantify)
+    for e, (witness, q) in zip(edges, found):
+        report.entries[e] = FlowEntry(e, witness is not None, witness, q if quantify else None)
     return report
 
 

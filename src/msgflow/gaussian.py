@@ -57,6 +57,9 @@ class GaussianJoint(JointVariables):
     """Covariance over (message, edge transmissions), exact rationals."""
 
     engine = "gaussian"
+    # A batch is a loop over cached conditional variances: nothing to share,
+    # so a search asks one query at a time and asks none past its stop.
+    batch_size = 1
 
     def __init__(self, variables: Sequence[VarId], cov: Sequence[Sequence[Fraction]]) -> None:
         super().__init__(variables)
@@ -95,8 +98,8 @@ class GaussianJoint(JointVariables):
 
     def ci_query(self, a_vars: Sequence[VarId]):
         """``DiscreteJoint.ci_query`` for a scalar A, on the cached
-        conditional variances: ``ask(B, C)`` is None when Var(a|B,C) ==
-        Var(a|C), and otherwise gives ½·log2(Var(a|C) / Var(a|B,C)) bits, or
+        conditional variances, a batch answered query by query: each
+        (B, C) is None when Var(a|B,C) == Var(a|C), and otherwise gives ½·log2(Var(a|C) / Var(a|B,C)) bits, or
         +inf when Var(a|B,C) is 0, where the bits saturate."""
         a_vars = tuple(a_vars)
         if len(a_vars) != 1:
@@ -111,7 +114,7 @@ class GaussianJoint(JointVariables):
                 return None
             return lambda: (math.inf, True) if v2 == 0 else (0.5 * math.log2(v1 / v2), False)
 
-        return ask
+        return lambda queries: [ask(b_vars, c_vars) for b_vars, c_vars in queries]
 
 
 def linear_propagate(spec: SystemSpec) -> GaussianJoint:

@@ -69,14 +69,11 @@ def find_info_paths(
     system model), and NoPathFound if the target ends up invalid.
     """
     v_ip = frozenset(v_ip)
-    if v_op not in graph:
-        raise ValidationError(f"target {v_op} not in graph")
+    check_target(graph, v_op)
     if any(v.time != 0 for v in v_ip):
         raise ValidationError("input nodes must be at time 0")
     if any(v not in graph for v in v_ip):
         raise ValidationError("input nodes must belong to the graph")
-    if v_op.time < 1:
-        raise ValidationError("target must be at time >= 1")
 
     node_visits = 0
     edge_inspections = 0
@@ -126,13 +123,25 @@ def find_info_paths(
     )
 
 
+def check_target(graph: UnrolledGraph, v_op: NodeRef) -> None:
+    """A path target must be a node of the graph at time 1 or later."""
+    if v_op not in graph:
+        raise ValidationError(f"target {v_op} not in graph")
+    if v_op.time < 1:
+        raise ValidationError("target must be at time >= 1")
+
+
+def check_limit(limit: int) -> None:
+    if limit < 0:
+        raise ValidationError(f"limit must be at least 0, got {limit}")
+
+
 def enumerate_paths(h: PathGraph, limit: int = 10_000) -> PathList:
     """Flatten the path graph into explicit node sequences, lexicographically.
 
     Truncates after ``limit`` paths and says so in the flag.
     """
-    if limit < 0:
-        raise ValidationError(f"limit must be at least 0, got {limit}")
+    check_limit(limit)
     succ: dict[NodeRef, list[NodeRef]] = {}
     for e in h.edges:
         succ.setdefault(e.src, []).append(e.dst)

@@ -15,6 +15,7 @@ sampled cascade written as its own loop over the subsets of
 time over pairs of edges that share a source, or the whole slice when the
 trials carry no sources.  Each of its tests (``reference_test``) picks the
 G-test or the permutation test by its own loop over strata.
+``reference_dependent`` decides I(A;B|C) > 0 from Fraction laws.
 ``stopped_search_length`` counts the subsets a quantified search tries
 before it stops, from Fraction probabilities summed over the rows.
 ``reference_cond_var`` is a conditional variance of affine forms, from
@@ -132,6 +133,20 @@ def reference_component(trials, edge) -> tuple:
                 seen.add(y)
                 todo.append(y)
     return tuple(e for e in cands if e in seen)
+
+
+def reference_dependent(joint, a_vars, b_vars, c_vars) -> bool:
+    """I(A;B|C) > 0, from Fraction probabilities summed over the rows: some
+    (a, b, c) with P(a, b, c)·P(c) != P(a, c)·P(b, c)."""
+    col = {v: i for i, v in enumerate(joint.variables)}
+    abc, ac, bc, c = Counter(), Counter(), Counter(), Counter()
+    for row, p in zip(joint.rows, joint.probs):
+        x, y, z = (tuple(row[col[v]] for v in vs) for vs in (a_vars, b_vars, c_vars))
+        abc[x, y, z] += p
+        ac[x, z] += p
+        bc[y, z] += p
+        c[z] += p
+    return any(abc[x, y, z] * c[z] != ac[x, z] * bc[y, z] for x, z in ac for y, z2 in bc if z == z2)
 
 
 def stopped_search_length(joint, m, edge) -> int:

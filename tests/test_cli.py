@@ -334,6 +334,37 @@ def _cli(*argv):
     )
 
 
+_EVERY_QUANTIFIED_REPORT = """
+import contextlib, io, sys
+from msgflow import FIXTURE_NAMES, cli
+argvs = [["analyze", "--fixture", name, "--quantify"] for name in FIXTURE_NAMES]
+argvs.append(["paths", "--fixture", "butterfly", "--message", "M2", "--target", "A4"])
+for argv in argvs:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0, argv
+    sys.stdout.write(out.getvalue())
+"""
+
+
+def test_outputs_do_not_depend_on_the_string_hash_seed():
+    # Set and dict orders of strings follow PYTHONHASHSEED; the search takes
+    # its orders from canonical edge order, so every document is the same.
+    src = Path(mf.__file__).resolve().parent.parent
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", _EVERY_QUANTIFIED_REPORT],
+            capture_output=True,
+            check=True,
+            timeout=300,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outs[0] == outs[1]
+    assert outs[0].count(b"\n}\n") == len(mf.FIXTURE_NAMES) + 1  # one document each
+
+
 # A two-node system, valid as it stands; each edit below breaks it.
 _SMALL = {
     "nodes": ["A", "B"],
@@ -480,9 +511,15 @@ _QUERIES = {
         ((*_QUERIES["paths"], "--max-conditioning", "-1"), "max_candidates must be"),
         *(((*argv, "--message", "X"), "unknown message variable 'X'")
           for argv in _QUERIES.values()),
+        (("paths", "--fixture", "ce1", "--target", "Z9"), "target Z9 not in graph"),
+        ((*_QUERIES["paths"], "--limit", "-1"), "limit must be at least 0"),
+        (("hidden", "--fixture", "ce1", "--hide", "Z"), "hidden names not in graph"),
+        (("derived", "--fixture", "ce1", "--query-edges", "Z2->Z3", "--given-edges", "A1->B2"),
+         "unknown edge Z2->Z3"),
     ],
     ids=["exact-cap", "exact-message", "gaussian-message", "alpha", "n-perm", "seed",
-         "sampled-cap", "sampled-message", "paths-cap", *(f"{q}-message" for q in _QUERIES)],
+         "sampled-cap", "sampled-message", "paths-cap", *(f"{q}-message" for q in _QUERIES),
+         "paths-target", "paths-limit", "hidden-mask", "derived-edge"],
 )
 def test_a_bad_option_is_refused_before_any_engine_runs(argv, why, monkeypatch, capsys):
     def unreachable(*args):

@@ -1,12 +1,13 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import msgflow as mf
-from msgflow import BudgetExceededError, MessageSpec, NoiseSpec, SystemSpec, ValidationError
+from msgflow import BudgetExceededError, MessageSpec, NoiseSpec, SystemSpec, ValidationError, discrete
 from msgflow.exprs import edge_in, msg
 from msgflow.graph import NodeRef, UnrolledGraph, edge
 from msgflow.report import reports_to_json
@@ -14,7 +15,7 @@ from msgflow.system import compress, first_rows, mixed_radix
 from msgflow.values import value_str
 
 from randsys import pad_mask, random_noisy_system, random_system
-from reference import assert_same_table, reference_joint
+from reference import assert_same_table, reference_dependent, reference_joint
 
 
 def test_ce1_joint_shape(joints):
@@ -706,3 +707,44 @@ def test_kernel_exact_beyond_int64():
             assert j.dependent(a, b, c) == dep
             assert j.cmi(a, b, c) == pytest.approx(bits, abs=1e-12)
         assert j.dependent(["M"], ["X"]) == bool(bump)
+
+
+@st.composite
+def _ci_batches(draw):
+    """A weighted table of 4 to 7 columns, with int64 or object weights, and
+    a batch of (B, C) queries about A = V0: B of one or two columns, C of
+    0 to 2 columns, equally many in every query, disjoint from A and B."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=4, max_size=7))
+    n = draw(st.integers(1, 12))
+    rows = [tuple(draw(st.integers(0, k - 1)) for k in sizes) for _ in range(n)]
+    top = draw(st.sampled_from([9, 2**40]))  # 2^40 makes total² pass int64
+    weights = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    assume(sum(weights) > 0)
+    names = [f"V{j}" for j in range(len(sizes))]
+    joint = mf.DiscreteJoint(names, rows, weights)
+    k = draw(st.integers(0, min(2, len(names) - 2)))
+    queries = []
+    for _ in range(draw(st.integers(1, 8))):
+        rest = draw(st.permutations(names[1:]))
+        kb = draw(st.integers(1, min(2, len(rest) - k)))
+        queries.append((tuple(rest[:kb]), tuple(rest[kb : kb + k])))
+    return joint, queries
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ci_batches(), st.booleans())
+def test_a_batch_answers_each_query_as_it_would_alone(case, wide):
+    # Every answer of a stacked grid has the verdict of the Fraction brute
+    # force, and the bits and saturation of the query asked alone, bit for
+    # bit.  ``wide`` takes the path for summed key bounds that might pass
+    # int64, each query's C coded on its own first.
+    joint, queries = case
+    limit = 0 if wide else discrete._INT64_MAX
+    with mock.patch.object(discrete, "_INT64_MAX", limit):
+        answers = joint.ci_query(["V0"])(queries)
+    assert joint.weights.dtype == (object if joint.total**2 > discrete._INT64_MAX else np.int64)
+    for (b, c), got in zip(queries, answers):
+        alone = joint.ci_query(["V0"])([(b, c)])[0]
+        assert (got is not None) == (alone is not None) == reference_dependent(joint, ["V0"], b, c)
+        if got is not None:
+            assert repr(got()) == repr(alone())

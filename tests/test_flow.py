@@ -19,7 +19,7 @@ from msgflow.exprs import msg
 from msgflow.graph import NodeRef, edge
 from msgflow.report import reports_to_json
 from randsys import random_noisy_system, random_system
-from reference import set_answers, stopped_search_length, unpruned
+from reference import reference_component, set_answers, stopped_search_length, unpruned
 
 
 def test_edge_flow_witnesses_ce1(joints):
@@ -239,40 +239,50 @@ def test_component_table_follows_sources(fixtures):
     assert fits_cap_0(shared) == [True] * 8
 
 
-def test_quantify_builds_one_grid_per_subset(fixtures, monkeypatch):
-    # Every subset a quantified search tries builds one weight grid, which
-    # gives the verdict, the bits and the saturation test; the search stops
-    # at the first witness that saturates and never calls cmi.
+def test_quantify_asks_whole_levels_in_batches(fixtures, monkeypatch):
+    # A quantified analysis asks each edge's subsets level by level, every
+    # subset up to the end of the level that holds its first saturating
+    # witness, in batches that each build one stacked grid, which gives the
+    # verdicts, the bits and the saturation; it stops there and never calls
+    # cmi.  Butterfly's levels fit in one batch each, so no batch is full.
     j = mf.enumerate_joint(fixtures["butterfly"].spec)
-    built = []
-    query = mf.DiscreteJoint.grid_query
+    asked = []
+    query = mf.DiscreteJoint.ci_query
 
     def counted(self, a_vars):
-        grid = query(self, a_vars)
+        asks = query(self, a_vars)
 
-        def build(*axes):
-            built.append(axes)
-            return grid(*axes)
+        def batch(queries):
+            asked.append(len(queries))
+            return asks(queries)
 
-        return build
+        return batch
 
     def no_cmi(*args):
         raise AssertionError("the search called cmi")
 
-    monkeypatch.setattr(mf.DiscreteJoint, "grid_query", counted)
+    monkeypatch.setattr(mf.DiscreteJoint, "ci_query", counted)
     monkeypatch.setattr(mf.DiscreteJoint, "cmi", no_cmi)
     reports = mf.analyze_messages(j, quantify=True)
+
+    def through_stop_level(m, e) -> int:
+        c, tried = len(reference_component(j, e)), stopped_search_length(j, m, e)
+        upto = lambda k: sum(math.comb(c, i) for i in range(k + 1))
+        return upto(next(k for k in range(c + 1) if upto(k) >= tried))
+
     live = [e for e in j.edge_vars if not j.is_constant(e)]
-    tried = sum(stopped_search_length(j, m, e) for m in j.message_vars for e in live)
+    want = sum(through_stop_level(m, e) for m in j.message_vars for e in live)
     pairs = math.comb(len(j.message_vars), 2)  # the dependent-messages check
-    assert len(built) == tried + pairs == 74
+    assert want == 82 and sum(asked) == want + pairs
+    assert max(asked) < j.batch_size
     assert all(r.entries[e].quantified > 0 for r in reports.values() for e in r.flowing())
 
 
 def _unstopped(joint, m, e) -> float:
     """The largest I(m; e | S) over every witness, without the stop."""
-    found = flow._search(joint, m, [e], flow.DEFAULT_MAX_CANDIDATES, frozenset([e]))
-    return max((bits()[0] for _, bits in found), default=0.0)
+    subsets = flow._subsets(flow._component(joint, [e], frozenset([e])))
+    answers = (joint.ask([m], [e], sub) for sub in subsets)
+    return max((bits()[0] for bits in answers if bits is not None), default=0.0)
 
 
 def test_quantify_stops_only_at_a_saturating_witness():
@@ -303,6 +313,21 @@ def test_stopped_quantify_matches_unstopped_on_random_systems():
                 assert (entry.has_flow, entry.witness) == mf.edge_flow(joint, e, m), (i, e)
                 want = _unstopped(joint, m, e)
                 assert entry.quantified == pytest.approx(want, rel=1e-12, abs=0), (i, m, e)
+
+
+@pytest.mark.parametrize("rows", [1, 24, 200])
+def test_batch_boundaries_change_no_report(rows, monkeypatch):
+    # Levels cut into batches anywhere (one query a batch at rows=1) give the
+    # reports of the default batches, byte for byte.
+    joints = [mf.enumerate_joint(random_noisy_system(seed)) for seed in range(30)]
+    reports = lambda: [
+        reports_to_json({m: mf.analyze(j, m, quantify=q) for m in j.message_vars})
+        for j in joints
+        for q in (False, True)
+    ]
+    want = reports()
+    monkeypatch.setattr(mf.discrete, "BATCH_ROWS", rows)
+    assert reports() == want
 
 
 @pytest.mark.parametrize("name", ["ce1", "ce3", "butterfly"])
