@@ -34,8 +34,9 @@ so building a grid sorts nothing:
 * ``ci_query`` — the one question every joint answers; ``dependent`` and
   ``cmi``, written once on ``JointVariables``, are the verdict and the bits
   of a batch of one.  A batch's grid, its margins summed once
-  (``grid_margins``), gives each query's verdict, an exact yes/no decision of I(A;B|C) > 0: A and B are
-  independent given C exactly when every cell of the full grid factorizes,
+  (``grid_margins``), gives each query's verdict, an exact yes/no decision
+  of I(A;B|C) > 0: A and B are independent given C exactly when every cell
+  of the query's strata factorizes,
   w_abc·w_c == w_ac·w_bc (``grid_dependent``); empty cells take part too,
   so no separate zero-cell pass is needed.  Flow verdicts are always taken
   from this test, never from a float threshold.  A dependent query also
@@ -393,22 +394,20 @@ class DiscreteJoint(JointVariables):
         still answered, and on a large table each costs its rows."""
         return max(1, BATCH_ROWS // self.n_rows)
 
-    def _strata(self, queries: Sequence[tuple], dense: bool = False):
+    def _strata(self, queries: Sequence[tuple]):
         """The stratum of each row for each of a batch of (B, C) queries whose
         C hold equally many variables, numbered end to end over the batch,
         shape (m, n), or (m, 1) to broadcast when C is empty; and each
         query's first stratum, with the stratum count appended.
 
         Query q's key is the mixed-radix value of its C columns, below k_q,
-        the product of their code counts (0 below 1 when C is empty); a
-        stored column is read as a view when the batch holds one query.
+        the product of their code counts (0 below 1 when C is empty).
         Adding o_q, the sum of the bounds before q, puts q's keys in [o_q,
         o_q + k_q), so the keys of different queries never meet and ascend
         with q, and the keys serve as strata with q's first at o_q.  Strata
         no row holds are empty, and every test of the grid ignores them
         (``grid_dependent``, ``grid_terms``, ``grid_saturated``), so the
-        keys are ranked only when ``dense`` asks for observed strata
-        (``grid_query``), or when the bounds pass the rows indexed, which
+        keys are ranked only when the bounds pass the rows indexed, which
         keeps the grid within as many strata as rows.  One presence table
         ranks them (``compress``, which sorts instead when the bound passes
         twice the keys) and keeps their order: q's strata are the ranks
@@ -421,9 +420,6 @@ class DiscreteJoint(JointVariables):
         m, k = len(queries), len(queries[0][1])
         if k == 0:
             return np.arange(m)[:, None], np.arange(m + 1)
-        if m == 1:
-            key, kc = self._code(queries[0][1], dense)
-            return key[None], np.array([0, kc])
         cols = np.array([self._cols(c) for _, c in queries], dtype=np.intp)
         sizes = self._sizes[cols]
         if m * int(sizes.max()) ** k > _INT64_MAX:
@@ -441,7 +437,9 @@ class DiscreteJoint(JointVariables):
         ranks = ranks.reshape(m, -1)
         return ranks, np.append(ranks.min(axis=1), count)
 
-    def _stack(self, a: np.ndarray, ka: int, queries: Sequence[tuple], held: dict, dense=False):
+    def _stack(
+        self, a: np.ndarray, ka: int, queries: Sequence[tuple], held: dict, dense: bool = False
+    ):
         """The stacked (strata, ka, KB) weight grid of a batch of (B, C)
         queries about A, whose codes ``a`` take ``ka`` values, and each
         query's first stratum with the stratum count appended (``_strata``).
@@ -452,10 +450,28 @@ class DiscreteJoint(JointVariables):
         its own kb columns, are the grid it would build alone; the cells
         past its kb stay 0.  Each B of the batch is coded once and folded
         once into a·KB + b.  ``held`` keeps the previous batch's folds, keyed
-        by B's variable ids and KB, so a run of one-query batches on one
-        target folds it once.  A batch of one adds the stored weights
-        themselves; a larger one repeats them once per query.
+        by B's variable ids and KB; the weights repeat once per query.
+
+        A batch of one is this grid with KB its own kb and its strata its C
+        codes, ``_code``'s, observed ones only when ``dense``
+        (``grid_query``): it adds the stored weights to an index built from
+        stored code rows as views, and ``held`` keeps its last B's fold, so
+        a run of queries on one target folds it once.
         """
+        if len(queries) == 1:
+            ((b, c),) = queries
+            if b not in held:
+                code, kb = self._code(b)
+                held.clear()
+                held[b] = (a * kb + code, kb)
+            index, kb = held[b]
+            kc = 1
+            if c:
+                key, kc = self._code(c, dense)
+                index = key * (ka * kb) + index
+            g = np.zeros(kc * ka * kb, dtype=self.weights.dtype)
+            np.add.at(g, index, self.weights)
+            return g.reshape(kc, ka, kb), np.array([0, kc])
         coded = {b: self._code(b) for b in dict.fromkeys(b for b, _ in queries)}
         kb = max(size for _, size in coded.values())
         kept = dict(held)
@@ -464,10 +480,10 @@ class DiscreteJoint(JointVariables):
             held[b, kb] = kept[b, kb] if (b, kb) in kept else a * kb + code
         m, (b, _) = len(queries), queries[0]
         ab = held[b, kb] if len(held) == 1 else np.stack([held[b, kb] for b, _ in queries])
-        strata, starts = self._strata(queries, dense)
-        index = ab if starts[-1] == 1 else strata * (ka * kb) + ab
+        strata, starts = self._strata(queries)
+        index = strata * (ka * kb) + ab
         g = np.zeros(int(starts[-1]) * ka * kb, dtype=self.weights.dtype)
-        np.add.at(g, index.ravel(), self.weights if m == 1 else np.tile(self.weights, m))
+        np.add.at(g, index.ravel(), np.tile(self.weights, m))
         return g.reshape(-1, ka, kb), starts
 
     def weight_grid(
