@@ -15,12 +15,12 @@ Both engines walk the noise sources one at a time with the column forward
 pass (:meth:`~msgflow.system.ColumnPass.outcomes`) and build the table from
 the code columns (``DiscreteJoint.from_codes``).  The walk splits its
 weighted rows by a source just before the source's first reader runs, by
-pmf numerators for the exact joint and by multinomial counts for trials, and
-merges the rows that become equal once its last reader has run, so its cost
-follows the distinct outcomes, not the realization or trial count.  The
-pass, like the rows constructor, numbers each column's values by first
-appearance and lists only values some row holds, so the table stores its
-codes as given.
+its integer law weights for the exact joint and by multinomial counts for
+trials, and merges the rows that become equal once its last reader has run,
+so its cost follows the distinct outcomes, not the realization or trial
+count.  The pass, like the rows constructor, numbers each column's values
+by first appearance and lists only values some row holds, so the table
+stores its codes as given.
 
 Queries about one A are answered in batches, each from one stacked (c, a,
 b) weight grid (``DiscreteJoint._stack``) that numbers the C strata of every
@@ -437,9 +437,7 @@ class DiscreteJoint(JointVariables):
         ranks = ranks.reshape(m, -1)
         return ranks, np.append(ranks.min(axis=1), count)
 
-    def _stack(
-        self, a: np.ndarray, ka: int, queries: Sequence[tuple], held: dict, dense: bool = False
-    ):
+    def _stack(self, a: np.ndarray, ka: int, queries: Sequence[tuple], held: dict):
         """The stacked (strata, ka, KB) weight grid of a batch of (B, C)
         queries about A, whose codes ``a`` take ``ka`` values, and each
         query's first stratum with the stratum count appended (``_strata``).
@@ -452,26 +450,11 @@ class DiscreteJoint(JointVariables):
         once into a·KB + b.  ``held`` keeps the previous batch's folds, keyed
         by B's variable ids and KB; the weights repeat once per query.
 
-        A batch of one is this grid with KB its own kb and its strata its C
-        codes, ``_code``'s, observed ones only when ``dense``
-        (``grid_query``): it adds the stored weights to an index built from
-        stored code rows as views, and ``held`` keeps its last B's fold, so
-        a run of queries on one target folds it once.
+        A batch of one is ``_grid``'s grid, its one stratum range [0, kc).
         """
         if len(queries) == 1:
-            ((b, c),) = queries
-            if b not in held:
-                code, kb = self._code(b)
-                held.clear()
-                held[b] = (a * kb + code, kb)
-            index, kb = held[b]
-            kc = 1
-            if c:
-                key, kc = self._code(c, dense)
-                index = key * (ka * kb) + index
-            g = np.zeros(kc * ka * kb, dtype=self.weights.dtype)
-            np.add.at(g, index, self.weights)
-            return g.reshape(kc, ka, kb), np.array([0, kc])
+            g = self._grid(a, ka, *queries[0], held)
+            return g, np.array([0, len(g)])
         coded = {b: self._code(b) for b in dict.fromkeys(b for b, _ in queries)}
         kb = max(size for _, size in coded.values())
         kept = dict(held)
@@ -485,6 +468,26 @@ class DiscreteJoint(JointVariables):
         g = np.zeros(int(starts[-1]) * ka * kb, dtype=self.weights.dtype)
         np.add.at(g, index.ravel(), np.tile(self.weights, m))
         return g.reshape(-1, ka, kb), starts
+
+    def _grid(self, a: np.ndarray, ka: int, b: tuple, c: tuple, held: dict, dense=False):
+        """The (kc, ka, kb) weight grid of one (B, C) query about A: the
+        stacked grid of a batch of one, KB its own kb and its strata its C
+        codes, ``_code``'s, observed ones only when ``dense``
+        (``grid_query``).  It adds the stored weights to an index built from
+        stored code rows as views, and ``held`` keeps its last B's fold, so
+        a run of queries on one target folds it once."""
+        if b not in held:
+            code, kb = self._code(b)
+            held.clear()
+            held[b] = (a * kb + code, kb)
+        index, kb = held[b]
+        kc = 1
+        if c:
+            key, kc = self._code(c, dense)
+            index = key * (ka * kb) + index
+        g = np.zeros(kc * ka * kb, dtype=self.weights.dtype)
+        np.add.at(g, index, self.weights)
+        return g.reshape(kc, ka, kb)
 
     def weight_grid(
         self,
@@ -506,11 +509,11 @@ class DiscreteJoint(JointVariables):
 
     def grid_query(self, a_vars: Sequence[VarId]):
         """``grid(B, C)`` is ``weight_grid(A, B, C)`` without its set checks:
-        the stacked grid (``_stack``) of a batch of one, A coded once.  The
-        caller keeps C disjoint from A and B."""
+        the grid of a batch of one (``_grid``), A coded once.  The caller
+        keeps C disjoint from A and B."""
         a, ka = self._code(a_vars)
         held: dict = {}
-        return lambda b, c: self._stack(a, ka, [(tuple(b), tuple(c))], held, dense=True)[0]
+        return lambda b, c: self._grid(a, ka, tuple(b), tuple(c), held, dense=True)
 
     def ci_query(self, a_vars: Sequence[VarId]):
         """The queries about A: ``batch([(B, C), ...])``, whose C hold equally
@@ -699,9 +702,13 @@ def enumerate_joint(spec: SystemSpec, budget: int = DEFAULT_BUDGET) -> DiscreteJ
     source multiplies in its own law.  This is variable elimination (Zhang &
     Poole, 1994) run forward.  A source no function reads is never drawn.
 
-    Weights: each law is taken over its own least common denominator D_s,
-    so a row weighs the sum, over the realizations it stands for, of the
-    product of the drawn sources' integer pmf numerators.  The sums are
+    Weights: each law holds positive integer weights w_i of gcd 1 over
+    their sum D_s (``MessageSpec``, ``NoiseSpec``), and a row weighs the
+    sum, over the realizations it stands for, of the product of the drawn
+    sources' weights.  D_s is the least common denominator L of the law's
+    reduced probabilities w_i/D_s: each reduced denominator divides D_s, so
+    L does; each L·w_i/D_s is an integer, so D_s divides L·gcd(w) = L.  The
+    weights are the numerators p_i·L over that denominator.  The sums are
     divided by their gcd at the end, which scales them to the outcome
     probabilities over their least common denominator, as the rows
     constructor would; an undrawn source would have multiplied every weight
@@ -728,16 +735,14 @@ def enumerate_joint(spec: SystemSpec, budget: int = DEFAULT_BUDGET) -> DiscreteJ
         raise BudgetExceededError(
             f"{n_real} realizations exceed the enumeration budget of {budget}"
         )
-    msg_pmf = spec.message.pmf if spec.message.kind == "discrete" else (((), Fraction(1)),)
-    laws = {None: msg_pmf, **{v: spec.noise[v].pmf for v in spec.noise_nodes()}}
-    denoms = [math.lcm(*(p.denominator for _, p in law)) for law in laws.values()]
+    laws = {None: spec.message, **{v: spec.noise[v] for v in spec.noise_nodes()}}
+    # A derived message is one empty row of weight 1.
+    supports = {u: list(law.support or ((),)) for u, law in laws.items()}
+    factors = {u: law.weights or (1,) for u, law in laws.items()}
     # Realization weights sum to the product of the D_s: int64 while its
     # square fits, as in the table.
-    dtype = np.int64 if math.prod(denoms) ** 2 <= _INT64_MAX else object
-    factors = {
-        u: np.array([int(p * d) for _, p in law], dtype=dtype)
-        for (u, law), d in zip(laws.items(), denoms)
-    }
+    dtype = np.int64 if math.prod(map(sum, factors.values())) ** 2 <= _INT64_MAX else object
+    factors = {u: np.array(w, dtype=dtype) for u, w in factors.items()}
 
     def split(u, w: np.ndarray) -> tuple:
         k = len(factors[u])
@@ -745,7 +750,6 @@ def enumerate_joint(spec: SystemSpec, budget: int = DEFAULT_BUDGET) -> DiscreteJ
         return rows.repeat(k), (w[:, None] * factors[u]).ravel(), np.tile(np.arange(k), len(w))
 
     fwd = ColumnPass(spec)
-    supports = {u: [x for x, _ in law] for u, law in laws.items()}
     codes, values, weights = fwd.outcomes(supports, split(None, np.ones(1, dtype))[1:], split)
     weights = weights.tolist()
     g = math.gcd(*weights)

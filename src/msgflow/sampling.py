@@ -109,8 +109,10 @@ def sample_trials(spec: SystemSpec, n: int, seed: int) -> DiscreteJoint:
     (:meth:`~msgflow.system.ColumnPass.outcomes`) with counts for weights:
     the message rows start as multinomial(n, P(M)), one row of count n for
     a derived message, and a discrete source splits a row of count c by
-    multinomial(c, P(s)).  Each source, the message first and then the
-    noise nodes sorted, draws from its own stream spawned from ``seed``.
+    multinomial(c, P(s)), P(s) the floats w / D of the law's integer
+    weights w over their sum D, each the exact probability correctly
+    rounded.  Each source, the message first and then the noise nodes
+    sorted, draws from its own stream spawned from ``seed``.
     So a discrete system's sampling holds no array of n entries, and its
     cost does not depend on n.  A gaussian source splits a row of count c
     into c rows of weight 1, one fresh draw each: it draws n values, hands
@@ -160,9 +162,9 @@ def sample_trials(spec: SystemSpec, n: int, seed: int) -> DiscreteJoint:
             draws = rngs[u].normal(0.0, math.sqrt(float(law.variance)), size=n).tolist()
             supports[u] = [(x,) for x in draws] if u is None else draws
         else:
-            pmf = law.pmf or (((), 1),)  # a derived message: one row of all n
-            supports[u] = [x for x, _ in pmf]
-            probs[u] = np.array([float(p) for _, p in pmf])
+            weights = law.weights or (1,)  # a derived message: one row of all n
+            supports[u], d = list(law.support or ((),)), sum(weights)
+            probs[u] = np.array([w / d for w in weights])
             probs[u] /= probs[u].sum()
 
     def split(u, w: np.ndarray) -> tuple:

@@ -9,7 +9,9 @@ graph.
 
 Message laws come in three kinds:
 
-* ``discrete`` — named components with an exact joint pmf over value tuples;
+* ``discrete`` — named components with an exact joint law over value tuples,
+  held, as discrete noise is, as positive integer weights of gcd 1 over
+  their sum, built from a document's ``[num, den]`` integers;
 * ``gaussian`` — a single zero-mean scalar component with rational variance;
 * ``derived``  — components defined as expressions over intrinsic variables,
   for systems whose message lives at the output rather than the input.
@@ -45,59 +47,87 @@ from .values import (
     fraction_from_json,
     fraction_to_json,
     json_text,
+    ratio_from_json,
     value_from_json,
     value_to_json,
 )
 
-Pmf = tuple  # tuple of (value tuple, Fraction) pairs, order-preserving
 
-
-def _normalize_pmf(pairs, what: str) -> Pmf:
-    out = []
-    total = Fraction(0)
-    seen = set()
-    for value, p in pairs:
-        p = Fraction(p)
-        if p < 0:
+def _normalize_pmf(pairs, what: str) -> tuple[tuple, tuple]:
+    """A law's support and weights from (value, (num, den)) integer pairs,
+    den != 0: the rows of positive p = num/den, in the order given, and
+    their p over the least common denominator L of the dens, divided by the
+    weights' gcd.  The weights must sum to L, since the ps sum to 1."""
+    rows, seen = [], set()
+    for value, (num, den) in pairs:
+        if den < 0:
+            num, den = -num, -den
+        if num < 0:
             raise ValidationError(f"{what}: negative probability for {value!r}")
-        if p == 0:
+        if num == 0:
             continue
         if value in seen:
             raise ValidationError(f"{what}: duplicate support value {value!r}")
         seen.add(value)
-        out.append((value, p))
-        total += p
-    if total != 1:
-        raise ValidationError(f"{what}: probabilities sum to {total}, expected 1")
-    return tuple(out)
+        rows.append((value, num, den))
+    lcm = math.lcm(*(den for _, _, den in rows))
+    weights = [num * (lcm // den) for _, num, den in rows]
+    if sum(weights) != lcm:
+        raise ValidationError(
+            f"{what}: probabilities sum to {Fraction(sum(weights), lcm)}, expected 1"
+        )
+    g = math.gcd(*weights)
+    return tuple(v for v, _, _ in rows), tuple(w // g for w in weights)
+
+
+def _ratios(pmf) -> list:
+    """(value, p) rows, p anything ``Fraction()`` takes, as (value, (num, den))."""
+    return [(v, Fraction(p).as_integer_ratio()) for v, p in pmf]
+
+
+class _Law:
+    """A discrete law: its ``support`` and positive integer ``weights`` of gcd
+    1, each value's probability its weight over the weights' sum."""
+
+    @property
+    def pmf(self) -> Optional[tuple]:
+        """(value, Fraction probability) pairs, in support order."""
+        if self.weights is None:
+            return None
+        d = sum(self.weights)
+        return tuple((v, Fraction(w, d)) for v, w in zip(self.support, self.weights))
 
 
 @dataclass(frozen=True)
-class MessageSpec:
+class MessageSpec(_Law):
     kind: str  # "discrete" | "gaussian" | "derived"
     components: tuple[str, ...]
-    pmf: Optional[Pmf] = None  # discrete: ((component values...), prob)
+    support: Optional[tuple] = None  # discrete: (component values...) per row
+    weights: Optional[tuple[int, ...]] = None  # discrete
     variance: Optional[Fraction] = None  # gaussian
     exprs: Optional[tuple[Expr, ...]] = None  # derived, one per component
 
     @staticmethod
     def discrete(components, pmf) -> "MessageSpec":
+        """(value, p) rows, p anything ``Fraction()`` takes."""
+        as_tuple = lambda v: tuple(v) if isinstance(v, (list, tuple)) else (v,)
+        return MessageSpec._discrete(components, ((as_tuple(v), p) for v, p in _ratios(pmf)))
+
+    @staticmethod
+    def _discrete(components, rows) -> "MessageSpec":
+        """(value tuple, (num, den)) rows, as ``_normalize_pmf`` takes them."""
         components = tuple(components)
-        norm = _normalize_pmf(
-            (((tuple(v) if isinstance(v, (list, tuple)) else (v,)), p) for v, p in pmf),
-            "message",
-        )
-        for v, _ in norm:
+        support, weights = _normalize_pmf(rows, "message")
+        for v in support:
             if len(v) != len(components):
                 raise ValidationError(
                     f"message value {v!r} does not match components {components}"
                 )
-        return MessageSpec("discrete", components, pmf=norm)
+        return MessageSpec("discrete", components, support, weights)
 
     @staticmethod
     def bernoulli(name: str = "M", p=Fraction(1, 2)) -> "MessageSpec":
-        p = Fraction(p)
-        return MessageSpec.discrete((name,), (((0,), 1 - p), ((1,), p)))
+        return MessageSpec.discrete((name,), (((0,), 1 - Fraction(p)), ((1,), p)))
 
     @staticmethod
     def gaussian(name: str = "M", variance=1) -> "MessageSpec":
@@ -112,19 +142,20 @@ class MessageSpec:
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
+class NoiseSpec(_Law):
     kind: str  # "discrete" | "gaussian"
-    pmf: Optional[Pmf] = None
+    support: Optional[tuple] = None
+    weights: Optional[tuple[int, ...]] = None
     variance: Optional[Fraction] = None
 
     @staticmethod
     def discrete(pmf) -> "NoiseSpec":
-        return NoiseSpec("discrete", pmf=_normalize_pmf(pmf, "noise"))
+        """(value, p) rows, p anything ``Fraction()`` takes."""
+        return NoiseSpec("discrete", *_normalize_pmf(_ratios(pmf), "noise"))
 
     @staticmethod
     def bernoulli(p=Fraction(1, 2)) -> "NoiseSpec":
-        p = Fraction(p)
-        return NoiseSpec.discrete(((0, 1 - p), (1, p)))
+        return NoiseSpec.discrete(((0, 1 - Fraction(p)), (1, p)))
 
     @staticmethod
     def gaussian(variance) -> "NoiseSpec":
@@ -237,9 +268,9 @@ class SystemSpec:
         """Number of (message, noise) realizations the exact engine enumerates."""
         if self.is_continuous:
             raise ValidationError("a system with a gaussian source is not enumerable")
-        n = len(self.message.pmf) if self.message.kind == "discrete" else 1
+        n = len(self.message.support) if self.message.kind == "discrete" else 1
         for ns in self.noise.values():
-            n *= len(ns.pmf)
+            n *= len(ns.support)
         return n
 
     # ----- propagation --------------------------------------------------
@@ -510,7 +541,8 @@ class ColumnPass:
 
     ``outcomes`` walks the noise sources one at a time, on the schedule the
     constructor builds from what each function reads: the exact enumerator
-    splits rows by pmf numerators, the trial sampler by multinomial counts.
+    splits rows by integer law weights, the trial sampler by multinomial
+    counts.
 
     Each step of the plan (``SystemSpec.compiled``), a derived message
     component or a node function, runs once per distinct combination of the
@@ -737,8 +769,8 @@ def _law_to_json(law: MessageSpec | NoiseSpec, value: Callable) -> dict:
 
 
 def _pmf_from_json(d: dict, value: Callable) -> list:
-    """The pmf rows of a discrete law; ``value`` decodes one support value."""
-    return [(value(row["value"]), fraction_from_json(row["p"], "p")) for row in d["pmf"]]
+    """A discrete law's (value, (num, den)) rows; ``value`` decodes a value."""
+    return [(value(row["value"]), ratio_from_json(row["p"], "p")) for row in d["pmf"]]
 
 
 def _message_from_json(d: dict) -> MessageSpec:
@@ -748,7 +780,7 @@ def _message_from_json(d: dict) -> MessageSpec:
         raise SpecParseError(f"message components must be an array: {components!r}")
     if kind == "discrete":
         pmf = _pmf_from_json(d, lambda v: tuple(map(value_from_json, v)))
-        return MessageSpec.discrete(components, pmf)
+        return MessageSpec._discrete(components, pmf)
     if kind == "gaussian":
         if len(components) != 1:
             raise ValidationError("gaussian messages are scalar")
@@ -762,7 +794,7 @@ def _message_from_json(d: dict) -> MessageSpec:
 def _noise_from_json(d: dict) -> NoiseSpec:
     kind = d.get("kind")
     if kind == "discrete":
-        return NoiseSpec.discrete(_pmf_from_json(d, value_from_json))
+        return NoiseSpec("discrete", *_normalize_pmf(_pmf_from_json(d, value_from_json), "noise"))
     if kind == "gaussian":
         return NoiseSpec.gaussian(fraction_from_json(d["variance"], "variance"))
     raise ValidationError(f"unknown noise kind {kind!r}")

@@ -182,13 +182,19 @@ def fraction_to_json(x: Fraction) -> list:
     return [x.numerator, x.denominator]
 
 
-def fraction_from_json(obj, what: str = "rational") -> Fraction:
-    """Decode ``[num, den]``: exactly two JSON integers (a JSON boolean is
-    none), the denominator nonzero; anything else is a SpecParseError."""
+def ratio_from_json(obj, what: str = "rational") -> tuple[int, int]:
+    """Check ``[num, den]``: exactly two JSON integers (a JSON boolean is
+    none), the denominator nonzero; anything else is a SpecParseError.
+    Returns (num, den) as given, unreduced."""
     ints = isinstance(obj, list) and len(obj) == 2 and all(type(x) is int for x in obj)
     if not ints or obj[1] == 0:
         raise SpecParseError(f"{what} must be [num, den], two integers, den != 0: {obj!r}")
-    return Fraction(obj[0], obj[1])
+    return obj[0], obj[1]
+
+
+def fraction_from_json(obj, what: str = "rational") -> Fraction:
+    """Decode ``[num, den]``, checked by ``ratio_from_json``."""
+    return Fraction(*ratio_from_json(obj, what))
 
 
 def value_from_json(obj) -> Value:

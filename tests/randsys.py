@@ -199,6 +199,12 @@ def random_affine_system(seed: int) -> SystemSpec:
 def pad_mask(k: int, d: int, w: int) -> SystemSpec:
     """A binary pad-mask system: A sends M + k pads mod 2 to B, which
     subtracts them; each pad and each of d decoys draws noise on 0..w-1."""
+    return SystemSpec.from_json_dict(pad_mask_doc(k, d, w))
+
+
+def pad_mask_doc(k: int, d: int, w: int) -> dict:
+    """``pad_mask``'s system document, in the form ``bench/padmask.py``
+    writes: every probability an integer pair, [1, 2] or [1, w]."""
     pads = ["P" + "ABCDEFGH"[i] for i in range(k)]
     decoys = ["D" + "ABCDEFGH"[i] for i in range(d)]
     reduced = ["mod", 2, ["noise"]]
@@ -218,7 +224,7 @@ def pad_mask(k: int, d: int, w: int) -> SystemSpec:
         functions[f"{x}1"] = {"B2": ["edge", f"{x}0", f"{x}1"]}
     functions["A1"] = {"B2": ["mod", 2, masked]}
     functions["B2"] = {"B3": ["mod", 2, decoded]}
-    return SystemSpec.from_json_dict({
+    return {
         "nodes": ["A", "B", *pads, *decoys],
         "horizon": 3,
         "adjacency": adjacency,
@@ -227,4 +233,4 @@ def pad_mask(k: int, d: int, w: int) -> SystemSpec:
         "noise": {f"{x}0": law for x in pads + decoys},
         "functions": functions,
         "declared_inputs": ["A"],
-    })
+    }

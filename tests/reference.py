@@ -16,6 +16,8 @@ time over pairs of edges that share a source, or the whole slice when the
 trials carry no sources.  Each of its tests (``reference_test``) picks the
 G-test or the permutation test by its own loop over strata.
 ``reference_dependent`` decides I(A;B|C) > 0 from Fraction laws.
+``reference_pmf`` normalizes a law's (value, p) rows with Fraction sums,
+the rule the integer law reader must agree with.
 ``stopped_search_length`` counts the subsets a quantified search tries
 before it stops, from Fraction probabilities summed over the rows.
 ``reference_cond_var`` is a conditional variance of affine forms, from
@@ -65,6 +67,29 @@ def reference_joint(spec) -> mf.DiscreteJoint:
             row = reference_row(spec, m, noise)
             acc[row] = acc.get(row, 0) + p_msg * math.prod(p for _, p in choice)
     return mf.DiscreteJoint(_variables(spec), list(acc), list(acc.values()))
+
+
+def reference_pmf(pairs, what: str) -> tuple:
+    """A law's (value, Fraction) rows: zero rows dropped, then a negative
+    probability, a repeated value or a sum other than 1 refused, each with
+    the reader's ValidationError text."""
+    out = []
+    total = Fraction(0)
+    seen = set()
+    for value, p in pairs:
+        p = Fraction(p)
+        if p < 0:
+            raise mf.ValidationError(f"{what}: negative probability for {value!r}")
+        if p == 0:
+            continue
+        if value in seen:
+            raise mf.ValidationError(f"{what}: duplicate support value {value!r}")
+        seen.add(value)
+        out.append((value, p))
+        total += p
+    if total != 1:
+        raise mf.ValidationError(f"{what}: probabilities sum to {total}, expected 1")
+    return tuple(out)
 
 
 def check_trials(trials: mf.DiscreteJoint, spec, n: int) -> None:

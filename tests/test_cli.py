@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,8 @@ from msgflow.cli import main
 from msgflow.graph import edge
 from msgflow.report import report_from_dict, report_to_dict, reports_to_json
 from msgflow.system import load_system, save_system
-from reference import assert_same_table
+from randsys import pad_mask_doc
+from reference import assert_same_table, reference_pmf
 
 
 def run(*argv):
@@ -100,6 +102,9 @@ MISSING = object()  # the key is removed
         (("declared_inputs",), [["A"]]),  # a node name that is not a string
         (("functions",), MISSING),  # a missing top-level field
         ((), []),  # a document that is not an object
+        (("noise", "C0", "pmf", 0, "p"), [1, 0]),
+        (("message", "pmf", 0, "p"), [True, 2]),  # a JSON boolean is no integer
+        (("noise", "C0", "pmf", 0, "p"), [True, 2]),
     ],
 )
 def test_malformed_spec_is_a_parse_error(tmp_path, path, value):
@@ -152,6 +157,12 @@ def _ill_formed(fixture, edit, fragment, name=None):
         _ill_formed("mult-msg", _bare_msg, "reads a bare msg leaf"),
         _ill_formed("ce1", _set("message", "pmf", 0, "p", value=[-1, 2]),
                     "negative probability", "negative_p"),
+        _ill_formed("ce1", _set("message", "pmf", 0, "p", value=[1, -2]),
+                    "message: negative probability for (0,)", "negative_den"),
+        _ill_formed("ce1", _set("noise", "C0", "pmf", 1, "p", value=[-1, 2]),
+                    "noise: negative probability for 1", "negative_noise_p"),
+        _ill_formed("ce1", _set("message", "pmf", 0, "p", value=[1, 4]),
+                    "message: probabilities sum to 3/4, expected 1", "sum_three_quarters"),
         _ill_formed("ce1", _set("noise", "C0", "pmf", 1, "value", value=0),
                     "duplicate support value", "duplicate_value"),
         _ill_formed("sk", _set("message", "variance", value=[0, 1]),
@@ -794,6 +805,94 @@ def test_fixture_export_and_spec_round_trip(tmp_path):
         else:
             g1, g2 = mf.linear_propagate(original), mf.linear_propagate(spec)
             assert g1.cov == g2.cov
+
+
+def _ce1_with(*path, value) -> mf.SystemSpec:
+    doc = mf.build("ce1").spec.to_json_dict()
+    _set(*path, value=value)(doc)
+    return mf.SystemSpec.from_json_dict(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("path, value", [
+    # [num, den] with both signs negative is the positive probability.
+    (("message", "pmf"), [{"value": [v], "p": [-1, -2]} for v in (0, 1)]),
+    (("noise", "C0", "pmf", 1, "p"), [-1, -2]),
+    # An unreduced pair is its reduced probability.
+    (("noise", "C0", "pmf"), [{"value": 0, "p": [3, 6]}, {"value": 1, "p": [10**20, 2 * 10**20]}]),
+    # A zero row is dropped before the duplicate check, so its value may come again.
+    (("noise", "C0", "pmf"), [{"value": 0, "p": [0, 1]}, {"value": 0, "p": [1, 2]},
+                              {"value": 1, "p": [1, 2]}]),
+])
+def test_equal_laws_load_as_one(path, value):
+    spec = _ce1_with(*path, value=value)
+    want = mf.build("ce1").spec
+    assert (spec.message, spec.noise) == (want.message, want.noise)
+    assert spec.to_json_dict() == want.to_json_dict()
+
+
+@st.composite
+def _law_rows(draw):
+    """(value, (num, den)) rows: num in -3..50 (zero rows included), den in
+    1..10^20, both signs flipped at random, values that may repeat;
+    rescaled half the time to sum to 1."""
+    rows = draw(st.lists(st.tuples(
+        st.integers(0, 9), st.integers(-3, 50), st.integers(1, 10**20), st.booleans(),
+    ), min_size=1, max_size=6))
+    rows = [(v, -num, -den) if flip else (v, num, den) for v, num, den, flip in rows]
+    total = sum(Fraction(num, den) for _, num, den in rows)
+    if total > 0 and draw(st.booleans()):
+        rows = [(v, num * total.denominator, den * total.numerator) for v, num, den in rows]
+    return [(v, (num, den)) for v, num, den in rows]
+
+
+def _outcome(build):
+    try:
+        return build()
+    except mf.ValidationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_law_rows())
+def test_the_reader_and_the_constructors_build_one_law(rows):
+    fracs = [(v, Fraction(num, den)) for v, (num, den) in rows]
+    noise = [{"value": v, "p": list(p)} for v, p in rows]
+    message = [{"value": [v], "p": list(p)} for v, p in rows]
+    cases = [
+        (lambda: _ce1_with("noise", "C0", "pmf", value=noise).noise[mf.NodeRef("C", 0)],
+         lambda: mf.NoiseSpec.discrete(fracs),
+         lambda: reference_pmf(fracs, "noise")),
+        (lambda: _ce1_with("message", "pmf", value=message).message,
+         lambda: mf.MessageSpec.discrete(("M",), fracs),
+         lambda: reference_pmf([((v,), p) for v, p in fracs], "message")),
+    ]
+    for read, built, want in cases:
+        read, built, want = _outcome(read), _outcome(built), _outcome(want)
+        assert read == built
+        if isinstance(want, str):
+            assert read == want
+        else:
+            assert read.pmf == want
+            assert math.gcd(*read.weights) == 1 and len(read.weights) == len(want)
+
+
+def test_loading_an_integer_law_creates_no_fraction(tmp_path, monkeypatch):
+    # exact-enum's widest rung: pad-mask k2 d1, noise on 0..15.
+    path = tmp_path / "padmask.json"
+    path.write_text(json.dumps(pad_mask_doc(2, 1, 16)))
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    spec = load_system(path)
+    monkeypatch.undo()
+    assert made == []
+    assert [spec.noise[v].weights for v in spec.noise_nodes()] == [(1,) * 16] * 3
+    assert spec.message.weights == (1, 1)
 
 
 def test_readme_system_file_is_ce1():
